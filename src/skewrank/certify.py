@@ -63,11 +63,14 @@ def generic_rank(A):
 
 
 def restrict_line(A, p, q):
-    """Restriction of A to the parameter line s*p + t*q (a pencil in s, t)."""
+    """Restriction of A to the parameter line s*p + t*q (a pencil in s, t)
+    through the independent points p and q."""
     p = [Q(x) for x in p]
     q = [Q(x) for x in q]
     if len(p) != A.nvars or len(q) != A.nvars:
         raise ValueError("points must have one coordinate per variable")
+    if linalg.rank([p, q]) != 2:
+        raise ValueError("line needs two independent points")
     target = ("s", "t")
     images = [Form(target, [((1, 0), pi), ((0, 1), qi)]) for pi, qi in zip(p, q)]
     upper = {ij: f.linear_substitute(images) for ij, f in A.upper_entries()}

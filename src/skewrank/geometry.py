@@ -204,13 +204,6 @@ def gauss_span_dim(A, cert=None):
 # -- lines, splitting types, jumping lines -------------------------------
 
 
-def restrict_to_line(A, p, q):
-    """Pencil obtained by substituting vars = s*p + t*q (independent p, q)."""
-    if linalg.rank([list(p), list(q)]) != 2:
-        raise ValueError("line needs two independent points")
-    return restrict_line(A, p, q)
-
-
 def line_span_points(line):
     """Two deterministic independent points on the line with the given
     dual coordinates."""
@@ -233,7 +226,7 @@ def line_span_points(line):
 
 def splitting_on_line(A, p, q):
     """Kronecker invariants of the restriction to the line through p, q."""
-    pencil = restrict_to_line(A, p, q)
+    pencil = restrict_line(A, p, q)
     cert = certify_constant_rank(pencil)
     if cert.constant is not True:
         raise ValueError("restriction is not of constant rank; "
@@ -368,47 +361,21 @@ def conic_contains(conic, line):
 
 def _bordered_pfaffians(A, xi):
     """Nonzero Pfaffians of size 2r+2 of A bordered skew-symmetrically by
-    the constant covector xi (only subsets through the border survive)."""
-    n = A.order
+    the constant covector xi (only subsets through the border survive).
+
+    Expanded along the border: Pf(sub + border) is the sum over t of
+    (-1)^t xi[sub[t]] Pf(sub without sub[t]), and those size-2r
+    sub-Pfaffians are the ones certification already computed.
+    """
     cert = certify_constant_rank(A)
     size = cert.generic_rank + 2
     xi = [Q(x) for x in xi]
-    zero = Form.zero(A.vars)
-
-    def entry(i, j):
-        if i == j:
-            return zero
-        if j == n:
-            return Form.constant(A.vars, xi[i])
-        if i == n:
-            return -Form.constant(A.vars, xi[j])
-        return A.entry(i, j)
-
-    memo = {}
-
-    def pf(idx):
-        got = memo.get(idx)
-        if got is not None:
-            return got
-        if not idx:
-            out = Form.constant(A.vars, 1)
-        else:
-            i0 = idx[0]
-            rest = idx[1:]
-            out = Form.zero(A.vars)
-            sign = 1
-            for t, j in enumerate(rest):
-                e = entry(i0, j)
-                if not e.is_zero():
-                    term = e * pf(rest[:t] + rest[t + 1:])
-                    out = out + (term if sign > 0 else -term)
-                sign = -sign
-        memo[idx] = out
-        return out
-
     gens = []
-    for sub in combinations(range(n), size - 1):
-        f = pf(sub + (n,))
+    for sub in combinations(range(A.order), size - 1):
+        f = Form.zero(A.vars)
+        for t, i in enumerate(sub):
+            if xi[i]:
+                f = f + A._pf(sub[:t] + sub[t + 1:]) * (xi[i] if t % 2 == 0 else -xi[i])
         if not f.is_zero():
             gens.append(f)
     return gens

@@ -5,6 +5,15 @@ Provides reduced Groebner bases in graded reverse lexicographic order
 projective emptiness through the pure-power criterion on the leading-term
 ideal, and degrees of low-dimensional projective schemes read off the
 Hilbert function of the staircase.
+
+Internally, monomials are packed into single integers: one B-bit field
+per variable plus the total degree in the top field.  Two keys are used
+per monomial: ``dkey`` holds the raw exponents (additive under
+multiplication, guard-bit divisibility test) and ``okey`` orders
+monomials graded reverse lexicographically as plain integers.  A packed
+polynomial is a list of ``(okey, dkey, coeff)`` triples, descending in
+okey, with nonzero integer coefficients.  Only this module knows the
+format; everything it returns is a :class:`~skewrank.forms.Form`.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import _kernels
 from .forms import Form, parse_form
 
 Q = Fraction
@@ -23,6 +31,209 @@ Q = Fraction
 
 class WrongDimension(ValueError):
     """The staircase does not have the dimension the caller expected."""
+
+
+# -- packed-monomial kernel ------------------------------------------------
+
+
+def _make_layout(nvars):
+    """Packing parameters for a ring with `nvars` variables."""
+    n = int(nvars)
+    if n < 1:
+        raise ValueError("need at least one variable")
+    B = min(16, 63 // (n + 1))
+    if B < 8:
+        B = 8
+    mask = (1 << B) - 1
+    degshift = n * B
+    lowall = 0
+    guard = 0
+    for i in range(n):
+        lowall |= mask << (i * B)
+    for i in range(n + 1):
+        guard |= 1 << ((i + 1) * B - 1)
+    degmask = mask << degshift
+    return (n, B, degshift, degmask, lowall, guard)
+
+
+def _pack(exps, lay):
+    n, B, degshift = lay[0], lay[1], lay[2]
+    if len(exps) != n:
+        raise ValueError("exponent length mismatch")
+    cap = 1 << (B - 1)
+    dkey = 0
+    total = 0
+    for i, e in enumerate(exps):
+        if e < 0 or e >= cap:
+            raise ValueError("exponent %d out of packing range" % e)
+        dkey |= e << (i * B)
+        total += e
+    if total >= cap:
+        raise ValueError("degree %d out of packing range" % total)
+    return dkey | (total << degshift)
+
+
+def _unpack(dkey, lay):
+    n, B = lay[0], lay[1]
+    mask = (1 << B) - 1
+    return tuple((dkey >> (i * B)) & mask for i in range(n))
+
+
+def _okey(dkey, lay):
+    degmask, lowall = lay[3], lay[4]
+    return (dkey & degmask) + (lowall - (dkey & lowall))
+
+
+def _divides(a, b, lay):
+    """True when monomial a divides monomial b."""
+    guard = lay[5]
+    return ((b | guard) - a) & guard == guard
+
+
+def _lcm(a, b, lay):
+    n, B, degshift = lay[0], lay[1], lay[2]
+    mask = (1 << B) - 1
+    out = 0
+    total = 0
+    for i in range(n):
+        e = max((a >> (i * B)) & mask, (b >> (i * B)) & mask)
+        out |= e << (i * B)
+        total += e
+    return out | (total << degshift)
+
+
+def _pack_form(f, lay):
+    """(p, den): the packed polynomial p == den * f with integer
+    coefficients, den the lcm of the coefficient denominators."""
+    den = 1
+    for c in f._terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    p = []
+    for e, c in f._terms.items():
+        dk = _pack(e, lay)
+        p.append((_okey(dk, lay), dk, int(c * den)))
+    p.sort(reverse=True)
+    return p, den
+
+
+def _content(p):
+    g = 0
+    for _, _, c in p:
+        g = gcd(g, c)
+        if g == 1:
+            return 1
+    return g
+
+
+def _primitive(p):
+    """Strip integer content; make the leading coefficient positive."""
+    if not p:
+        return p
+    g = _content(p)
+    if p[0][2] < 0:
+        g = -g
+    if g == 1:
+        return p
+    return [(ok, dk, c // g) for ok, dk, c in p]
+
+
+def _shift(p, m, lay):
+    """p times the monomial m (order is preserved)."""
+    degmask, lowall = lay[3], lay[4]
+    if m == 0:
+        return p
+    out = []
+    for ok, dk, k in p:
+        nk = dk + m
+        out.append(((nk & degmask) + (lowall - (nk & lowall)), nk, k))
+    return out
+
+
+def _add_scaled(p, q, cp, cq):
+    """cp*p + cq*q, merged; returns a fresh sorted list."""
+    out = []
+    i = j = 0
+    lp, lq = len(p), len(q)
+    while i < lp and j < lq:
+        a, b = p[i], q[j]
+        if a[0] > b[0]:
+            out.append((a[0], a[1], cp * a[2]))
+            i += 1
+        elif a[0] < b[0]:
+            out.append((b[0], b[1], cq * b[2]))
+            j += 1
+        else:
+            s = cp * a[2] + cq * b[2]
+            if s:
+                out.append((a[0], a[1], s))
+            i += 1
+            j += 1
+    while i < lp:
+        a = p[i]
+        out.append((a[0], a[1], cp * a[2]))
+        i += 1
+    while j < lq:
+        b = q[j]
+        out.append((b[0], b[1], cq * b[2]))
+        j += 1
+    return out
+
+
+def _s_polynomial(f, g, lay):
+    """Primitive S-polynomial of two primitive polynomials."""
+    dkf, dkg = f[0][1], g[0][1]
+    cf, cg = f[0][2], g[0][2]
+    lcm = _lcm(dkf, dkg, lay)
+    sp = _add_scaled(_shift(f, lcm - dkf, lay), _shift(g, lcm - dkg, lay), cg, -cf)
+    return _primitive(sp)
+
+
+def _reduce(f, basis, lay):
+    """Full reduction of f modulo basis: (rem, mult) with rem the integer
+    remainder of the rational multiple mult * f.
+
+    The divisor for each step is the first basis element (in list order)
+    whose leading monomial divides the current leading monomial, so the
+    remainder is unique up to the scale that `mult` records.
+    """
+    work = f
+    out = []
+    mult = Q(1)
+    steps = 0
+    i = 0                              # work[:i] is already in out
+    while i < len(work):
+        _, dk0, c0 = work[i]
+        hit = None
+        for g in basis:
+            if _divides(g[0][1], dk0, lay):
+                hit = g
+                break
+        if hit is None:
+            out.append(work[i])
+            i += 1
+            continue
+        cg = hit[0][2]
+        work = _add_scaled(work[i + 1:], _shift(hit[1:], dk0 - hit[0][1], lay), cg, -c0)
+        i = 0
+        if cg != 1:
+            out = [(ok, dk, c * cg) for ok, dk, c in out]
+            mult *= cg
+        steps += 1
+        if steps % 16 == 0 and work:
+            g = gcd(_content(work), _content(out))
+            if g > 1:
+                work = [(ok, dk, c // g) for ok, dk, c in work]
+                out = [(ok, dk, c // g) for ok, dk, c in out]
+                mult /= g
+    return out, mult
+
+
+def _reduce_primitive(f, basis, lay):
+    """Primitive normal form of f modulo basis."""
+    return _primitive(_reduce(f, basis, lay)[0])
+
+
+# -- ideals and bases ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -55,6 +266,11 @@ class Ideal:
 
     @classmethod
     def from_json(cls, obj):
+        """Inverse of to_json; a malformed object raises ValueError."""
+        if not (isinstance(obj, dict) and all(
+                isinstance(obj.get(k), list) and all(isinstance(x, str) for x in obj[k])
+                for k in ("vars", "generators"))):
+            raise ValueError('ideal JSON must be {"vars": [str], "generators": [str]}')
         return cls(tuple(obj["vars"]), obj["generators"])
 
     @classmethod
@@ -65,18 +281,16 @@ class Ideal:
 class GroebnerBasis:
     """Reduced degrevlex Groebner basis (monic forms, ascending leads)."""
 
-    __slots__ = ("ideal", "basis", "_lay", "_kpolys", "_backend")
+    __slots__ = ("ideal", "basis", "_lay", "_kpolys")
 
-    def __init__(self, ideal, basis, lay, kpolys, backend):
+    def __init__(self, ideal, basis, lay, kpolys):
         self.ideal = ideal
         self.basis = tuple(basis)
         self._lay = lay
         self._kpolys = kpolys
-        self._backend = backend
 
     def leading_exponents(self):
-        K = self._backend
-        return [K.unpack(p[0][1], self._lay) for p in self._kpolys]
+        return [_unpack(p[0][1], self._lay) for p in self._kpolys]
 
     def __iter__(self):
         return iter(self.basis)
@@ -85,29 +299,12 @@ class GroebnerBasis:
         return len(self.basis)
 
 
-def _resolve_backend(backend):
-    if backend is None:
-        return _kernels.impl
-    if isinstance(backend, str):
-        return _kernels.backends()[backend]
-    return backend
-
-
-def _form_to_kernel(f, lay, K):
-    """Clear denominators, strip content; returns a primitive int poly."""
-    den = 1
-    for _, c in f._terms.items():
-        den = den * c.denominator // gcd(den, c.denominator)
-    pairs = [(K.pack(e, lay), int(c * den)) for e, c in f._terms.items()]
-    return K.primitive(K.poly_from_pairs(pairs, lay))
-
-
-def _kernel_to_monic_form(p, vars, lay, K):
+def _kernel_to_monic_form(p, vars, lay):
     lead = Q(p[0][2])
-    return Form(vars, [(K.unpack(dk, lay), Q(c) / lead) for _, dk, c in p])
+    return Form(vars, [(_unpack(dk, lay), Q(c) / lead) for _, dk, c in p])
 
 
-def _interreduce(polys, lay, K):
+def _interreduce(polys, lay):
     polys = [p for p in polys if p]
     stable = False
     while not stable:
@@ -115,7 +312,7 @@ def _interreduce(polys, lay, K):
         fresh = []
         for i, p in enumerate(polys):
             others = fresh + polys[i + 1:]
-            h = K.reduce_primitive(p, others, lay) if others else K.primitive(p)
+            h = _reduce_primitive(p, others, lay) if others else _primitive(p)
             if h != p:
                 stable = False
             if h:
@@ -124,19 +321,18 @@ def _interreduce(polys, lay, K):
     return polys
 
 
-def buchberger(ideal, backend=None):
+def buchberger(ideal):
     """Reduced Groebner basis of a homogeneous ideal, deterministically."""
-    K = _resolve_backend(backend)
     vars = ideal.vars
     n = len(vars)
-    lay = K.make_layout(n)
+    lay = _make_layout(n)
     gens = []
     for g in ideal.generators:
         if g.is_zero():
             continue
         if not g.is_homogeneous():
             raise ValueError("non-homogeneous generator %s" % g)
-        gens.append(_form_to_kernel(g, lay, K))
+        gens.append(_primitive(_pack_form(g, lay)[0]))
     seen = set()
     unique = []
     for p in gens:
@@ -145,7 +341,7 @@ def buchberger(ideal, backend=None):
             seen.add(key)
             unique.append(p)
 
-    G = _interreduce(unique, lay, K)
+    G = _interreduce(unique, lay)
 
     pending = set()
     heap = []
@@ -153,9 +349,9 @@ def buchberger(ideal, backend=None):
     def push_pairs(t):
         dkt = G[t][0][1]
         for i in range(t):
-            lcm = K.mono_lcm(G[i][0][1], dkt, lay)
+            lcm = _lcm(G[i][0][1], dkt, lay)
             pending.add((i, t))
-            heapq.heappush(heap, (K.mono_deg(lcm, lay), K.okey_of(lcm, lay), i, t))
+            heapq.heappush(heap, (lcm >> lay[2], _okey(lcm, lay), i, t))
 
     for t in range(len(G)):
         push_pairs(t)
@@ -166,14 +362,14 @@ def buchberger(ideal, backend=None):
             continue
         pending.discard((i, j))
         dki, dkj = G[i][0][1], G[j][0][1]
-        lcm = K.mono_lcm(dki, dkj, lay)
+        lcm = _lcm(dki, dkj, lay)
         if lcm == dki + dkj:          # coprime leading monomials
             continue
         skip = False
         for k in range(len(G)):
             if k in (i, j):
                 continue
-            if K.mono_divides(G[k][0][1], lcm, lay):
+            if _divides(G[k][0][1], lcm, lay):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -181,7 +377,7 @@ def buchberger(ideal, backend=None):
                     break
         if skip:
             continue
-        h = K.reduce_primitive(K.s_polynomial(G[i], G[j], lay), G, lay)
+        h = _reduce_primitive(_s_polynomial(G[i], G[j], lay), G, lay)
         if h:
             G.append(h)
             push_pairs(len(G) - 1)
@@ -190,15 +386,15 @@ def buchberger(ideal, backend=None):
     G.sort(key=lambda p: p[0][0])
     kept = []
     for p in G:
-        if not any(K.mono_divides(q[0][1], p[0][1], lay) for q in kept):
+        if not any(_divides(q[0][1], p[0][1], lay) for q in kept):
             kept.append(p)
     final = []
     for i, p in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        final.append(K.reduce_primitive(p, others, lay) if others else p)
+        final.append(_reduce_primitive(p, others, lay) if others else p)
     final.sort(key=lambda p: p[0][0])
-    forms = [_kernel_to_monic_form(p, vars, lay, K) for p in final]
-    return GroebnerBasis(ideal, forms, lay, final, K)
+    forms = [_kernel_to_monic_form(p, vars, lay) for p in final]
+    return GroebnerBasis(ideal, forms, lay, final)
 
 
 def normal_form(f, gb):
@@ -207,57 +403,30 @@ def normal_form(f, gb):
         raise ValueError("ring mismatch")
     if f.is_zero():
         return f
-    K = gb._backend
     lay = gb._lay
-    den = 1
-    for c in f._terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    work = K.poly_from_pairs([(K.pack(e, lay), int(c * den)) for e, c in f._terms.items()], lay)
-    scale = Q(den)                     # work == scale * f_remaining
-    out = {}
-    while work:
-        dk0 = work[0][1]
-        c0 = work[0][2]
-        hit = None
-        for g in gb._kpolys:
-            if K.mono_divides(g[0][1], dk0, lay):
-                hit = g
-                break
-        if hit is None:
-            out[K.unpack(dk0, lay)] = Q(c0) / scale
-            work = work[1:]
-            continue
-        cg = hit[0][2]
-        work = K.add_scaled(work, K.shift_scaled(hit, dk0 - hit[0][1], 1, lay), cg, -c0)
-        scale *= cg
-        if work:
-            g = K.content(work)
-            if g > 1:
-                work = [(ok, dk, c // g) for ok, dk, c in work]
-                scale /= g
-    return Form(gb.ideal.vars, out)
+    work, den = _pack_form(f, lay)
+    rem, mult = _reduce(work, gb._kpolys, lay)
+    mult *= den
+    return Form(gb.ideal.vars, [(_unpack(dk, lay), c / mult) for _, dk, c in rem])
 
 
-def _as_gb(x, backend=None):
+def _as_gb(x):
     if isinstance(x, GroebnerBasis):
         return x
-    return buchberger(x, backend=backend)
+    return buchberger(x)
 
 
-def is_projectively_empty(x, backend=None):
+def is_projectively_empty(x):
     """True iff the projective zero set over the closure is empty.
 
     Criterion: the leading-term ideal of the reduced basis contains a pure
     power of every variable.  The zero ideal yields False (whole space).
     """
-    gb = _as_gb(x, backend)
+    gb = _as_gb(x)
     if not gb.basis:
         return False
-    lay, K = gb._lay, gb._backend
-    n = lay[0]
-    covered = [False] * n
-    for p in gb._kpolys:
-        exps = K.unpack(p[0][1], lay)
+    covered = [False] * len(gb.ideal.vars)
+    for exps in gb.leading_exponents():
         support = [i for i, e in enumerate(exps) if e]
         if len(support) == 1:
             covered[support[0]] = True
@@ -272,9 +441,8 @@ def hilbert_function(gb, upto):
     A monomial is standard when no leading exponent vector divides it;
     the search keeps, per prefix, only the leads that can still divide.
     """
-    lay, K = gb._lay, gb._backend
-    n = lay[0]
-    lts = [K.unpack(p[0][1], lay) for p in gb._kpolys]
+    n = len(gb.ideal.vars)
+    lts = gb.leading_exponents()
 
     def rec(pos, remaining, live):
         if pos == n - 1:
@@ -311,9 +479,9 @@ class HilbertProfile:
     stabilized: bool
 
 
-def hilbert_profile(x, backend=None):
+def hilbert_profile(x):
     """Detect staircase dimension (0 or 1) and the associated degree."""
-    gb = _as_gb(x, backend)
+    gb = _as_gb(x)
     if not gb.basis:
         raise ValueError("zero ideal has no meaningful staircase profile")
     maxdeg = max(g.degree() for g in gb.basis)
@@ -328,10 +496,10 @@ def hilbert_profile(x, backend=None):
     return HilbertProfile(tuple(hf), -1, -1, False)
 
 
-def projective_degree(x, proj_dim=0, backend=None):
+def projective_degree(x, proj_dim=0):
     """Degree of a 0-dimensional scheme (constant Hilbert value) or of a
     curve (slope of the linear Hilbert growth), per `proj_dim`."""
-    prof = hilbert_profile(x, backend)
+    prof = hilbert_profile(x)
     if not prof.stabilized:
         raise WrongDimension("Hilbert function did not stabilise inside the "
                              "desk-scale window: %r" % (prof.counts,))

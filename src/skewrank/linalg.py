@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._kernels import impl as _kernel
-
 Q = Fraction
 
 
@@ -28,12 +26,52 @@ def _to_int_rows(rows):
     return out
 
 
+def echelon_int(rows, ncols):
+    """Fraction-free (Bareiss) forward elimination of integer rows.
+
+    Returns (echelon_rows, pivot_cols); entries stay integers, row i has
+    its pivot at pivot_cols[i].  The input is not modified.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        piv = -1
+        for i in range(r, nrows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        for i in range(r + 1, nrows):
+            mi = m[i]
+            mr = m[r]
+            t = mi[c]
+            if t:
+                for j in range(c, ncols):
+                    mi[j] = (p * mi[j] - t * mr[j]) // prev
+            elif p != prev:
+                for j in range(c, ncols):
+                    mi[j] = (p * mi[j]) // prev
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
 def bareiss_rank(rows):
     """Rank of a matrix with integer or rational entries."""
     m = _to_int_rows(rows)
     if not m or not m[0]:
         return 0
-    _, pivots = _kernel.echelon_int(m, len(m[0]))
+    _, pivots = echelon_int(m, len(m[0]))
     return len(pivots)
 
 
@@ -131,7 +169,7 @@ def nullspace(rows, ncols=None):
             v[fc] = 1
             basis.append(v)
         return basis
-    ech, pivots = _kernel.echelon_int(work, ncols)
+    ech, pivots = echelon_int(work, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []

@@ -246,14 +246,11 @@ class SkewPolyMatrix:
             rest = idx[1:]
             i0 = idx[0]
             out = Form.zero(self.vars)
-            sign = 1
             for t, j in enumerate(rest):
-                e = self.entry(i0, j)
-                if not e.is_zero():
-                    sub = rest[:t] + rest[t + 1:]
-                    term = e * self._pf(sub)
-                    out = out + (term if sign > 0 else -term)
-                sign = -sign
+                e = self._upper.get((i0, j))
+                if e is not None:
+                    # negate the linear entry, not the larger product
+                    out = out + (e if t % 2 == 0 else -e) * self._pf(rest[:t] + rest[t + 1:])
         memo[idx] = out
         return out
 
@@ -285,6 +282,16 @@ class SkewPolyMatrix:
 
     @classmethod
     def from_json(cls, obj):
+        """Inverse of to_json; a malformed object raises ValueError."""
+        if not (isinstance(obj, dict) and type(obj.get("order")) is int
+                and isinstance(obj.get("vars"), list)
+                and all(isinstance(v, str) for v in obj["vars"])
+                and isinstance(obj.get("upper"), list)
+                and all(isinstance(e, dict) and type(e.get("i")) is int
+                        and type(e.get("j")) is int and isinstance(e.get("form"), str)
+                        for e in obj["upper"])):
+            raise ValueError('matrix JSON must be {"order": int, "vars": [str], '
+                             '"upper": [{"i": int, "j": int, "form": str}]}')
         vars = tuple(obj["vars"])
         upper = {(e["i"], e["j"]): parse_form(e["form"], vars) for e in obj["upper"]}
         return cls(obj["order"], vars, upper)
@@ -305,33 +312,14 @@ class SkewPolyMatrix:
 def pfaffian(rows):
     """Pfaffian of a constant skew-symmetric matrix (exact).
 
-    Expanded along the first row: Pf(A) = sum over j of (-1)^j a_0j times
-    the Pfaffian with rows and columns 0 and j removed; Pf([[0, a], [-a, 0]])
-    is +a.
+    Read off as the coefficient of t^(n/2) in the symbolic Pfaffian of the
+    pencil t * rows; Pf([[0, a], [-a, 0]]) is +a and the empty matrix has
+    Pfaffian 1.
     """
     n = len(rows)
     if n % 2:
         raise ValueError("Pfaffian needs even order")
-    M = [[Q(x) for x in row] for row in rows]
-    for i in range(n):
-        if M[i][i]:
-            raise ValueError("nonzero diagonal entry")
-        for j in range(i + 1, n):
-            if M[i][j] != -M[j][i]:
-                raise ValueError("matrix is not skew-symmetric")
-
-    def rec(idx):
-        if not idx:
-            return Q(1)
-        i0 = idx[0]
-        rest = idx[1:]
-        total = Q(0)
-        sign = 1
-        for t, j in enumerate(rest):
-            a = M[i0][j]
-            if a:
-                total += (a if sign > 0 else -a) * rec(rest[:t] + rest[t + 1:])
-            sign = -sign
-        return total
-
-    return rec(tuple(range(n)))
+    if not n:
+        return Q(1)
+    A = SkewPolyMatrix.from_coefficient_basis(("t",), [rows])
+    return A.pfaffian_symbolic().coefficient((n // 2,))

@@ -144,3 +144,17 @@ def test_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"order": 4, "vars": ["a", "b"], "upper": 5}',
+    '{"order": 4, "vars": 3, "upper": []}',
+    '{"order": 4, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": 7}]}',
+    '[1, 2]',
+])
+def test_malformed_matrix_json_is_a_usage_error(tmp_path, capsys, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    assert main(["certify", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

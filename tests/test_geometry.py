@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from skewrank import catalog, geometry, linalg
-from skewrank.certify import certify_constant_rank
+from skewrank.certify import certify_constant_rank, restrict_line
 from skewrank.pencil import minimal_indices
+from skewrank.skew import pfaffian
 
 Q = Fraction
 
@@ -173,7 +175,7 @@ def test_restrict_to_line_examples(rng):
     inv = geometry.splitting_on_line(sw, (1, 2, 0), (0, 1, 3))
     assert inv.partition == (2, 1)
     with pytest.raises(ValueError):
-        geometry.restrict_to_line(pi2, (1, 1, 1), (2, 2, 2))
+        restrict_line(pi2, (1, 1, 1), (2, 2, 2))
 
 
 def test_line_span_points():
@@ -251,6 +253,32 @@ def test_zero_scheme_stable_across_covectors(rng):
             if not any(xi):
                 continue
             assert geometry.section_zero_scheme_degree(A, xi=xi) == base
+
+
+def test_bordered_pfaffians_match_numeric_bordering(rng):
+    # Oracle: evaluate first, border the constant matrix by xi, expand
+    # with pfaffian; independent of the symbolic expansion along the border.
+    for name in catalog.names():
+        entry = catalog.get(name)
+        A = entry.matrix
+        if entry.expected.constant is not True or A.nvars not in (3, 4):
+            continue
+        n = A.order
+        size = certify_constant_rank(A).generic_rank + 2
+        subs = [s + (n,) for s in combinations(range(n), size - 1)]
+        points = [tuple(Q(rng.randint(-50, 50), rng.randint(1, 5))
+                        for _ in range(A.nvars)) for _ in range(2)]
+        for _ in range(3):
+            xi = [Q(rng.randint(-9, 9)) for _ in range(n)]
+            values = []
+            for p in points:
+                M = A.evaluate_at(p)
+                B = [row + [x] for row, x in zip(M, xi)] + [[-x for x in xi] + [0]]
+                values.append([pfaffian([[B[i][j] for j in s] for i in s])
+                               for s in subs])
+            nonzero = [v for v in zip(*values) if any(v)]
+            gens = geometry._bordered_pfaffians(A, xi)
+            assert [tuple(g.evaluate(p) for p in points) for g in gens] == nonzero
 
 
 def test_zero_scheme_rejects_zero_covector():

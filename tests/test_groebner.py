@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -42,12 +43,16 @@ def test_normal_form_examples():
 
 def test_normal_form_is_q_linear_and_idempotent():
     a, b, c = variables(ABC)
-    gb = buchberger(Ideal(ABC, [a * b - c ** 2, b ** 2 - a * c]))
     f = 3 * a ** 2 * b - Q(7, 2) * b * c ** 2 + a * c * b
-    h = normal_form(f, gb)
-    assert normal_form(f - h, gb).is_zero()           # f - NF(f) is a member
-    assert normal_form(h, gb) == h
-    assert normal_form(Q(5, 3) * f, gb) == Q(5, 3) * h
+    # the second basis has non-unit integer leads, so reduction rescales
+    for gens in ([a * b - c ** 2, b ** 2 - a * c],
+                 [2 * a ** 2 - 3 * b * c, 3 * b ** 2 - 5 * a * c]):
+        gb = buchberger(Ideal(ABC, gens))
+        h = normal_form(f, gb)
+        assert not h.is_zero()
+        assert normal_form(f - h, gb).is_zero()       # f - NF(f) is a member
+        assert normal_form(h, gb) == h
+        assert normal_form(Q(5, 3) * f, gb) == Q(5, 3) * h
 
 
 def test_s_polynomials_of_basis_reduce_to_zero():
@@ -161,17 +166,24 @@ def test_s_polynomials_reduce_on_workload_ideals():
             assert normal_form(g, gb).is_zero()
 
 
-def test_backend_parity():
-    from skewrank._kernels import backends
+def test_reduced_basis_digests_on_workload_ideals():
+    # A reduced basis is unique: these pin invariants, not an implementation.
+    from skewrank.geometry import _bordered_pfaffians, default_covector
 
-    if "cython" not in backends():
-        pytest.skip("compiled backend not built")
     w = catalog.get("westwick").matrix
-    gens = sorted({f for f in w.sub_pfaffians(8) if not f.is_zero()}, key=str)
-    ideal = Ideal(w.vars, gens)
-    g1 = buchberger(ideal, backend="python")
-    g2 = buchberger(ideal, backend="cython")
-    assert [str(x) for x in g1.basis] == [str(x) for x in g2.basis]
-    prof1 = hilbert_profile(ideal, backend="python")
-    prof2 = hilbert_profile(ideal, backend="cython")
-    assert prof1 == prof2
+    dk = catalog.get("dk_steiner").matrix
+    cases = [
+        ({f for f in w.sub_pfaffians(8) if not f.is_zero()}, w.vars,
+         35, "5673142640001abc", (0, 0)),
+        (set(_bordered_pfaffians(w, default_covector(10))), w.vars,
+         12, "f9a02dacf304ba1d", (1, 6)),
+        ({f for f in dk.sub_pfaffians(6) if not f.is_zero()}, dk.vars,
+         10, "cb5ec8e996768e3f", (0, 0)),
+    ]
+    for gens, vars, size, digest, (dim, degree) in cases:
+        gb = buchberger(Ideal(vars, sorted(gens, key=str)))
+        text = "\n".join(str(g) for g in gb.basis)
+        assert len(gb.basis) == size
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+        prof = hilbert_profile(gb)
+        assert (prof.dimension, prof.degree) == (dim, degree)
