@@ -13,16 +13,21 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 
 from . import linalg
-from .certify import certify_constant_rank, restrict_line
+from .certify import certify_constant_rank
 from .forms import Form
 from .groebner import Ideal, WrongDimension, hilbert_profile, is_projectively_empty
-from .pencil import KroneckerInvariants, minimal_indices
+from .pencil import KroneckerInvariants, integer_basis, pencil_invariants
 from .skew import SkewPolyMatrix
 
 Q = Fraction
+
+GRID_BOUND = 4                  # grid points for jumping-line candidates
+GENERIC_SAMPLES = 20            # random lines drawn for the generic splitting
+GENERIC_QUORUM = 15             # how many of them must agree
 
 
 class BudgetExhausted(RuntimeError):
@@ -225,31 +230,44 @@ def line_span_points(line):
 
 
 def splitting_on_line(A, p, q):
-    """Kronecker invariants of the restriction to the line through p, q."""
-    pencil = restrict_line(A, p, q)
-    cert = certify_constant_rank(pencil)
-    if cert.constant is not True:
-        raise ValueError("restriction is not of constant rank; "
-                         "the ambient space was not constant rank")
-    return minimal_indices(pencil, cert)
+    """Kronecker invariants of the restriction to the line through p, q.
+
+    The restriction is the integer pencil s*sum(p_k B_k) + t*sum(q_k B_k)
+    over the integer coefficient basis B_k of A, with p and q scaled to
+    primitive integers (a parameter change).  No certificate of the line
+    is computed: pencil_invariants raises ValueError unless the line has
+    the ambient generic rank at every point, so a line through the
+    rank-drop locus of a space of non-constant rank is rejected.
+    """
+    if len(p) != A.nvars or len(q) != A.nvars:
+        raise ValueError("points must have one coordinate per variable")
+    p = linalg.primitive_vector(p)
+    q = linalg.primitive_vector(q)
+    if linalg.rank([p, q]) != 2:
+        raise ValueError("line needs two independent points")
+    basis = integer_basis(A)
+    n = A.order
+    B1, B2 = ([[sum(c * B[i][j] for c, B in zip(pt, basis)) for j in range(n)]
+               for i in range(n)] for pt in (p, q))
+    return pencil_invariants(B1, B2, certify_constant_rank(A).generic_rank)
 
 
-def generic_splitting(A, seed=0, samples=20, quorum=15):
+def generic_splitting(A, seed=0):
     """Most frequent splitting over seeded random lines, with a quorum."""
     rng = random.Random("generic-splitting:%d" % seed)
     d = A.nvars
     seen = {}
     done = 0
-    while done < samples:
-        p = tuple(Q(rng.randint(-5, 5)) for _ in range(d))
-        q = tuple(Q(rng.randint(-5, 5)) for _ in range(d))
+    while done < GENERIC_SAMPLES:
+        p = tuple(rng.randint(-5, 5) for _ in range(d))
+        q = tuple(rng.randint(-5, 5) for _ in range(d))
         if not any(p) or not any(q) or linalg.rank([list(p), list(q)]) != 2:
             continue
         inv = splitting_on_line(A, p, q)
         seen[inv] = seen.get(inv, 0) + 1
         done += 1
     best, count = max(seen.items(), key=lambda kv: kv[1])
-    if count < quorum:
+    if count < GENERIC_QUORUM:
         raise BudgetExhausted("no splitting reached the quorum: %r" % seen)
     return best
 
@@ -262,34 +280,27 @@ def jumping_test(A, line, generic=None, seed=0):
     return splitting_on_line(A, p, q) != generic
 
 
-def _primitive_dual(v):
-    w = linalg.primitive_vector(list(v))
-    return tuple(w)
+def _primitive(v):
+    """Nonzero integer triple divided by its gcd, first nonzero entry > 0."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
-@lru_cache(maxsize=4)
-def grid_lines(bound=4):
+@lru_cache(maxsize=1)
+def grid_lines():
     """Duals of all lines through pairs of grid points with coordinates in
-    [-bound, bound], deduplicated, simplest first."""
-    pts = []
-    seen = set()
-    rng = range(-bound, bound + 1)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if x == 0 and y == 0 and z == 0:
-                    continue
-                p = tuple(linalg.primitive_vector([x, y, z]))
-                if p not in seen:
-                    seen.add(p)
-                    pts.append(p)
+    [-GRID_BOUND, GRID_BOUND], deduplicated, simplest first."""
+    rng = range(-GRID_BOUND, GRID_BOUND + 1)
+    pts = {_primitive(v) for v in product(rng, repeat=3) if any(v)}
     lines = set()
     for a, b in combinations(pts, 2):
         cross = (a[1] * b[2] - a[2] * b[1],
                  a[2] * b[0] - a[0] * b[2],
                  a[0] * b[1] - a[1] * b[0])
         if any(cross):
-            lines.add(_primitive_dual(cross))
+            lines.add(_primitive(cross))
     return tuple(sorted(lines, key=lambda l: (max(abs(x) for x in l), l)))
 
 
@@ -301,28 +312,23 @@ class ScanResult:
     seed: int
 
 
-def jumping_scan(A, budget=200, seed=0, extra_lines=()):
-    """Test structured grid lines (plus caller candidates) for jumping."""
+def jumping_scan(A, budget=200, seed=0):
+    """Test the first `budget` grid lines for jumping."""
     generic = generic_splitting(A, seed=seed)
-    candidates = [tuple(Q(x) for x in l) for l in extra_lines]
-    for l in grid_lines():
-        if len(candidates) >= budget:
-            break
-        if l not in candidates:
-            candidates.append(l)
+    candidates = grid_lines()[:budget]
     jumps = []
-    for line in candidates[:budget]:
+    for line in candidates:
         p, q = line_span_points(line)
         inv = splitting_on_line(A, p, q)
         if inv != generic:
             jumps.append((line, inv))
-    return ScanResult(generic, tuple(jumps), len(candidates[:budget]), seed)
+    return ScanResult(generic, tuple(jumps), len(candidates), seed)
 
 
 def verify_jumping_set(A, lines, negatives=50, seed=0):
     """All given lines jump; seeded random other lines do not."""
     generic = generic_splitting(A, seed=seed)
-    positives = {_primitive_dual([Q(x) for x in l]) for l in lines}
+    positives = {tuple(linalg.primitive_vector(l)) for l in lines}
     for line in lines:
         if not jumping_test(A, line, generic=generic):
             return False
@@ -330,7 +336,7 @@ def verify_jumping_set(A, lines, negatives=50, seed=0):
     done = 0
     while done < negatives:
         l = tuple(Q(rng.randint(-9, 9)) for _ in range(3))
-        if not any(l) or _primitive_dual(l) in positives:
+        if not any(l) or tuple(linalg.primitive_vector(l)) in positives:
             continue
         done += 1
         if jumping_test(A, l, generic=generic):

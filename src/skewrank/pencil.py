@@ -1,24 +1,31 @@
 """Complete classification of constant-rank skew-symmetric pencils.
 
-A pencil a*A1 + b*A2 of constant rank 2r is classified by the degrees of
-a minimal polynomial basis of its kernel: a partition of r (the positive
-degrees) plus the number of constant kernel vectors (padding, the
-degenerate part split off by zero rows and columns).  These invariants
-are complete for congruence, so equivalence is decided by comparing them.
+A pencil a*B1 + b*B2 of order n and constant rank 2r is classified by its
+n - 2r Kronecker minimal indices, the degrees of a minimal polynomial
+basis of its kernel: the positive ones form a partition of r, the zeros
+count constant kernel vectors (padding, the degenerate part split off by
+zero rows and columns).  These invariants are complete for congruence, so
+equivalence is decided by comparing them.
+
+They come from integer ranks alone (Van Dooren, LAA 27, 1979).  The
+kernel vectors of degree delta in (a, b) solve a block-Toeplitz system
+T_delta whose kernel has dimension k_delta = sum over indices eps <= delta
+of (delta - eps + 1), so k_delta - 2 k_(delta-1) + k_(delta-2) indices
+equal delta.  A pencil of normal rank 2r' whose regular part has size R
+has n - 2r' indices summing to r' - R/2, so finding n - 2r indices that
+sum to r proves rank 2r at every point; anything else raises ValueError.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .certify import certify_constant_rank
 from .forms import Form
 from .skew import SkewPolyMatrix
-
-Q = Fraction
 
 
 @dataclass(frozen=True)
@@ -41,42 +48,49 @@ class CanonicalPencil:
     matrix: SkewPolyMatrix
 
 
-def _degree_solution_space(B1, B2, n, delta):
-    """Kernel vectors with entries homogeneous of degree delta in (a, b).
+def integer_basis(A):
+    """Coefficient matrices of A times the lcm of their denominators.
 
-    Unknowns are the coefficient vectors c_0..c_delta of
-    v = sum c_e * a^(delta-e) b^e; the equations say (a*A1 + b*A2) v = 0
-    coefficientwise.  Returns primitive integer basis vectors (RREF order).
+    Scaling the whole space by a constant changes no rank anywhere.
     """
+    mats = A.coefficient_basis()
+    m = lcm(*(x.denominator for B in mats for row in B for x in row))
+    return [[[x.numerator * (m // x.denominator) for x in row] for row in B]
+            for B in mats]
+
+
+def _toeplitz_rank(B1, B2, n, delta):
+    """Rank of T_delta: in the unknowns c_0..c_delta of
+    v = sum c_e * a^(delta-e) b^e, the coefficient of a^(delta+1-e) b^e
+    in (a*B1 + b*B2) v is B1 c_e + B2 c_(e-1)."""
+    zero = [0] * n
     rows = []
     for e in range(delta + 2):
+        blocks = [B1 if k == e else B2 if k == e - 1 else None
+                  for k in range(delta + 1)]
         for i in range(n):
-            row = [Q(0)] * ((delta + 1) * n)
-            if e <= delta:
-                for j in range(n):
-                    if B1[i][j]:
-                        row[e * n + j] = B1[i][j]
-            if e >= 1:
-                for j in range(n):
-                    if B2[i][j]:
-                        row[(e - 1) * n + j] += B2[i][j]
-            rows.append(row)
-    return linalg.nullspace(rows, ncols=(delta + 1) * n)
+            row = [x for B in blocks for x in (zero if B is None else B[i])]
+            if any(row):
+                rows.append(row)
+    return len(linalg.echelon_int(rows, (delta + 1) * n)[1])
 
 
-def _multiples_of(found, n, delta):
-    """Coefficient vectors of m * v for found kernel vectors v of lower
-    degree and monomials m of the complementary degree."""
-    out = []
-    for eps, vec in found:
-        k = delta - eps
-        for shift in range(k + 1):
-            w = [0] * ((delta + 1) * n)
-            for e in range(eps + 1):
-                for j in range(n):
-                    w[(e + shift) * n + j] = vec[e * n + j]
-            out.append(w)
-    return out
+def pencil_invariants(B1, B2, rank):
+    """Kronecker invariants of the integer pencil a*B1 + b*B2, which must
+    have the given rank at every point; raises ValueError otherwise."""
+    n = len(B1)
+    r = rank // 2
+    k = [0, 0]                       # k_(delta-2), k_(delta-1), ...
+    indices = []
+    for delta in range(r + 1):
+        if len(indices) >= n - rank:
+            break
+        k.append((delta + 1) * n - _toeplitz_rank(B1, B2, n, delta))
+        indices += [delta] * (k[-1] - 2 * k[-2] + k[-3])
+    if len(indices) != n - rank or sum(indices) != r:
+        raise ValueError("pencil does not have rank %d at every point" % rank)
+    partition = tuple(sorted((d for d in indices if d), reverse=True))
+    return KroneckerInvariants(rank, partition, indices.count(0))
 
 
 def minimal_indices(A, cert=None):
@@ -87,34 +101,8 @@ def minimal_indices(A, cert=None):
         cert = certify_constant_rank(A)
     if cert.constant is not True:
         raise ValueError("pencil does not have constant rank")
-    rank = cert.generic_rank
-    r = rank // 2
-    n = A.order
-    kernel_rank = n - rank
-    B1, B2 = A.coefficient_basis()
-
-    found = []
-    degrees = []
-    for delta in range(0, r + 1):
-        if len(found) == kernel_rank:
-            break
-        sols = _degree_solution_space(B1, B2, n, delta)
-        span = _multiples_of(found, n, delta)
-        base_rank = linalg.rank(span) if span else 0
-        for vec in sols:
-            if len(found) == kernel_rank:
-                break
-            cand = span + [list(vec)]
-            if linalg.rank(cand) > base_rank:
-                span = cand
-                base_rank += 1
-                found.append((delta, list(vec)))
-                degrees.append(delta)
-    assert len(found) == kernel_rank, "kernel basis extraction incomplete"
-    padding = degrees.count(0)
-    partition = tuple(sorted((d for d in degrees if d > 0), reverse=True))
-    assert sum(partition) == r
-    return KroneckerInvariants(rank, partition, padding)
+    B1, B2 = integer_basis(A)
+    return pencil_invariants(B1, B2, cert.generic_rank)
 
 
 def canonical_form(partition):

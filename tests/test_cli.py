@@ -50,6 +50,18 @@ def test_classify_and_canonical(tmp_path, capsys):
     assert SkewPolyMatrix.from_json(json.loads(out)) == catalog.get("M8").matrix
 
 
+def test_classify_rejects_non_constant_pencils_and_nets(tmp_path, capsys):
+    split = tmp_path / "split.json"
+    split.write_text(SkewPolyMatrix(4, ("a", "b"),
+                                    {(0, 1): "a", (2, 3): "b"}).dumps())
+    for path in (str(split), write_matrix(tmp_path, "pi1")):
+        assert main(["classify", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_orbit_dim(tmp_path, capsys):
     code, out = run(capsys, ["orbit-dim", write_matrix(tmp_path, "M7")])
     assert code == 0

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,8 +7,8 @@ import pytest
 
 from skewrank import catalog, geometry, linalg
 from skewrank.certify import certify_constant_rank, restrict_line
-from skewrank.pencil import minimal_indices
-from skewrank.skew import pfaffian
+from skewrank.pencil import KroneckerInvariants, minimal_indices
+from skewrank.skew import SkewPolyMatrix, pfaffian
 
 Q = Fraction
 
@@ -178,6 +180,20 @@ def test_restrict_to_line_examples(rng):
         restrict_line(pi2, (1, 1, 1), (2, 2, 2))
 
 
+def test_splitting_rejects_lines_through_the_drop_locus():
+    # rank 4 off a = 0 and b = 0, so every line meets the drop locus
+    net = SkewPolyMatrix(4, ("a", "b", "c"), {(0, 1): "a", (2, 3): "b"})
+    for p, q in [((1, 2, 3), (2, -1, 5)), ((0, 1, 0), (0, 0, 1))]:
+        with pytest.raises(ValueError):
+            geometry.splitting_on_line(net, p, q)
+    # generic rank 6, but rank 4 at every point of the line a = 0
+    bordered = SkewPolyMatrix(6, ("a", "b", "c"), {
+        (0, 2): "b", (0, 3): "c", (1, 3): "b", (1, 4): "c",
+        (0, 5): "a", (2, 5): "a", (4, 5): "a"})
+    with pytest.raises(ValueError):
+        geometry.splitting_on_line(bordered, (0, 1, 0), (0, 0, 1))
+
+
 def test_line_span_points():
     p, q = geometry.line_span_points((1, 2, 3))
     for v in (p, q):
@@ -296,3 +312,32 @@ def test_fingerprint_bundle():
     assert fp.gauss_span_dim == 10
     data = fp.to_json()
     assert data["c2"] == 2 and data["scanned"] == 40
+
+
+# values recorded with the Fraction-nullspace classifier and the
+# Fraction-normalised grid that the integer rank-sequence path replaced
+_GRID_DIGEST = (13093, "d776963061fd260dcf234e3eca4ed2e2952a3ea0ee663bbc7f7614de5f5887fc")
+_SW_JUMPS = ((0, 0, 1), (1, -1, 1), (1, 0, 0), (1, 1, 1),
+             (1, -2, 4), (1, 2, 4), (4, -2, 1), (4, 2, 1))
+
+
+def test_line_scan_outputs_are_pinned():
+    lines = geometry.grid_lines()
+    payload = json.dumps([list(l) for l in lines]).encode()
+    assert (len(lines), hashlib.sha256(payload).hexdigest()) == _GRID_DIGEST
+    split_21 = KroneckerInvariants(6, (2, 1), 0)
+    split_3 = KroneckerInvariants(6, (3,), 1)
+    for name, budget, generic, jumps in [
+            ("pi1", 200, split_3, ()),
+            ("pi6", 200, split_21, ()),
+            ("schwarzenberger", 300, split_21,
+             tuple((l, split_3) for l in _SW_JUMPS))]:
+        scan = geometry.jumping_scan(catalog.get(name).matrix, budget=budget)
+        assert (scan.generic, scan.scanned, scan.jumping_lines) == \
+            (generic, budget, jumps)
+    for seed in (0, 1):
+        for name in ("dk_steiner", "pi1", "pi2", "pi3", "pi4", "pi5", "pi6",
+                     "schwarzenberger"):
+            want = split_3 if name == "pi1" else split_21
+            got = geometry.generic_splitting(catalog.get(name).matrix, seed=seed)
+            assert got == want, (name, seed)

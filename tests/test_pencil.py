@@ -80,6 +80,17 @@ def test_bookkeeping_identities():
         assert (inv.padding == 0) == A.is_nondegenerate()[0]
 
 
+def test_padding_survives_rational_scaling_and_congruence():
+    # a/2, b/2 entries moved by a congruence with entries 1/2, which mixes
+    # the two zero columns into the staircase block
+    A = canonical_form((2, 1)).matrix.pad_zero(2)
+    half = Q(1, 2)
+    A = A.parameter_change([[half, 0], [0, half]])
+    P = [[half if j in (i, i + 1) else 0 for j in range(10)] for i in range(10)]
+    inv = minimal_indices(A.congruence_transform(P))
+    assert (inv.partition, inv.padding, inv.rank) == ((2, 1), 2, 6)
+
+
 def test_equivalence_examples(rng):
     M7 = catalog.get("M7").matrix
     M8 = catalog.get("M8").matrix
