@@ -191,8 +191,9 @@ def build_parser():
     p = sub.add_parser("orbit-dim", help="orbit dimension report")
     p.add_argument("matrix")
     p.add_argument("--exact", action="store_true",
-                   help="also run dense fraction-free elimination on the "
-                        "materialised rows and assert agreement")
+                   help="cross-check: also rank the Pluecker tangent rows "
+                        "(Gram and dense elimination) and assert that they "
+                        "agree with the stabilizer")
     p.set_defaults(fn=cmd_orbit_dim)
 
     p = sub.add_parser("project", help="project from a center and re-certify")

@@ -20,7 +20,7 @@ from . import linalg
 from .certify import certify_constant_rank
 from .forms import Form
 from .groebner import Ideal, WrongDimension, hilbert_profile, is_projectively_empty
-from .pencil import KroneckerInvariants, integer_basis, pencil_invariants
+from .pencil import KroneckerInvariants, pencil_invariants
 from .skew import SkewPolyMatrix
 
 Q = Fraction
@@ -245,7 +245,7 @@ def splitting_on_line(A, p, q):
     q = linalg.primitive_vector(q)
     if linalg.rank([p, q]) != 2:
         raise ValueError("line needs two independent points")
-    basis = integer_basis(A)
+    basis = A.integer_basis()
     n = A.order
     B1, B2 = ([[sum(c * B[i][j] for c, B in zip(pt, basis)) for j in range(n)]
                for i in range(n)] for pt in (p, q))

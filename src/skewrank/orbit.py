@@ -1,17 +1,33 @@
 """Orbit dimension of a matrix space under congruence.
 
-The space spanned by coefficient matrices B_1..B_d is a point of the
-Grassmannian of d-planes in the space of skew matrices (Pluecker
-coordinates indexed by d-subsets of the upper-triangle positions).  Each
-elementary matrix E contributes one tangent row: the derivative of the
-Pluecker vector of (B_1 + t D_1) ^ ... ^ (B_d + t D_d) at t = 0, with
-D_k = E^T B_k + B_k E.  The rank of the stacked rows is the affine cone
-dimension of the orbit; the projective orbit dimension is one less.
+GL_n acts on skew matrices by B -> P^T B P, and so on the span
+V = <B_1..B_d> of the coefficient matrices, a point of the Grassmannian
+of d-planes in the skew matrices.  Scalars fix V, so the GL_n and SL_n
+orbits agree, and over the rationals the orbit has dimension
+n^2 - dim s, where s is the Lie algebra of the stabilizer of V.
+Differentiating (I + tX)^T B (I + tX) = B + t(X^T B + B X) + O(t^2)
+gives
 
-Rows are kept sparse (dict keyed by column subsets); the rank is
-prescreened modulo a seeded random prime and certified exactly by
-fraction-free elimination of the row Gram matrix, whose rank equals the
-row rank over the rationals.
+    s = {X in gl_n : X^T B_k + B_k X lies in V for every k}.
+
+So s is the kernel of one integer linear system.  Its unknowns are X
+(n^2 columns) and a d x d matrix C (d^2 columns); its rows are the
+upper-triangle entries (i, j) of X^T B_k + B_k X - sum_l C_lk B_l, one
+per k and i < j, since both sides are skew.  The unknown X_pq enters
+entry (i, j) with B_k[p][j] when q = i and with B_k[i][p] when q = j.
+The B_l are independent, so C is determined by X and the kernel is
+isomorphic to s: dim s = n^2 + d^2 - rank.  Hence orbit_dim = rank - d^2.
+The tangent rank, the dimension of the affine cone over the orbit in
+Pluecker space, is orbit_dim + 1.
+
+Cross-check: the same number is the rank of the Pluecker tangent rows.
+Each elementary matrix E gives one row, the derivative at t = 0 of the
+Pluecker vector of (B_1 + t D_1) ^ ... ^ (B_d + t D_d) with
+D_k = E^T B_k + B_k E.  Rows are sparse dicts keyed by column subsets;
+rank_exact prescreens their rank modulo a seeded random prime and
+certifies it by fraction-free elimination of the row Gram matrix, whose
+rank over the rationals equals the row rank.  orbit_dimension runs this
+path only with dense_check=True (orbit-dim --exact).
 """
 
 from __future__ import annotations
@@ -19,14 +35,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, gcd
-
-import numpy as np
+from math import comb
 
 from . import linalg
-
-Q = Fraction
 
 
 @dataclass(frozen=True)
@@ -34,8 +45,7 @@ class OrbitReport:
     ambient_grassmannian_dim: int
     tangent_rank: int
     orbit_dim: int
-    modular_rank: int
-    prime: int
+    stabilizer_dim: int
     seed: int
 
     def to_json(self):
@@ -43,8 +53,7 @@ class OrbitReport:
             "ambient_grassmannian_dim": self.ambient_grassmannian_dim,
             "tangent_rank": self.tangent_rank,
             "orbit_dim": self.orbit_dim,
-            "modular_rank": self.modular_rank,
-            "prime": self.prime,
+            "stabilizer_dim": self.stabilizer_dim,
             "seed": self.seed,
         }
 
@@ -54,7 +63,7 @@ class OrbitReport:
 
 def _pair_index(n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return pairs, {p: k for k, p in enumerate(pairs)}
+    return {p: k for k, p in enumerate(pairs)}
 
 
 def _flatten_int(B, index):
@@ -67,19 +76,36 @@ def _flatten_int(B, index):
     return out
 
 
-def _int_matrix(B):
-    den = 1
-    for row in B:
-        for x in row:
-            den = den * Q(x).denominator // gcd(den, Q(x).denominator)
-    M = [[int(Q(x) * den) for x in row] for row in B]
-    g = 0
-    for row in M:
-        for x in row:
-            g = gcd(g, abs(x))
-    if g > 1:
-        M = [[x // g for x in row] for row in M]
-    return M
+def _require_independent(basis):
+    n = len(basis[0])
+    flat = [[B[i][j] for i in range(n) for j in range(i + 1, n)] for B in basis]
+    if len(linalg.echelon_int(flat, n * (n - 1) // 2)[1]) != len(basis):
+        raise ValueError("coefficient matrices are linearly dependent")
+
+
+def stabilizer_rows(basis):
+    """Integer rows of the stabilizer system (see the module docstring).
+
+    Columns p*n + q hold X_pq and n^2 + l*d + k hold C_lk; all-zero rows
+    are left out.
+    """
+    d = len(basis)
+    n = len(basis[0])
+    nn = n * n
+    rows = []
+    for k, B in enumerate(basis):
+        for i in range(n):
+            Bi = B[i]
+            for j in range(i + 1, n):
+                row = [0] * (nn + d * d)
+                for p in range(n):
+                    row[p * n + i] += B[p][j]
+                    row[p * n + j] += Bi[p]
+                for l, Bl in enumerate(basis):
+                    row[nn + l * d + k] = -Bl[i][j]
+                if any(row):
+                    rows.append(row)
+    return rows
 
 
 def _mv_wedge_vec(mv, vec):
@@ -125,12 +151,10 @@ def tangent_rows(A):
     """One sparse Pluecker-derivative row per elementary matrix E_(i,j)."""
     n = A.order
     d = A.nvars
-    pairs, index = _pair_index(n)
-    basis = [_int_matrix(B) for B in A.coefficient_basis()]
+    index = _pair_index(n)
+    basis = A.integer_basis()
+    _require_independent(basis)
     flats = [_flatten_int(B, index) for B in basis]
-    flat_rows = [[B[i][j] for (i, j) in pairs] for B in basis]
-    if linalg.rank(flat_rows) != d:
-        raise ValueError("coefficient matrices are linearly dependent")
 
     prefix = [{(): 1}]
     for k in range(d):
@@ -141,6 +165,10 @@ def tangent_rows(A):
     for k in range(d - 1, -1, -1):
         suffix[k] = _mv_wedge(flat_mv[k], suffix[k + 1])
 
+    # Each row is linear in every D_k, so it is the sum of D_k[c] times
+    # W(k, c) = B_1 ^ .. ^ B_(k-1) ^ e_c ^ B_(k+1) ^ .. ^ B_d; each
+    # W(k, c) is built once, when a D_k first has position c.
+    wedges = {}
     rows = []
     for i in range(n):
         for j in range(n):
@@ -160,17 +188,16 @@ def tangent_rows(A):
                     if v and p != j:
                         key = (p, j) if p < j else (j, p)
                         D[index[key]] = D.get(index[key], 0) + (v if p < j else -v)
-                D = {c: v for c, v in D.items() if v}
-                if not D:
-                    continue
-                term = _mv_wedge(_mv_wedge_vec(prefix[k], D), suffix[k + 1])
-                for key, v in term.items():
-                    s = row_acc.get(key, 0) + v
-                    if s:
-                        row_acc[key] = s
-                    elif key in row_acc:
-                        del row_acc[key]
-            rows.append(row_acc)
+                for c, v in D.items():
+                    if not v:
+                        continue
+                    w = wedges.get((k, c))
+                    if w is None:
+                        w = wedges[(k, c)] = _mv_wedge(
+                            _mv_wedge_vec(prefix[k], {c: 1}), suffix[k + 1])
+                    for key, x in w.items():
+                        row_acc[key] = row_acc.get(key, 0) + v * x
+            rows.append({key: v for key, v in row_acc.items() if v})
     return rows
 
 
@@ -207,7 +234,9 @@ def _seeded_prime(seed, bits=30):
 
 
 def _modular_rank(Z, p):
-    A = np.mod(Z, p).astype(np.int64)
+    import numpy as np
+
+    A = np.array([[v % p for v in row] for row in Z], dtype=np.int64)
     m, n = A.shape
     r = 0
     for c in range(n):
@@ -232,48 +261,61 @@ def rank_exact(rows, seed=0, dense_check=False):
     """Exact rank of sparse integer rows, with a modular prescreen.
 
     The exact value comes from fraction-free (Bareiss) elimination of the
-    row Gram matrix: over the rationals the Gram matrix has the same rank
-    as the rows themselves.  `dense_check` additionally runs fraction-free
-    elimination on the materialised rows and asserts agreement.
+    integer row Gram matrix: over the rationals the Gram matrix has the
+    same rank as the rows themselves.  `dense_check` additionally runs
+    fraction-free elimination on the materialised rows and asserts
+    agreement.
     """
-    rows = [r for r in rows]
-    cols = sorted({c for r in rows for c in r})
-    col_index = {c: k for k, c in enumerate(cols)}
-    m, n = len(rows), len(cols)
-    if n == 0:
-        return {"rank": 0, "modular_rank": 0, "prime": _seeded_prime(seed)}
-    Z = np.zeros((m, n), dtype=np.int64)
-    maxabs = 0
+    rows = list(rows)
+    m = len(rows)
+    by_col = {}
     for i, r in enumerate(rows):
         for c, v in r.items():
-            Z[i, col_index[c]] = v
-            maxabs = max(maxabs, abs(v))
+            by_col.setdefault(c, []).append((i, v))
     prime = _seeded_prime(seed)
+    if not by_col:
+        return {"rank": 0, "modular_rank": 0, "prime": prime}
+    Z = [[0] * len(by_col) for _ in range(m)]
+    gram = [[0] * m for _ in range(m)]
+    for k, c in enumerate(sorted(by_col)):
+        entries = by_col[c]
+        for a, (i, v) in enumerate(entries):
+            Z[i][k] = v
+            gi = gram[i]
+            for j, w in entries[a:]:
+                gi[j] += v * w
+    for i in range(m):
+        for j in range(i):
+            gram[i][j] = gram[j][i]
     modular = _modular_rank(Z, prime)
-    if maxabs * maxabs * n < 2 ** 62:
-        gram = (Z @ Z.T).tolist()
-    else:
-        gram = [[sum(v * other.get(c, 0) for c, v in r.items())
-                 for other in rows] for r in rows]
-    exact = linalg.bareiss_rank(gram)
+    exact = len(linalg.echelon_int(gram, m)[1])
     if dense_check:
-        direct = linalg.bareiss_rank(Z.tolist())
+        direct = len(linalg.echelon_int(Z, len(by_col))[1])
         assert direct == exact, "Gram rank disagrees with direct elimination"
     return {"rank": exact, "modular_rank": modular, "prime": prime}
 
 
 def orbit_dimension(A, seed=0, dense_check=False):
-    """Orbit dimension report for the space spanned by A's coefficients."""
+    """Orbit dimension report for the space spanned by A's coefficients.
+
+    The seed picks the prime of the tangent-row cross-check, which runs
+    only with `dense_check` and must agree with the stabilizer.
+    """
     n = A.order
     d = A.nvars
-    rows = tangent_rows(A)
-    res = rank_exact(rows, seed=seed, dense_check=dense_check)
-    ambient = d * (comb(n, 2) - d)
+    basis = A.integer_basis()
+    _require_independent(basis)
+    rank = len(linalg.echelon_int(stabilizer_rows(basis), n * n + d * d)[1])
+    orbit_dim = rank - d * d
+    if dense_check:
+        cross = rank_exact(tangent_rows(A), seed=seed, dense_check=True)
+        if cross["rank"] != orbit_dim + 1:
+            raise RuntimeError("tangent-row rank %d disagrees with the "
+                               "stabilizer's %d" % (cross["rank"], orbit_dim + 1))
     return OrbitReport(
-        ambient_grassmannian_dim=ambient,
-        tangent_rank=res["rank"],
-        orbit_dim=res["rank"] - 1,
-        modular_rank=res["modular_rank"],
-        prime=res["prime"],
+        ambient_grassmannian_dim=d * (comb(n, 2) - d),
+        tangent_rank=orbit_dim + 1,
+        orbit_dim=orbit_dim,
+        stabilizer_dim=n * n + d * d - rank,
         seed=seed,
     )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import lcm
 
 from . import linalg
 from .certify import certify_constant_rank
@@ -46,17 +45,6 @@ class KroneckerInvariants:
 class CanonicalPencil:
     invariants: KroneckerInvariants
     matrix: SkewPolyMatrix
-
-
-def integer_basis(A):
-    """Coefficient matrices of A times the lcm of their denominators.
-
-    Scaling the whole space by a constant changes no rank anywhere.
-    """
-    mats = A.coefficient_basis()
-    m = lcm(*(x.denominator for B in mats for row in B for x in row))
-    return [[[x.numerator * (m // x.denominator) for x in row] for row in B]
-            for B in mats]
 
 
 def _toeplitz_rank(B1, B2, n, delta):
@@ -101,7 +89,7 @@ def minimal_indices(A, cert=None):
         cert = certify_constant_rank(A)
     if cert.constant is not True:
         raise ValueError("pencil does not have constant rank")
-    B1, B2 = integer_basis(A)
+    B1, B2 = A.integer_basis()
     return pencil_invariants(B1, B2, cert.generic_rank)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .forms import Form, parse_form
@@ -20,7 +21,7 @@ Q = Fraction
 
 
 class SkewPolyMatrix:
-    __slots__ = ("order", "vars", "_upper", "_pf_memo", "_hash")
+    __slots__ = ("order", "vars", "_upper", "_pf_memo", "_hash", "_int_basis")
 
     def __init__(self, order, vars, upper):
         order = int(order)
@@ -51,6 +52,7 @@ class SkewPolyMatrix:
         object.__setattr__(self, "_upper", clean)
         object.__setattr__(self, "_pf_memo", {})
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_int_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPolyMatrix is immutable")
@@ -114,6 +116,27 @@ class SkewPolyMatrix:
                     B[j][i] = -c
             mats.append(B)
         return mats
+
+    def integer_basis(self):
+        """Primitive integer coefficient matrices, as nested tuples.
+
+        The B_k of coefficient_basis, all scaled by one positive rational
+        so that the entries are coprime integers.  One common scale is a
+        constant factor on the whole space: it changes no rank, no span
+        and no line through given parameter points.  Built once per
+        matrix and cached.
+        """
+        got = self._int_basis
+        if got is None:
+            mats = self.coefficient_basis()
+            m = lcm(*(x.denominator for B in mats for row in B for x in row))
+            mats = [[[x.numerator * (m // x.denominator) for x in row]
+                     for row in B] for B in mats]
+            g = gcd(*(x for B in mats for row in B for x in row)) or 1
+            got = tuple(tuple(tuple(x // g for x in row) for row in B)
+                        for B in mats)
+            object.__setattr__(self, "_int_basis", got)
+        return got
 
     def __eq__(self, other):
         return (isinstance(other, SkewPolyMatrix) and self.order == other.order

@@ -16,7 +16,7 @@ from skewrank import catalog, geometry, linalg
 from skewrank.certify import _certify_cached, certify_constant_rank
 from skewrank.forms import Form, binary_gcd, variables
 from skewrank.groebner import Ideal, buchberger, normal_form
-from skewrank.orbit import orbit_dimension
+from skewrank.orbit import orbit_dimension, rank_exact, tangent_rows
 from skewrank.pencil import canonical_form, equivalent, minimal_indices
 from skewrank.skew import pfaffian
 
@@ -109,8 +109,12 @@ def test_criterion_3_orbit_dimensions():
             failures.append("%s: %d != %d" % (name, rep.orbit_dim, want))
         if name == "M7" and rep.tangent_rank != 39:
             failures.append("M7 tangent rank %d != 39" % rep.tangent_rank)
-        if rep.modular_rank > rep.tangent_rank:
+        cross = rank_exact(tangent_rows(catalog.get(name).matrix))
+        if cross["modular_rank"] > cross["rank"]:
             failures.append("%s: modular rank exceeds exact rank" % name)
+        if cross["rank"] != rep.tangent_rank:
+            failures.append("%s: tangent-row rank %d != stabilizer %d"
+                            % (name, cross["rank"], rep.tangent_rank))
     dt = time.perf_counter() - t0
     if dt >= 300.0:
         failures.append("orbit suite took %.0fs (budget 300s)" % dt)

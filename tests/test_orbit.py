@@ -1,14 +1,34 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 from tests.conftest import random_invertible
 
-from skewrank import catalog
+from skewrank import catalog, linalg
 from skewrank.orbit import orbit_dimension, rank_exact, tangent_rows
 from skewrank.skew import SkewPolyMatrix
 
 Q = Fraction
+
+# orbit_dim of every catalog entry: the 14 recorded in the catalog, and
+# for the others the value the tangent-row rank gives.
+ORBIT_DIMS = {
+    "M7": 38, "M7p": 45, "M7pp": 52, "M8": 47, "M8p": 55, "M9": 56,
+    "conic5": 21, "dk_steiner": 56, "double_t8": 42, "mixed7": 33,
+    "nullcorr6": 26, "pi1": 54, "pi2": 60, "pi3": 58, "pi4": 58, "pi5": 59,
+    "pi6": 60, "rank2_3x3": 2, "rank4_5x5": 16, "rank4_6x6": 22,
+    "rowblock4": 3, "schwarzenberger": 52, "split6": 26, "steiner6": 26,
+    "tquot7": 34, "triangle3": 0, "westwick": 98,
+}
+
+
+def _rational_invertible(rng, n):
+    while True:
+        M = [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(n)]
+        if linalg.det(M) != 0:
+            return M
 
 
 def test_pencil_orbit_dimensions():
@@ -31,6 +51,28 @@ def test_plane_orbit_dimensions():
     assert orbit_dimension(catalog.get("pi6").matrix).tangent_rank == 61
     assert orbit_dimension(catalog.get("pi6").matrix).orbit_dim == 60
     assert orbit_dimension(catalog.get("schwarzenberger").matrix).orbit_dim == 52
+
+
+def test_orbit_dims_pinned_over_the_catalog():
+    assert sorted(ORBIT_DIMS) == catalog.names()
+    for name, want in ORBIT_DIMS.items():
+        assert orbit_dimension(catalog.get(name).matrix).orbit_dim == want, name
+
+
+def test_stabilizer_agrees_with_tangent_rows():
+    rng = random.Random("orbit-cross-check")
+    cases = [(name, catalog.get(name).matrix) for name in catalog.names()
+             if catalog.get(name).expected.orbit_dim is not None]
+    assert len(cases) == 14
+    for name in ("M8", "pi5", "dk_steiner"):
+        A = catalog.get(name).matrix
+        for k in range(2):
+            B = A.congruence_transform(_rational_invertible(rng, A.order))
+            cases.append(("%s/%d" % (name, k),
+                          B.parameter_change(_rational_invertible(rng, A.nvars))))
+    for name, A in cases:
+        assert orbit_dimension(A).tangent_rank == \
+            rank_exact(tangent_rows(A))["rank"], name
 
 
 def test_rank_exact_basics():
@@ -74,14 +116,17 @@ def test_report_fields_and_bounds():
     assert rep.orbit_dim <= rep.ambient_grassmannian_dim
     assert rep.tangent_rank >= 1 + A.nvars
     assert rep.orbit_dim == rep.tangent_rank - 1
+    assert rep.stabilizer_dim == A.order ** 2 - rep.orbit_dim
     assert set(rep.to_json()) == {"ambient_grassmannian_dim", "tangent_rank",
-                                  "orbit_dim", "modular_rank", "prime", "seed"}
+                                  "orbit_dim", "stabilizer_dim", "seed"}
 
 
 def test_dependent_generators_rejected():
     A = SkewPolyMatrix(4, ("a", "b"), {(0, 1): "a + b"})
     with pytest.raises(ValueError):
         tangent_rows(A)
+    with pytest.raises(ValueError):
+        orbit_dimension(A)
 
 
 def test_seed_changes_prime_not_rank():
