@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
 
 from . import linalg
 from .certify import certify_constant_rank
@@ -254,8 +253,10 @@ def splitting_on_line(A, p, q):
 
 def generic_splitting(A, seed=0):
     """Most frequent splitting over seeded random lines, with a quorum."""
-    rng = random.Random("generic-splitting:%d" % seed)
     d = A.nvars
+    if d < 2:
+        raise ValueError("splitting types need at least two parameters")
+    rng = random.Random("generic-splitting:%d" % seed)
     seen = {}
     done = 0
     while done < GENERIC_SAMPLES:
@@ -280,27 +281,19 @@ def jumping_test(A, line, generic=None, seed=0):
     return splitting_on_line(A, p, q) != generic
 
 
-def _primitive(v):
-    """Nonzero integer triple divided by its gcd, first nonzero entry > 0."""
-    g = gcd(*v)
-    if next(x for x in v if x) < 0:
-        g = -g
-    return tuple(x // g for x in v)
-
-
 @lru_cache(maxsize=1)
 def grid_lines():
     """Duals of all lines through pairs of grid points with coordinates in
     [-GRID_BOUND, GRID_BOUND], deduplicated, simplest first."""
     rng = range(-GRID_BOUND, GRID_BOUND + 1)
-    pts = {_primitive(v) for v in product(rng, repeat=3) if any(v)}
+    pts = {linalg.primitive_int(v) for v in product(rng, repeat=3) if any(v)}
     lines = set()
     for a, b in combinations(pts, 2):
         cross = (a[1] * b[2] - a[2] * b[1],
                  a[2] * b[0] - a[0] * b[2],
                  a[0] * b[1] - a[1] * b[0])
         if any(cross):
-            lines.add(_primitive(cross))
+            lines.add(linalg.primitive_int(cross))
     return tuple(sorted(lines, key=lambda l: (max(abs(x) for x in l), l)))
 
 

@@ -1,15 +1,17 @@
 """Exact dense linear algebra over the rationals and the integers.
 
-Small helper routines shared across the package: fraction-free Gaussian
-elimination (Bareiss) for ranks and determinants, rational RREF, kernels
-and inverses.  Matrices are lists of lists; nothing here is optimised
-beyond what desk-scale inputs need.
+Small helper routines shared across the package.  Ranks, the integer
+reduced echelon form, kernels and canonical span bases all come from one
+routine, fraction-free (Bareiss) forward elimination of integer rows
+(`echelon_int`); rational input is first scaled row by row to integers.
+Determinants use the square Bareiss recurrence.  Matrices are lists of
+lists; nothing here is optimised beyond what desk-scale inputs need.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Q = Fraction
 
@@ -19,11 +21,20 @@ def _to_int_rows(rows):
     out = []
     for row in rows:
         row = [Q(x) for x in row]
-        m = 1
-        for x in row:
-            m = m * x.denominator // gcd(m, x.denominator)
-        out.append([int(x * m) for x in row])
+        m = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
     return out
+
+
+def primitive_int(v):
+    """Integer vector divided by the gcd of its entries, with its first
+    nonzero entry positive, as a tuple; the zero vector is kept."""
+    g = gcd(*v)
+    if not g:
+        return tuple(v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def echelon_int(rows, ncols):
@@ -119,109 +130,63 @@ def det(rows):
     return Q(bareiss_det(rows), 1) / scale
 
 
-def rref(rows):
-    """Reduced row echelon form over Q; returns (rref_rows, pivot_cols)."""
-    m = [[Q(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                t = m[r][col]
-                m[r] = [a - t * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m, pivots
+def reduced_echelon_int(rows, ncols):
+    """Integer reduced echelon form of integer rows.
+
+    Forward elimination by `echelon_int`, then fraction-free
+    back-elimination clears each pivot column above its pivot.  Every row
+    is made primitive with a positive pivot, so row i is a positive
+    multiple of row i of the rational RREF.  Returns (rows as tuples,
+    pivot_cols).
+    """
+    ech, pivots = echelon_int(rows, ncols)
+    done = []                     # reduced rows below, with their pivots
+    for row, c in zip(reversed(ech), reversed(pivots)):
+        for low, lc in done:
+            t = row[lc]
+            if t:
+                p = low[lc]
+                row = [p * a - t * b for a, b in zip(row, low)]
+        done.append((primitive_int(row), c))
+    return [row for row, _ in reversed(done)], pivots
 
 
 def nullspace(rows, ncols=None):
     """Basis of the right kernel over Q, one vector per free column.
 
-    Fraction-free forward elimination does the heavy lifting; only the
-    small triangular back-substitution runs over Q.  Vectors are
-    normalised to primitive integers with positive first nonzero entry
-    and ordered by free column index.
+    Read off the integer reduced echelon form.  Vectors are normalised to
+    primitive integers with positive first nonzero entry and ordered by
+    free column index.
     """
     if ncols is None:
         if not rows:
             raise ValueError("cannot infer width of an empty matrix")
         ncols = len(rows[0])
-    work = [r for r in _to_int_rows(rows) if any(r)]
-    if not work:
-        basis = []
-        for fc in range(ncols):
-            v = [0] * ncols
-            v[fc] = 1
-            basis.append(v)
-        return basis
-    ech, pivots = echelon_int(work, ncols)
+    red, pivots = reduced_echelon_int(_to_int_rows(rows), ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [Q(0)] * ncols
-        v[fc] = Q(1)
-        for i in range(len(pivots) - 1, -1, -1):
-            if pivots[i] > fc:
-                continue
-            row = ech[i]
-            s = row[fc] if fc > pivots[i] else Q(0)
-            for k in range(i + 1, len(pivots)):
-                if row[pivots[k]]:
-                    s += row[pivots[k]] * v[pivots[k]]
-            v[pivots[i]] = -Q(s, row[pivots[i]])
-        basis.append(primitive_vector(v))
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        # v[fc] = 1 and v[c] = -row[fc] / row[c] for each pivot c, scaled
+        # by the lcm of the pivots involved
+        used = [(row, c) for row, c in zip(red, pivots) if row[fc]]
+        m = lcm(*(row[c] for row, c in used))
+        v = [0] * ncols
+        v[fc] = m
+        for row, c in used:
+            v[c] = -row[fc] * (m // row[c])
+        basis.append(list(primitive_int(v)))
     return basis
 
 
 def primitive_vector(v):
     """Scale a rational vector to integers with gcd 1, first nonzero > 0."""
-    v = [Q(x) for x in v]
-    m = 1
-    for x in v:
-        m = m * x.denominator // gcd(m, x.denominator)
-    w = [int(x * m) for x in v]
-    g = 0
-    for x in w:
-        g = gcd(g, abs(x))
-    if g > 1:
-        w = [x // g for x in w]
-    for x in w:
-        if x:
-            if x < 0:
-                w = [-y for y in w]
-            break
-    return w
+    return list(primitive_int(_to_int_rows([v])[0]))
 
 
 def rank(rows):
     return bareiss_rank(rows)
-
-
-def invert(rows):
-    """Inverse of a square rational matrix; raises on singular input."""
-    n = len(rows)
-    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    r, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in r[:n]]
 
 
 def mat_mul(a, b):
@@ -238,9 +203,9 @@ def transpose(a):
 
 
 def span_rref(vectors):
-    """Canonical RREF basis of the span of the given vectors."""
-    vectors = [list(v) for v in vectors]
-    if not vectors:
+    """Canonical basis of the span of the given vectors: the rows of the
+    integer reduced echelon form, each primitive with a positive pivot."""
+    rows = _to_int_rows(vectors)
+    if not rows:
         return ()
-    r, pivots = rref(vectors)
-    return tuple(tuple(primitive_vector(r[i])) for i in range(len(pivots)))
+    return tuple(reduced_echelon_int(rows, len(rows[0]))[0])

@@ -20,20 +20,18 @@ isomorphic to s: dim s = n^2 + d^2 - rank.  Hence orbit_dim = rank - d^2.
 The tangent rank, the dimension of the affine cone over the orbit in
 Pluecker space, is orbit_dim + 1.
 
-Cross-check: the same number is the rank of the Pluecker tangent rows.
+Reference: the same number is the rank of the Pluecker tangent rows.
 Each elementary matrix E gives one row, the derivative at t = 0 of the
 Pluecker vector of (B_1 + t D_1) ^ ... ^ (B_d + t D_d) with
 D_k = E^T B_k + B_k E.  Rows are sparse dicts keyed by column subsets;
-rank_exact prescreens their rank modulo a seeded random prime and
-certifies it by fraction-free elimination of the row Gram matrix, whose
-rank over the rationals equals the row rank.  orbit_dimension runs this
-path only with dense_check=True (orbit-dim --exact).
+rank_exact ranks them by fraction-free elimination of the row Gram
+matrix, whose rank over the rationals equals the row rank.
+orbit_dimension does not use this path; the tests compare the two.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from math import comb
 
@@ -201,70 +199,11 @@ def tangent_rows(A):
     return rows
 
 
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def rank_exact(rows):
+    """Exact rank of sparse integer rows (dicts column -> value).
 
-
-def _seeded_prime(seed, bits=30):
-    rng = random.Random("rank-prescreen:%d" % seed)
-    while True:
-        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _is_probable_prime(cand):
-            return cand
-
-
-def _modular_rank(Z, p):
-    import numpy as np
-
-    A = np.array([[v % p for v in row] for row in Z], dtype=np.int64)
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = (A[r] * inv) % p
-        below = A[r + 1:, c].copy()
-        if below.any():
-            A[r + 1:] = (A[r + 1:] - np.outer(below, A[r])) % p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def rank_exact(rows, seed=0, dense_check=False):
-    """Exact rank of sparse integer rows, with a modular prescreen.
-
-    The exact value comes from fraction-free (Bareiss) elimination of the
-    integer row Gram matrix: over the rationals the Gram matrix has the
-    same rank as the rows themselves.  `dense_check` additionally runs
-    fraction-free elimination on the materialised rows and asserts
-    agreement.
+    Fraction-free (Bareiss) elimination of the integer row Gram matrix,
+    which over the rationals has the same rank as the rows themselves.
     """
     rows = list(rows)
     m = len(rows)
@@ -272,34 +211,23 @@ def rank_exact(rows, seed=0, dense_check=False):
     for i, r in enumerate(rows):
         for c, v in r.items():
             by_col.setdefault(c, []).append((i, v))
-    prime = _seeded_prime(seed)
-    if not by_col:
-        return {"rank": 0, "modular_rank": 0, "prime": prime}
-    Z = [[0] * len(by_col) for _ in range(m)]
     gram = [[0] * m for _ in range(m)]
-    for k, c in enumerate(sorted(by_col)):
-        entries = by_col[c]
+    for entries in by_col.values():
         for a, (i, v) in enumerate(entries):
-            Z[i][k] = v
             gi = gram[i]
             for j, w in entries[a:]:
                 gi[j] += v * w
     for i in range(m):
         for j in range(i):
             gram[i][j] = gram[j][i]
-    modular = _modular_rank(Z, prime)
-    exact = len(linalg.echelon_int(gram, m)[1])
-    if dense_check:
-        direct = len(linalg.echelon_int(Z, len(by_col))[1])
-        assert direct == exact, "Gram rank disagrees with direct elimination"
-    return {"rank": exact, "modular_rank": modular, "prime": prime}
+    return len(linalg.echelon_int(gram, m)[1])
 
 
-def orbit_dimension(A, seed=0, dense_check=False):
+def orbit_dimension(A, seed=0):
     """Orbit dimension report for the space spanned by A's coefficients.
 
-    The seed picks the prime of the tangent-row cross-check, which runs
-    only with `dense_check` and must agree with the stabilizer.
+    The computation is exact and uses no randomness: the report does not
+    depend on `seed`, which is only echoed.
     """
     n = A.order
     d = A.nvars
@@ -307,11 +235,6 @@ def orbit_dimension(A, seed=0, dense_check=False):
     _require_independent(basis)
     rank = len(linalg.echelon_int(stabilizer_rows(basis), n * n + d * d)[1])
     orbit_dim = rank - d * d
-    if dense_check:
-        cross = rank_exact(tangent_rows(A), seed=seed, dense_check=True)
-        if cross["rank"] != orbit_dim + 1:
-            raise RuntimeError("tangent-row rank %d disagrees with the "
-                               "stabilizer's %d" % (cross["rank"], orbit_dim + 1))
     return OrbitReport(
         ambient_grassmannian_dim=d * (comb(n, 2) - d),
         tangent_rank=orbit_dim + 1,

@@ -67,10 +67,14 @@ def test_orbit_dim(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["tangent_rank"] == 39 and data["orbit_dim"] == 38
-    code, out = run(capsys, ["--seed", "3", "orbit-dim", "--exact",
+    assert "dense_check" not in data
+    code, out = run(capsys, ["--seed", "3", "orbit-dim",
                              write_matrix(tmp_path, "M7")])
     assert code == 0
     assert json.loads(out)["seed"] == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit-dim", "--exact", write_matrix(tmp_path, "M7")])
+    assert exc.value.code == 2
 
 
 def test_project(tmp_path, capsys):
@@ -127,6 +131,19 @@ def test_reproduce_subset(capsys):
                              "--table"])
     assert code == 0
     assert "0 failures" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--name", "nosuch"],
+    ["--name", "M7", "--name", "nosuch"],
+    ["--section", "99", "--table"],
+    ["--name", "M7", "--section", "99"],
+])
+def test_reproduce_rejects_empty_or_unknown_selections(capsys, argv):
+    assert main(["reproduce"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_ideal_commands(tmp_path, capsys):

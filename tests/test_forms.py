@@ -110,21 +110,22 @@ def test_evaluate_is_a_homomorphism(f, g, p):
     assert (f + g).evaluate(p) == f.evaluate(p) + g.evaluate(p)
 
 
-def test_substitution_inverse_round_trip(rng):
-    from tests.conftest import random_invertible
+def test_substitution_composition_law(rng):
     from skewrank import linalg
 
     a, b, c = variables(ABC)
     f = parse_form("a^2*b - 2*b*c^2 + a*b*c", ABC)
+
+    def images(M):
+        return [M[i][0] * a + M[i][1] * b + M[i][2] * c for i in range(3)]
+
     for _ in range(10):
-        L = random_invertible(rng, 3)
-        Linv = linalg.invert(L)
-
-        def images(M):
-            return [M[i][0] * a + M[i][1] * b + M[i][2] * c for i in range(3)]
-
-        g = f.linear_substitute(images(L)).linear_substitute(images(Linv))
-        assert g == f
+        L = [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
+             for _ in range(3)]
+        M = [[Q(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
+        # x_i -> sum_j L_ij x_j, then x_j -> sum_k M_jk x_k: x_i -> (LM)_ik x_k
+        g = f.linear_substitute(images(L)).linear_substitute(images(M))
+        assert g == f.linear_substitute(images(linalg.mat_mul(L, M)))
 
 
 def test_binary_gcd_divides_and_coprime(rng):

@@ -180,6 +180,15 @@ def test_restrict_to_line_examples(rng):
         restrict_line(pi2, (1, 1, 1), (2, 2, 2))
 
 
+def test_splitting_scans_need_two_parameters():
+    # no two points of Z^1 are independent, so sampling lines cannot end
+    A = SkewPolyMatrix(4, ("a",), {(0, 1): "a", (2, 3): "a"})
+    with pytest.raises(ValueError):
+        geometry.generic_splitting(A)
+    with pytest.raises(ValueError):
+        geometry.jumping_scan(A, budget=5)
+
+
 def test_splitting_rejects_lines_through_the_drop_locus():
     # rank 4 off a = 0 and b = 0, so every line meets the drop locus
     net = SkewPolyMatrix(4, ("a", "b", "c"), {(0, 1): "a", (2, 3): "b"})

@@ -1,6 +1,9 @@
+import hashlib
+import random
 from fractions import Fraction
+from itertools import combinations
 
-from tests.conftest import random_invertible, random_skew
+from tests.conftest import random_skew
 
 from skewrank import linalg
 
@@ -25,15 +28,6 @@ def test_nullspace_solves(rng):
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
 
 
-def test_invert_round_trip(rng):
-    for _ in range(10):
-        n = rng.randint(1, 5)
-        M = random_invertible(rng, n)
-        I = linalg.mat_mul(M, linalg.invert(M))
-        assert I == [[Q(1) if i == j else Q(0) for j in range(n)]
-                     for i in range(n)]
-
-
 def test_span_rref_is_canonical(rng):
     for _ in range(20):
         vs = [[Q(rng.randint(-3, 3)) for _ in range(5)] for _ in range(3)]
@@ -41,14 +35,60 @@ def test_span_rref_is_canonical(rng):
         assert linalg.span_rref(vs) == linalg.span_rref(vs + scaled)
 
 
-def test_bareiss_rank_matches_rref(rng):
+def _minor_rank(rows):
+    """Largest k with a nonzero k x k minor (independent of echelon_int)."""
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for ri in combinations(range(m), k):
+            for ci in combinations(range(n), k):
+                if linalg.det([[rows[i][j] for j in ci] for i in ri]):
+                    return k
+    return 0
+
+
+def test_bareiss_rank_matches_largest_nonzero_minor(rng):
     for _ in range(40):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 6)
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
         rows = [[Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
                 for _ in range(m)]
-        _, pivots = linalg.rref(rows)
-        assert linalg.bareiss_rank(rows) == len(pivots)
+        if rng.random() < 0.5 and m > 1:      # force a dependent row
+            rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1 % m])]
+        assert linalg.bareiss_rank(rows) == _minor_rank(rows)
+
+
+def _pinned_cases(count):
+    """Seeded rational matrices, 1-7 rows by 1-8 columns, some sparse,
+    some with a zero row, a scaled duplicate row or a dependent row."""
+    rng = random.Random("linalg-pin")
+    for _ in range(count):
+        m = rng.randint(1, 7)
+        n = rng.randint(1, 8)
+        zero = rng.choice((0, 0.3, 0.6))
+        rows = [[Q(0) if rng.random() < zero else
+                 Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(m)]
+        kind = rng.randrange(4)
+        if kind == 1:
+            rows[rng.randrange(m)] = [Q(0)] * n
+        elif kind == 2:
+            c = Q(rng.randint(-2, 2) or 1, rng.randint(1, 3))
+            rows.insert(rng.randrange(m + 1),
+                        [c * x for x in rows[rng.randrange(m)]])
+        elif kind == 3 and m > 1:
+            a, b = rng.sample(range(m), 2)
+            c = Q(rng.randint(-3, 3), 2)
+            rows.append([x + c * y for x, y in zip(rows[a], rows[b])])
+        yield rows, n
+
+
+def test_nullspace_and_span_rref_outputs_are_pinned():
+    # digest recorded with the Fraction Gauss-Jordan implementation these
+    # routines replaced; 215 of the 400 cases have full rank, 25 rank 0
+    out = [(linalg.nullspace(rows, ncols=n), linalg.span_rref(rows))
+           for rows, n in _pinned_cases(400)]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "5431f4ceee9267317b8b3bb7c1f3cb51db433b6eb08a50594f1240e29bb51638"
 
 
 def test_det_of_skew_is_square(rng):
