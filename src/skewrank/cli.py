@@ -46,7 +46,10 @@ def _emit(obj):
 
 
 def _parse_csv_rationals(text):
-    return tuple(Q(part) for part in text.split(","))
+    try:
+        return tuple(Q(part) for part in text.split(","))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 def cmd_certify(args):

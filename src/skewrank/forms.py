@@ -333,7 +333,10 @@ def parse_form(text, vars):
     for m in tokens:
         num, name, caret, star, plus, minus = m.groups()
         if num is not None:
-            value = Q(int(num.split("/")[0]), int(num.split("/")[1])) if "/" in num else Q(int(num))
+            try:
+                value = Q(int(num.split("/")[0]), int(num.split("/")[1])) if "/" in num else Q(int(num))
+            except ZeroDivisionError:
+                raise ValueError("zero denominator in %r" % text) from None
             if expect_exp:
                 if last_var is None or value.denominator != 1:
                     raise ValueError("bad exponent in %r" % text)
@@ -370,10 +373,6 @@ def parse_form(text, vars):
     if not terms:
         return Form.zero(vars)
     return Form(vars, terms)
-
-
-def format_form(f):
-    return str(f)
 
 
 # -- univariate helpers for the binary GCD ------------------------------

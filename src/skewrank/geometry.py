@@ -18,7 +18,7 @@ from itertools import combinations, product
 from . import linalg
 from .certify import certify_constant_rank
 from .forms import Form
-from .groebner import Ideal, WrongDimension, hilbert_profile, is_projectively_empty
+from .groebner import Ideal, WrongDimension, hilbert_profile
 from .pencil import KroneckerInvariants, pencil_invariants
 from .skew import SkewPolyMatrix
 
@@ -406,11 +406,10 @@ def section_zero_scheme_degree(A, xi=None, seed=0, retries=10):
         tried += 1
         gens = _bordered_pfaffians(A, current)
         if gens:
-            ideal = Ideal(A.vars, sorted(set(gens), key=str))
-            if is_projectively_empty(ideal):
+            prof = hilbert_profile(Ideal(A.vars, sorted(set(gens), key=str)))
+            if prof.dimension == -1:
                 return 0
-            prof = hilbert_profile(ideal)
-            if prof.stabilized and prof.dimension == want_dim:
+            if prof.dimension == want_dim:
                 return prof.degree
             last_error = "dimension %d (wanted %d)" % (prof.dimension, want_dim)
         else:

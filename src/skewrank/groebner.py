@@ -3,8 +3,8 @@
 Provides reduced Groebner bases in graded reverse lexicographic order
 (the only order used anywhere), ideal membership via normal forms,
 projective emptiness through the pure-power criterion on the leading-term
-ideal, and degrees of low-dimensional projective schemes read off the
-Hilbert function of the staircase.
+ideal, and the dimension and degree of any projective scheme, read off
+the exact Hilbert series of the leading-term ideal.
 
 Internally, monomials are packed into single integers: one B-bit field
 per variable plus the total degree in the top field.  Two keys are used
@@ -30,7 +30,7 @@ Q = Fraction
 
 
 class WrongDimension(ValueError):
-    """The staircase does not have the dimension the caller expected."""
+    """The scheme does not have the dimension the caller expected."""
 
 
 # -- packed-monomial kernel ------------------------------------------------
@@ -435,82 +435,83 @@ def is_projectively_empty(x):
     return all(covered)
 
 
-def hilbert_function(gb, upto):
-    """Standard-monomial counts of the leading-term ideal, degrees 0..upto.
+def _minimal_monomials(gens):
+    """Minimal generators of the monomial ideal spanned by `gens`."""
+    kept = []
+    for g in sorted(set(gens), key=sum):
+        if not any(all(a <= b for a, b in zip(k, g)) for k in kept):
+            kept.append(g)
+    return kept
 
-    A monomial is standard when no leading exponent vector divides it;
-    the search keeps, per prefix, only the leads that can still divide.
+
+def _add_shifted(p, q, e):
+    """p + t^e q for little-endian coefficient lists."""
+    out = p + [0] * max(0, e + len(q) - len(p))
+    for i, c in enumerate(q):
+        out[e + i] += c
+    return out
+
+
+def _hilbert_numerator(gens):
+    """N(t), little-endian, with HS(S/M) = N(t)/(1-t)^n for the monomial
+    ideal M minimally generated by the exponent tuples `gens`.
+
+    Pivot recursion: N(M) = N(M + p) + t^deg(p) N(M : p) for p a power of
+    the variable in the most generators; pairwise coprime generators give
+    the product of the 1 - t^deg(g).
     """
-    n = len(gb.ideal.vars)
-    lts = gb.leading_exponents()
-
-    def rec(pos, remaining, live):
-        if pos == n - 1:
-            for lt in live:
-                if lt[pos] <= remaining:
-                    return 0
-            return 1
-        total = 0
-        for e in range(remaining + 1):
-            nxt = []
-            dead = False
-            for lt in live:
-                if lt[pos] <= e:
-                    if any(lt[i] for i in range(pos + 1, n)):
-                        nxt.append(lt)
-                    else:
-                        dead = True
-                        break
-            if not dead:
-                total += rec(pos + 1, remaining - e, nxt)
-        return total
-
-    if n == 1:
-        bound = min((lt[0] for lt in lts), default=None)
-        return [1 if bound is None or t < bound else 0 for t in range(upto + 1)]
-    return [rec(0, t, lts) for t in range(upto + 1)]
+    n = len(gens[0])
+    hits = [sum(1 for g in gens if g[i]) for i in range(n)]
+    v = max(range(n), key=hits.__getitem__)
+    if hits[v] < 2:
+        out = [1]
+        for g in gens:
+            out = _add_shifted(out, [-c for c in out], sum(g))
+        return out
+    e = min(g[v] for g in gens if g[v])
+    pivot = tuple(e if i == v else 0 for i in range(n))
+    plus = _minimal_monomials([g for g in gens if g[v] < e] + [pivot])
+    colon = _minimal_monomials([g[:v] + (max(g[v] - e, 0),) + g[v + 1:]
+                                for g in gens])
+    return _add_shifted(_hilbert_numerator(plus), _hilbert_numerator(colon), e)
 
 
 @dataclass(frozen=True)
 class HilbertProfile:
-    counts: tuple
-    dimension: int          # 0 = eventually constant, 1 = eventually linear
-    degree: int
-    stabilized: bool
+    dimension: int          # projective dimension; -1 for the empty scheme
+    degree: int             # 0 for the empty scheme
 
 
 def hilbert_profile(x):
-    """Detect staircase dimension (0 or 1) and the associated degree."""
+    """Projective dimension and degree of the scheme, read off the exact
+    Hilbert series N(t)/(1-t)^n of the leading-term ideal: divide N by
+    (1-t) as often as it vanishes at 1, say k times; the dimension is
+    n - k - 1 and the degree is the quotient at t = 1."""
     gb = _as_gb(x)
-    if not gb.basis:
-        raise ValueError("zero ideal has no meaningful staircase profile")
-    maxdeg = max(g.degree() for g in gb.basis)
     n = len(gb.ideal.vars)
-    upto = max(2 * maxdeg * n, 6)
-    hf = hilbert_function(gb, upto)
-    if hf[-1] == hf[-2] == hf[-3]:
-        return HilbertProfile(tuple(hf), 0, hf[-1], True)
-    d1 = [b - a for a, b in zip(hf, hf[1:])]
-    if d1[-1] == d1[-2] == d1[-3] and d1[-1] > 0:
-        return HilbertProfile(tuple(hf), 1, d1[-1], True)
-    return HilbertProfile(tuple(hf), -1, -1, False)
+    lts = gb.leading_exponents()        # minimal: the basis is reduced
+    num = _hilbert_numerator(lts) if lts else [1]
+    k = 0
+    while any(num) and sum(num) == 0:
+        acc, quo = 0, []
+        for c in num[:-1]:
+            acc += c
+            quo.append(acc)
+        num, k = quo, k + 1
+    if k == n or not any(num):
+        return HilbertProfile(-1, 0)
+    return HilbertProfile(n - k - 1, sum(num))
 
 
 def projective_degree(x, proj_dim=0):
-    """Degree of a 0-dimensional scheme (constant Hilbert value) or of a
-    curve (slope of the linear Hilbert growth), per `proj_dim`."""
+    """Degree of a 0-dimensional scheme (0 when it is empty) or of a curve,
+    per `proj_dim`; any other dimension raises WrongDimension."""
+    if proj_dim not in (0, 1):
+        raise ValueError("proj_dim must be 0 or 1")
     prof = hilbert_profile(x)
-    if not prof.stabilized:
-        raise WrongDimension("Hilbert function did not stabilise inside the "
-                             "desk-scale window: %r" % (prof.counts,))
-    if proj_dim == 0:
-        if prof.dimension != 0:
-            raise WrongDimension("scheme is not zero-dimensional "
-                                 "(Hilbert growth %r)" % (prof.counts,))
-        return prof.degree
-    if proj_dim == 1:
-        if prof.dimension != 1:
-            raise WrongDimension("scheme is not a curve "
-                                 "(Hilbert counts %r)" % (prof.counts,))
-        return prof.degree
-    raise ValueError("proj_dim must be 0 or 1")
+    if prof.dimension == -1 and proj_dim == 0:
+        return 0
+    if prof.dimension != proj_dim:
+        raise WrongDimension("scheme has projective dimension %d, not %d"
+                             % (prof.dimension, proj_dim))
+    return prof.degree

@@ -153,16 +153,6 @@ class SkewPolyMatrix:
         return "SkewPolyMatrix(order=%d, vars=%r, entries=%d)" % (
             self.order, list(self.vars), len(self._upper))
 
-    def pretty(self):
-        width = max([len(str(f)) for f in self._upper.values()] + [1]) + 1
-        lines = []
-        for i in range(self.order):
-            cells = []
-            for j in range(self.order):
-                cells.append(str(self.entry(i, j)).rjust(width))
-            lines.append(" ".join(cells))
-        return "\n".join(lines)
-
     # -- evaluation -------------------------------------------------------
 
     def evaluate_at(self, point):

@@ -168,6 +168,26 @@ def test_ideal_commands(tmp_path, capsys):
     assert code == 0 and json.loads(out)["degree"] == 2
 
 
+@pytest.mark.parametrize("command", ["certify", "ideal-empty", "project"])
+def test_zero_denominators_are_usage_errors(tmp_path, capsys, command):
+    if command == "certify":
+        p = tmp_path / "matrix.json"
+        p.write_text(json.dumps({"order": 2, "vars": ["a", "b"], "upper": [
+            {"i": 0, "j": 1, "form": "1/0*a"}]}))
+        argv = [command, str(p)]
+    elif command == "ideal-empty":
+        p = tmp_path / "ideal.json"
+        p.write_text(json.dumps({"vars": ["a", "b"], "generators": ["1/0*a"]}))
+        argv = [command, str(p)]
+    else:
+        argv = [command, write_matrix(tmp_path, "pi1"),
+                "--center", "1,0,0,0,0,0,1/0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
     with pytest.raises(SystemExit) as exc:

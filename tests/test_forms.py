@@ -110,6 +110,23 @@ def test_evaluate_is_a_homomorphism(f, g, p):
     assert (f + g).evaluate(p) == f.evaluate(p) + g.evaluate(p)
 
 
+# strings over parse_form's token alphabet, plus an unknown variable and
+# characters outside it
+form_texts = st.lists(st.sampled_from(
+    ["a", "b", "c", "x", "0", "1", "2", "10", "3/2", "1/0", "0/0",
+     "^", "*", "+", "-", " ", "/", "."]), max_size=10).map("".join)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(form_texts)
+def test_parse_form_returns_a_form_or_raises_value_error(text):
+    try:
+        f = parse_form(text, ABC)
+    except ValueError:
+        return
+    assert isinstance(f, Form)
+
+
 def test_substitution_composition_law(rng):
     from skewrank import linalg
 

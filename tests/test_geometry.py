@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from skewrank import catalog, geometry, linalg
+from skewrank import catalog, geometry, groebner, linalg
 from skewrank.certify import certify_constant_rank, restrict_line
 from skewrank.pencil import KroneckerInvariants, minimal_indices
 from skewrank.skew import SkewPolyMatrix, pfaffian
@@ -267,6 +267,17 @@ def test_zero_scheme_degrees():
 def test_zero_scheme_westwick_curve_degree():
     w = catalog.get("westwick").matrix
     assert geometry.section_zero_scheme_degree(w) == 6
+
+
+def test_zero_scheme_builds_one_basis_per_covector(monkeypatch):
+    A = catalog.get("pi2").matrix
+    certify_constant_rank(A)                   # cached; not counted below
+    calls = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda ideal: calls.append(ideal) or real(ideal))
+    assert geometry.section_zero_scheme_degree(A) == 2
+    assert len(calls) == 1
 
 
 def test_zero_scheme_stable_across_covectors(rng):

@@ -1,14 +1,22 @@
 import hashlib
+import json
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from tests.conftest import random_invertible
 
 from skewrank import catalog
+from skewrank.certify import certify_constant_rank
+from skewrank.cli import main
 from skewrank.forms import Form, variables
-from skewrank.groebner import (Ideal, WrongDimension, buchberger,
-                               hilbert_profile, is_projectively_empty,
-                               normal_form, projective_degree)
+from skewrank.geometry import _bordered_pfaffians, default_covector
+from skewrank.groebner import (HilbertProfile, Ideal, WrongDimension,
+                               _hilbert_numerator, _minimal_monomials,
+                               buchberger, hilbert_profile,
+                               is_projectively_empty, normal_form,
+                               projective_degree)
 
 Q = Fraction
 ABC = ("a", "b", "c")
@@ -138,8 +146,6 @@ def test_vanishing_point_means_nonempty(rng):
 
 def test_s_polynomials_reduce_on_workload_ideals():
     # the certification and zero-scheme ideals actually used downstream
-    from skewrank.geometry import _bordered_pfaffians, default_covector
-
     dk = catalog.get("dk_steiner").matrix
     w = catalog.get("westwick").matrix
     ideals = [
@@ -168,17 +174,15 @@ def test_s_polynomials_reduce_on_workload_ideals():
 
 def test_reduced_basis_digests_on_workload_ideals():
     # A reduced basis is unique: these pin invariants, not an implementation.
-    from skewrank.geometry import _bordered_pfaffians, default_covector
-
     w = catalog.get("westwick").matrix
     dk = catalog.get("dk_steiner").matrix
     cases = [
         ({f for f in w.sub_pfaffians(8) if not f.is_zero()}, w.vars,
-         35, "5673142640001abc", (0, 0)),
+         35, "5673142640001abc", (-1, 0)),
         (set(_bordered_pfaffians(w, default_covector(10))), w.vars,
          12, "f9a02dacf304ba1d", (1, 6)),
         ({f for f in dk.sub_pfaffians(6) if not f.is_zero()}, dk.vars,
-         10, "cb5ec8e996768e3f", (0, 0)),
+         10, "cb5ec8e996768e3f", (-1, 0)),
     ]
     for gens, vars, size, digest, (dim, degree) in cases:
         gb = buchberger(Ideal(vars, sorted(gens, key=str)))
@@ -187,3 +191,82 @@ def test_reduced_basis_digests_on_workload_ideals():
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
         prof = hilbert_profile(gb)
         assert (prof.dimension, prof.degree) == (dim, degree)
+
+
+# (dimension, degree) of the bordered ideals of every certified d in {3, 4}
+# entry, as the degree-window profile found them; its empty schemes
+# (reported as (0, 0)) read (-1, 0).
+WINDOW_PROFILES = {
+    "conic5": (1, 2), "dk_steiner": (0, 6), "double_t8": (-1, 0),
+    "mixed7": (-1, 0), "nullcorr6": (0, 2), "pi1": (-1, 0), "pi2": (0, 2),
+    "pi3": (0, 3), "pi4": (0, 5), "pi5": (0, 4), "pi6": (0, 3),
+    "rowblock4": (0, 1), "schwarzenberger": (0, 6), "split6": (0, 1),
+    "steiner6": (0, 3), "tquot7": (-1, 0), "triangle3": (1, 1),
+    "westwick": (1, 6),
+}
+
+
+def test_exact_series_agrees_with_the_window_on_degree_and_certify_ideals():
+    # Per entry: the rank-size sub-Pfaffian ideal (empty: the rank is
+    # constant) and the bordered ideals at the default and three seeded
+    # covectors.
+    seen = set()
+    for name in catalog.names():
+        entry = catalog.get(name)
+        A = entry.matrix
+        if entry.expected.constant is not True or A.nvars not in (3, 4):
+            continue
+        seen.add(name)
+        rank = certify_constant_rank(A).generic_rank
+        rng = random.Random("gate:" + name)
+        xis = [default_covector(A.order)] + [
+            tuple(Q(rng.randint(-9, 9)) for _ in range(A.order)) for _ in range(3)]
+        cases = [([f for f in A.sub_pfaffians(rank) if not f.is_zero()], (-1, 0))]
+        cases += [(_bordered_pfaffians(A, xi), WINDOW_PROFILES[name]) for xi in xis]
+        for gens, want in cases:
+            gb = buchberger(Ideal(A.vars, sorted(set(gens), key=str)))
+            prof = hilbert_profile(gb)
+            assert (prof.dimension, prof.degree) == want, name
+            assert is_projectively_empty(gb) == (prof.dimension == -1)
+    assert seen == set(WINDOW_PROFILES)
+    unit = buchberger(Ideal(ABC, ["a + b", "1"]))
+    assert is_projectively_empty(unit) is True
+    assert hilbert_profile(unit) == HilbertProfile(-1, 0)
+
+
+def test_exact_series_beyond_curves():
+    surface = hilbert_profile(Ideal(("a", "b", "c", "d"), ["a*b - c*d"]))
+    assert (surface.dimension, surface.degree) == (2, 2)
+    x = tuple("x%d" % i for i in range(8))
+    pair = hilbert_profile(Ideal(x, ["x0*x1"]))
+    assert (pair.dimension, pair.degree) == (6, 2)
+    plane = hilbert_profile(Ideal(ABC, []))
+    assert (plane.dimension, plane.degree) == (2, 1)
+    twisted = hilbert_profile(Ideal(("a", "b", "c", "d"),
+                                    ["a*c - b^2", "b*d - c^2", "a*d - b*c"]))
+    assert (twisted.dimension, twisted.degree) == (1, 3)
+
+
+def test_ideal_degree_names_the_real_dimension(tmp_path, capsys):
+    p = tmp_path / "quadric.json"
+    p.write_text(json.dumps({"vars": ["a", "b", "c", "d"],
+                             "generators": ["a*b - c*d"]}))
+    assert main(["ideal-degree", "--proj-dim", "1", str(p)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "dimension 2" in captured.err
+
+
+def test_hilbert_numerator_counts_standard_monomials(rng):
+    # oracle: count the degree-t monomials no generator divides
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        gens = _minimal_monomials([tuple(rng.randint(0, 3) for _ in range(n))
+                                   for _ in range(rng.randint(1, 5))])
+        series = (_hilbert_numerator(gens) + [0] * 7)[:7]
+        for _ in range(n):                      # divide by (1 - t)^n
+            series = [sum(series[:i + 1]) for i in range(7)]
+        for t in range(7):
+            standard = sum(1 for m in product(range(t + 1), repeat=n)
+                           if sum(m) == t and not any(
+                               all(a <= b for a, b in zip(g, m)) for g in gens))
+            assert series[t] == standard, (gens, t)
