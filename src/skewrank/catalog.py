@@ -118,17 +118,17 @@ def _build_entries():
     entries = [
         CatalogEntry(
             "M7", 2, "canonical rank-6 pencil, splitting (3)", M7,
-            Expected(generic_rank=6, constant=True, method="binary-gcd",
+            Expected(generic_rank=6, constant=True, method="kronecker",
                      partition=(3,), padding=0, nondegenerate=True,
                      tangent_rank=39, orbit_dim=38)),
         CatalogEntry(
             "M8", 2, "canonical rank-6 pencil, splitting (2,1)", M8,
-            Expected(generic_rank=6, constant=True, method="binary-gcd",
+            Expected(generic_rank=6, constant=True, method="kronecker",
                      partition=(2, 1), padding=0, nondegenerate=True,
                      orbit_dim=47, gauss_span_dim=4)),
         CatalogEntry(
             "M9", 2, "canonical rank-6 pencil, splitting (1,1,1)", M9,
-            Expected(generic_rank=6, constant=True, method="binary-gcd",
+            Expected(generic_rank=6, constant=True, method="kronecker",
                      partition=(1, 1, 1), padding=0, nondegenerate=True,
                      orbit_dim=56)),
         CatalogEntry(
@@ -146,19 +146,19 @@ def _build_entries():
         CatalogEntry(
             "rank2_3x3", 2, "canonical rank-2 pencil",
             SkewPolyMatrix(3, AB, {(0, 1): "a", (0, 2): "b"}),
-            Expected(generic_rank=2, constant=True, method="binary-gcd",
+            Expected(generic_rank=2, constant=True, method="kronecker",
                      partition=(1,), padding=0, nondegenerate=True)),
         CatalogEntry(
             "rank4_5x5", 2, "canonical rank-4 pencil, splitting (2)",
             SkewPolyMatrix(5, AB, {(0, 2): "a", (0, 3): "b",
                                    (1, 3): "a", (1, 4): "b"}),
-            Expected(generic_rank=4, constant=True, method="binary-gcd",
+            Expected(generic_rank=4, constant=True, method="kronecker",
                      partition=(2,), padding=0, nondegenerate=True)),
         CatalogEntry(
             "rank4_6x6", 2, "canonical rank-4 pencil, splitting (1,1)",
             SkewPolyMatrix(6, AB, {(0, 2): "a", (0, 3): "b",
                                    (1, 4): "a", (1, 5): "b"}),
-            Expected(generic_rank=4, constant=True, method="binary-gcd",
+            Expected(generic_rank=4, constant=True, method="kronecker",
                      partition=(1, 1), padding=0, nondegenerate=True)),
 
         CatalogEntry(
@@ -371,9 +371,9 @@ def _observed_invariants(entry, seed=0, budget=200):
     e = entry.expected
     A = entry.matrix
     out = {}
-    need_cert = any(k in ("generic_rank", "constant", "method", "partition",
-                          "padding", "c2", "curve_degree", "gauss_span_dim",
-                          "jumping") for k, _ in e.items())
+    need_cert = any(k in ("generic_rank", "constant", "method", "c2",
+                          "curve_degree", "gauss_span_dim", "jumping")
+                    for k, _ in e.items())
     cert = certify_constant_rank(A, seed=seed) if need_cert else None
     if e.generic_rank is not None:
         out["generic_rank"] = cert.generic_rank
@@ -382,7 +382,7 @@ def _observed_invariants(entry, seed=0, budget=200):
     if e.method is not None:
         out["method"] = cert.method
     if e.partition is not None or e.padding is not None:
-        inv = pencil.minimal_indices(A, cert)
+        inv = pencil.minimal_indices(A)
         out["partition"] = inv.partition
         out["padding"] = inv.padding
     if e.nondegenerate is not None:

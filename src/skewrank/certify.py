@@ -1,12 +1,15 @@
 """Constant-rank certification over the whole parameter space.
 
-Generic rank is decided symbolically (largest size with a principal
-sub-Pfaffian that is not the zero polynomial).  Constancy is certified by
-the binary GCD of the sub-Pfaffians for pencils and by projective
-emptiness of the sub-Pfaffian ideal for three or more variables.  On
-failure a deterministic search over probe points and lines tries to
-exhibit a rational point where the rank drops; the verdict never depends
-on finding one.
+A pencil (two variables) is decided by its Kronecker rank sequence
+(`pencil.pencil_invariants`): integer block-Toeplitz ranks give the
+normal rank and prove it constant exactly when there is no regular part.
+Only a refutation expands the sub-Pfaffians of that size, whose binary
+GCD locates a rational witness where the rank drops.  Any other number
+of variables takes the symbolic generic rank (largest size with a
+principal sub-Pfaffian that is not the zero polynomial) and certifies
+constancy by projective emptiness of the sub-Pfaffian ideal; on failure
+a deterministic search over probe points and lines tries to exhibit a
+rational witness.  The verdict never depends on finding one.
 """
 
 from __future__ import annotations
@@ -16,18 +19,21 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from . import linalg
 from .forms import Form, binary_gcd
 from .groebner import Ideal, is_projectively_empty
+from .pencil import pencil_invariants
 from .skew import SkewPolyMatrix
 
 Q = Fraction
 
-METHOD_GCD = "binary-gcd"
 METHOD_GROEBNER = "groebner"
+METHOD_KRONECKER = "kronecker"
 METHOD_SAMPLED = "sampled"
+
+ROOT_SEARCH_BOUND = 10 ** 6   # largest end coefficient trial-divided for roots
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,9 @@ def _binary_rational_roots(g):
     """Rational projective roots of a binary form, deterministic order.
 
     A factor of the first variable yields (0, 1), a factor of the second
-    yields (1, 0); remaining roots come from the rational-root theorem on
-    the dehomogenisation.
+    yields (1, 0); the root of a linear remainder is read off, and longer
+    ones go through the rational-root theorem on the dehomogenisation,
+    skipped when an end coefficient exceeds ROOT_SEARCH_BOUND.
     """
     roots = []
     d = g.degree()
@@ -101,33 +108,21 @@ def _binary_rational_roots(g):
         den = den * c.denominator // gcd(den, c.denominator)
     ints = {ea - min_a: int(c * den) for ea, c in coeff.items()}
     deg = max(ints)
-    if deg > 0:
-        lead = ints[deg]
-        const = ints.get(0, 0)
-        if const:
-            seen = set()
-            for pnum in sorted(_divisors(abs(const))):
-                for qden in sorted(_divisors(abs(lead))):
-                    for s in (1, -1):
-                        t = Q(s * pnum, qden)
-                        if t in seen:
-                            continue
-                        seen.add(t)
-                        if sum(c * t ** e for e, c in ints.items()) == 0:
-                            roots.append((t, Q(1)))
+    lead = ints[deg]
+    const = ints[0]
+    if deg == 1:
+        roots.append((Q(-const, lead), Q(1)))
+    elif deg > 1 and max(abs(const), abs(lead)) <= ROOT_SEARCH_BOUND:
+        tries = dict.fromkeys(Q(s * p, q) for p in _divisors(abs(const))
+                              for q in _divisors(abs(lead)) for s in (1, -1))
+        roots += [(t, Q(1)) for t in tries
+                  if sum(c * t ** e for e, c in ints.items()) == 0]
     return roots
 
 
 def _divisors(n):
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
+    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+    return sorted(set(small + [n // i for i in small]))
 
 
 def witness_candidates(d, seed=0, n_points=25, n_lines=25):
@@ -173,22 +168,16 @@ def _search_witness(A, rank, seed):
 
 @lru_cache(maxsize=512)
 def _certify_cached(A, seed):
+    if A.nvars == 2:
+        inv = pencil_invariants(*A.integer_basis())
+        if inv.constant:
+            return RankCertificate(inv.rank, True, METHOD_KRONECKER)
+        pfs = [f for f in A.sub_pfaffians(inv.rank) if not f.is_zero()]
+        roots = _binary_rational_roots(binary_gcd(pfs))
+        return RankCertificate(inv.rank, False, METHOD_KRONECKER,
+                               witness=roots[0] if roots else None)
     rank = generic_rank(A)
-    d = A.nvars
     pfs = [f for f in A.sub_pfaffians(rank) if not f.is_zero()]
-    if d == 1:
-        # one projective point; the nonzero Pfaffian c*x^r never vanishes there
-        return RankCertificate(rank, True, METHOD_GCD)
-    if d == 2:
-        g = binary_gcd(pfs)
-        if g.degree() == 0:
-            return RankCertificate(rank, True, METHOD_GCD)
-        witness = None
-        for s, t in _binary_rational_roots(g):
-            if any((s, t)):
-                witness = (s, t)
-                break
-        return RankCertificate(rank, False, METHOD_GCD, witness=witness)
     ideal = Ideal(A.vars, sorted(set(pfs), key=str))
     if is_projectively_empty(ideal):
         return RankCertificate(rank, True, METHOD_GROEBNER)

@@ -233,10 +233,10 @@ def splitting_on_line(A, p, q):
 
     The restriction is the integer pencil s*sum(p_k B_k) + t*sum(q_k B_k)
     over the integer coefficient basis B_k of A, with p and q scaled to
-    primitive integers (a parameter change).  No certificate of the line
-    is computed: pencil_invariants raises ValueError unless the line has
-    the ambient generic rank at every point, so a line through the
-    rank-drop locus of a space of non-constant rank is rejected.
+    primitive integers (a parameter change).  Its rank sequence is the
+    line's certificate: ValueError unless the line has the ambient
+    generic rank at every point, so a line through the rank-drop locus of
+    a space of non-constant rank is rejected.
     """
     if len(p) != A.nvars or len(q) != A.nvars:
         raise ValueError("points must have one coordinate per variable")
@@ -248,7 +248,11 @@ def splitting_on_line(A, p, q):
     n = A.order
     B1, B2 = ([[sum(c * B[i][j] for c, B in zip(pt, basis)) for j in range(n)]
                for i in range(n)] for pt in (p, q))
-    return pencil_invariants(B1, B2, certify_constant_rank(A).generic_rank)
+    inv = pencil_invariants(B1, B2)
+    rank = certify_constant_rank(A).generic_rank
+    if not (inv.constant and inv.rank == rank):
+        raise ValueError("line does not have rank %d at every point" % rank)
+    return inv
 
 
 def generic_splitting(A, seed=0):

@@ -1,4 +1,4 @@
-"""Complete classification of constant-rank skew-symmetric pencils.
+"""Complete classification of skew-symmetric pencils, and their rank.
 
 A pencil a*B1 + b*B2 of order n and constant rank 2r is classified by its
 n - 2r Kronecker minimal indices, the degrees of a minimal polynomial
@@ -11,9 +11,12 @@ They come from integer ranks alone (Van Dooren, LAA 27, 1979).  The
 kernel vectors of degree delta in (a, b) solve a block-Toeplitz system
 T_delta whose kernel has dimension k_delta = sum over indices eps <= delta
 of (delta - eps + 1), so k_delta - 2 k_(delta-1) + k_(delta-2) indices
-equal delta.  A pencil of normal rank 2r' whose regular part has size R
-has n - 2r' indices summing to r' - R/2, so finding n - 2r indices that
-sum to r proves rank 2r at every point; anything else raises ValueError.
+equal delta.  A skew pencil is congruent to a sum of blocks, one of 2eps + 1
+rows for each index eps, and a regular part of size R; so the sequence
+stops once the rows left over cannot hold a block of index delta.  The
+normal rank is n minus the number of indices, 2*sum(eps) + R, and the
+rank is the same at every point exactly when R = 0, that is when the
+indices sum to half the normal rank: the constancy proof of `certify`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import json
 from dataclasses import dataclass
 
 from . import linalg
-from .certify import certify_constant_rank
 from .forms import Form
 from .skew import SkewPolyMatrix
 
@@ -32,6 +34,11 @@ class KroneckerInvariants:
     rank: int
     partition: tuple
     padding: int
+
+    @property
+    def constant(self):
+        """True when the pencil has its normal rank at every point."""
+        return 2 * sum(self.partition) == self.rank
 
     def to_json(self):
         return {"rank": self.rank, "partition": list(self.partition),
@@ -63,34 +70,33 @@ def _toeplitz_rank(B1, B2, n, delta):
     return len(linalg.echelon_int(rows, (delta + 1) * n)[1])
 
 
-def pencil_invariants(B1, B2, rank):
-    """Kronecker invariants of the integer pencil a*B1 + b*B2, which must
-    have the given rank at every point; raises ValueError otherwise."""
+def pencil_invariants(B1, B2):
+    """Kronecker invariants of the nonzero integer pencil a*B1 + b*B2,
+    with its normal rank; `constant` tells whether that rank is attained
+    at every point."""
     n = len(B1)
-    r = rank // 2
     k = [0, 0]                       # k_(delta-2), k_(delta-1), ...
     indices = []
-    for delta in range(r + 1):
-        if len(indices) >= n - rank:
-            break
+    delta = 0
+    while n - 2 * sum(indices) - len(indices) >= 2 * delta + 1:
         k.append((delta + 1) * n - _toeplitz_rank(B1, B2, n, delta))
         indices += [delta] * (k[-1] - 2 * k[-2] + k[-3])
-    if len(indices) != n - rank or sum(indices) != r:
-        raise ValueError("pencil does not have rank %d at every point" % rank)
+        delta += 1
+    if len(indices) == n:
+        raise ValueError("zero pencil has no Kronecker invariants")
     partition = tuple(sorted((d for d in indices if d), reverse=True))
-    return KroneckerInvariants(rank, partition, indices.count(0))
+    return KroneckerInvariants(n - len(indices), partition, indices.count(0))
 
 
-def minimal_indices(A, cert=None):
-    """Kronecker invariants of a certified constant-rank pencil."""
+def minimal_indices(A):
+    """Kronecker invariants of a constant-rank pencil; raises ValueError
+    unless A is a pencil of constant rank."""
     if A.nvars != 2:
         raise ValueError("minimal indices are defined for pencils (d = 2)")
-    if cert is None:
-        cert = certify_constant_rank(A)
-    if cert.constant is not True:
+    inv = pencil_invariants(*A.integer_basis())
+    if not inv.constant:
         raise ValueError("pencil does not have constant rank")
-    B1, B2 = A.integer_basis()
-    return pencil_invariants(B1, B2, cert.generic_rank)
+    return inv
 
 
 def canonical_form(partition):
@@ -126,13 +132,5 @@ def canonical_form(partition):
 
 
 def equivalent(A, B):
-    """Congruence equivalence of two certified constant-rank pencils."""
-    ca = certify_constant_rank(A)
-    cb = certify_constant_rank(B)
-    if ca.constant is not True or cb.constant is not True:
-        raise ValueError("equivalence needs constant-rank certificates")
-    if A.order != B.order or ca.generic_rank != cb.generic_rank:
-        return False
-    ia = minimal_indices(A, ca)
-    ib = minimal_indices(B, cb)
-    return ia == ib
+    """Congruence equivalence of two constant-rank pencils."""
+    return minimal_indices(A) == minimal_indices(B)

@@ -29,3 +29,14 @@ def random_skew(rng, n, lo=-5, hi=5):
             M[i][j] = v
             M[j][i] = -v
     return M
+
+
+def partitions(r):
+    """Partitions of r as non-increasing tuples."""
+    if r == 0:
+        yield ()
+        return
+    for first in range(r, 0, -1):
+        for rest in partitions(r - first):
+            if not rest or rest[0] <= first:
+                yield (first,) + rest

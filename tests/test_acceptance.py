@@ -41,7 +41,7 @@ def test_criterion_1_certification():
         c = certify_constant_rank(catalog.get(name).matrix)
         dt = time.perf_counter() - t0
         if not (c.constant is True and c.generic_rank == 6
-                and c.method == "binary-gcd"):
+                and c.method == "kronecker"):
             failures.append("%s: %r" % (name, c))
         if dt >= 1.0:
             failures.append("%s took %.2fs (budget 1s)" % (name, dt))

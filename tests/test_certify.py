@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
-from tests.conftest import random_invertible
+from tests.conftest import partitions, random_invertible
 
 from skewrank import catalog
-from skewrank.certify import (certify_constant_rank, check_bound,
+from skewrank.certify import (_binary_rational_roots, certify_constant_rank,
+                              check_bound,
                               cross_validate, generic_rank, restrict_line,
                               sampled_probe)
 from skewrank.forms import binary_gcd
@@ -24,7 +26,7 @@ def test_generic_rank_examples():
 
 def test_certify_examples():
     c = certify_constant_rank(catalog.get("M8").matrix)
-    assert (c.generic_rank, c.constant, c.method) == (6, True, "binary-gcd")
+    assert (c.generic_rank, c.constant, c.method) == (6, True, "kronecker")
     split = SkewPolyMatrix(4, AB, {(0, 1): "a", (2, 3): "b"})
     c = certify_constant_rank(split)
     assert (c.generic_rank, c.constant) == (4, False)
@@ -114,3 +116,85 @@ def test_restrict_line_shapes():
     pencil = restrict_line(A, (1, 0, 0), (0, 1, 0))
     assert pencil.vars == ("s", "t")
     assert pencil.order == A.order
+
+
+def _symbolic_reference(A):
+    """(generic rank, constant, witness) from the symbolic generic rank and
+    the binary GCD of the sub-Pfaffians of that size."""
+    rank = generic_rank(A)
+    g = binary_gcd([f for f in A.sub_pfaffians(rank) if not f.is_zero()])
+    if g.degree() == 0:
+        return rank, True, None
+    roots = _binary_rational_roots(g)
+    return rank, False, roots[0] if roots else None
+
+
+def test_kronecker_route_matches_symbolic_reference():
+    from skewrank.pencil import canonical_form, minimal_indices
+
+    rng = random.Random(16)
+    # regular blocks: rank 2 dropping at (-2, 1); rank 4 with Pfaffian
+    # a^2 + b^2, dropping at no rational point
+    regular = [SkewPolyMatrix(2, AB, {(0, 1): "a + 2*b"}),
+               SkewPolyMatrix(4, AB, {(0, 1): "a", (2, 3): "a",
+                                      (0, 2): "b", (1, 3): "-b"})]
+    cases = []                       # (matrix, classification or None)
+    for name in catalog.names():
+        entry = catalog.get(name)
+        if entry.matrix.nvars != 2:
+            continue
+        A = entry.matrix
+        want = (entry.expected.partition, entry.expected.padding)
+        cases.append((A, want))
+        for k in range(4):
+            B = A.congruence_transform(random_invertible(rng, A.order))
+            if k % 2:
+                B = B.parameter_change(random_invertible(rng, 2))
+            cases.append((B, want))
+    for r in range(1, 5):
+        for partition in partitions(r):
+            for padding in range(3):
+                A = canonical_form(partition).matrix.pad_zero(padding)
+                cases.append((A, (partition, padding)))
+                if padding == 1 and r <= 3:
+                    P = random_invertible(rng, A.order)
+                    cases.append((A.congruence_transform(P), (partition, 1)))
+    for r in range(1, 4):
+        for partition in partitions(r):
+            for block in regular:
+                A = canonical_form(partition).matrix.direct_sum(block)
+                cases.append((A, None))
+                if r < 3:            # dense refutations past order 10 are slow
+                    B = A.congruence_transform(random_invertible(rng, A.order))
+                    cases.append((B, None))
+                    L = random_invertible(rng, 2)
+                    cases.append((B.parameter_change(L), None))
+    cases += [(block.pad_zero(1), None) for block in regular]
+    assert (len(cases), sum(want is None for _, want in cases)) == (110, 26)
+    for A, want in cases:
+        c = certify_constant_rank(A)
+        assert (c.generic_rank, c.constant, c.witness) == _symbolic_reference(A)
+        if want is None:
+            with pytest.raises(ValueError):
+                minimal_indices(A)
+        else:
+            inv = minimal_indices(A)
+            assert (inv.partition, inv.padding) == want
+
+
+def test_pencil_and_one_variable_edge_cases():
+    with pytest.raises(ValueError):
+        certify_constant_rank(SkewPolyMatrix.zero(4, AB))
+    line = SkewPolyMatrix(4, ("x",), {(0, 1): "x", (2, 3): "3*x"})
+    c = certify_constant_rank(line)
+    assert (c.generic_rank, c.constant, c.method) == (4, True, "groebner")
+
+
+def test_witness_roots_are_bounded():
+    big = 10 ** 24 + 7
+    # Pfaffian a^2 + big*b^2: no linear factor and a huge end coefficient,
+    # so the rational-root search is skipped and the witness is None
+    quad = SkewPolyMatrix(4, AB, {(0, 1): "a", (2, 3): "a",
+                                  (0, 2): "b", (1, 3): "-%d*b" % big})
+    c = certify_constant_rank(quad)
+    assert (c.generic_rank, c.constant, c.witness) == (4, False, None)

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from skewrank import catalog
+from skewrank.certify import _certify_cached
 from skewrank.cli import main
 from skewrank.skew import SkewPolyMatrix
 
@@ -24,7 +26,7 @@ def test_certify_exit_codes(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["generic_rank"] == 6 and data["constant"] is True
-    assert data["method"] == "binary-gcd"
+    assert data["method"] == "kronecker"
 
     split = SkewPolyMatrix(4, ("a", "b"), {(0, 1): "a", (2, 3): "b"})
     p = tmp_path / "split.json"
@@ -39,6 +41,26 @@ def test_certify_exit_codes(tmp_path, capsys):
                              write_matrix(tmp_path, "M7")])
     assert code == 4            # sampling never certifies
     assert json.loads(out)["constant"] is None
+
+
+def test_certify_reads_a_huge_linear_witness_at_once(tmp_path, capsys):
+    p = tmp_path / "far.json"
+    p.write_text(SkewPolyMatrix(2, ("a", "b"),
+                                {(0, 1): "a - 1000000000000000000000007*b"}).dumps())
+    _certify_cached.cache_clear()
+    t0 = time.perf_counter()
+    code, out = run(capsys, ["certify", str(p)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert json.loads(out)["witness"] == ["1000000000000000000000007", "1"]
+
+
+def test_certify_rejects_a_zero_pencil(tmp_path, capsys):
+    p = tmp_path / "zero.json"
+    p.write_text(SkewPolyMatrix.zero(4, ("a", "b")).dumps())
+    assert main(["certify", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_classify_and_canonical(tmp_path, capsys):

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from tests.conftest import random_invertible
+from tests.conftest import partitions, random_invertible
 
 from skewrank import catalog
 from skewrank.certify import certify_constant_rank
-from skewrank.pencil import canonical_form, equivalent, minimal_indices
+from skewrank.pencil import (canonical_form, equivalent, minimal_indices,
+                             pencil_invariants)
 from skewrank.skew import SkewPolyMatrix
 
 Q = Fraction
@@ -30,19 +31,9 @@ def test_minimal_indices_preconditions():
         minimal_indices(split)
 
 
-def _partitions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in _partitions(n - first):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
-
-
 def test_canonical_round_trip_all_partitions_up_to_5():
     for r in range(1, 6):
-        for partition in _partitions(r):
+        for partition in partitions(r):
             cp = canonical_form(partition)
             assert cp.matrix.order == 2 * r + len(partition)
             inv = minimal_indices(cp.matrix)
@@ -73,7 +64,7 @@ def test_bookkeeping_identities():
     for name in ("M7", "M8", "M9", "M7p", "M8p", "rank4_6x6"):
         A = catalog.get(name).matrix
         cert = certify_constant_rank(A)
-        inv = minimal_indices(A, cert)
+        inv = minimal_indices(A)
         r = cert.generic_rank // 2
         assert sum(inv.partition) == r
         assert len(inv.partition) == A.order - 2 * r - inv.padding
@@ -122,3 +113,18 @@ def test_invariance_under_many_transforms(rng):
                 B = B.parameter_change(random_invertible(rng, 2))
             inv = minimal_indices(B)
             assert inv.partition == want and inv.padding == 0
+
+
+def test_pencil_invariants_report_the_normal_rank():
+    # M8 plus a regular 2x2 block: normal rank 8, indices (2, 1) only
+    A = catalog.get("M8").matrix.direct_sum(
+        SkewPolyMatrix(2, AB, {(0, 1): "a + b"}))
+    inv = pencil_invariants(*A.integer_basis())
+    assert (inv.rank, inv.partition, inv.padding) == (8, (2, 1), 0)
+    assert inv.constant is False
+    split = SkewPolyMatrix(5, AB, {(0, 1): "a", (2, 3): "b"})
+    inv = pencil_invariants(*split.integer_basis())
+    assert (inv.rank, inv.partition, inv.padding, inv.constant) == (4, (), 1, False)
+    assert pencil_invariants(*catalog.get("M7").matrix.integer_basis()).constant
+    with pytest.raises(ValueError):
+        pencil_invariants(*SkewPolyMatrix.zero(3, AB).integer_basis())

@@ -1,8 +1,8 @@
 """skewrank itself needs nothing beyond the standard library.
 
-numpy stays a dependency only for the benchmark's metadata; this guard
-fails if any module of the package, or the orbit code and CLI paths that
-once used numpy, import it.
+numpy is only in the `bench` extra, for the benchmark's metadata; this
+guard fails if any module of the package, or the orbit code and CLI paths
+that once used numpy, import it.
 """
 
 import os
