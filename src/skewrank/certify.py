@@ -24,7 +24,7 @@ from math import gcd, isqrt
 from . import linalg
 from .forms import Form, binary_gcd
 from .groebner import Ideal, is_projectively_empty
-from .pencil import pencil_invariants
+from .pencil import invariants_of
 from .skew import SkewPolyMatrix
 
 Q = Fraction
@@ -169,7 +169,7 @@ def _search_witness(A, rank, seed):
 @lru_cache(maxsize=512)
 def _certify_cached(A, seed):
     if A.nvars == 2:
-        inv = pencil_invariants(*A.integer_basis())
+        inv = invariants_of(A)
         if inv.constant:
             return RankCertificate(inv.rank, True, METHOD_KRONECKER)
         pfs = [f for f in A.sub_pfaffians(inv.rank) if not f.is_zero()]

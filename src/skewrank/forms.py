@@ -57,6 +57,17 @@ class Form:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _from_clean(cls, vars, terms):
+        """Form of a dict, used as is, from exponent tuples (one entry per
+        variable, none negative) to nonzero Fractions; vars must be a
+        tuple of distinct names.  Skips the checks of the constructor."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "vars", vars)
+        object.__setattr__(f, "_terms", terms)
+        object.__setattr__(f, "_hash", None)
+        return f
+
+    @classmethod
     def zero(cls, vars):
         return cls(vars, ())
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 
 from . import linalg
 from .certify import certify_constant_rank
-from .forms import Form
 from .groebner import Ideal, WrongDimension, hilbert_profile
 from .pencil import KroneckerInvariants, pencil_invariants
 from .skew import SkewPolyMatrix
@@ -166,7 +166,7 @@ def kernel_plucker(A, cert=None):
     out = {}
     for i, j in combinations(range(n), 2):
         idx = tuple(k for k in range(n) if k not in (i, j))
-        f = A._pf(idx)
+        f = A._form(A._pf(idx), n // 2 - 1)
         out[(i, j)] = f if (i + j) % 2 == 0 else -f
     return out
 
@@ -368,19 +368,26 @@ def _bordered_pfaffians(A, xi):
 
     Expanded along the border: Pf(sub + border) is the sum over t of
     (-1)^t xi[sub[t]] Pf(sub without sub[t]), and those size-2r
-    sub-Pfaffians are the ones certification already computed.
+    sub-Pfaffians are the ones certification already computed.  The sum
+    runs on the integer Pfaffians of A_int with xi cleared of
+    denominators, and each generator becomes a Form once.
     """
     cert = certify_constant_rank(A)
-    size = cert.generic_rank + 2
+    r = cert.generic_rank // 2
     xi = [Q(x) for x in xi]
+    den = lcm(*(x.denominator for x in xi))
+    xi = [int(x * den) for x in xi]
     gens = []
-    for sub in combinations(range(A.order), size - 1):
-        f = Form.zero(A.vars)
+    for sub in combinations(range(A.order), 2 * r + 1):
+        acc = {}
         for t, i in enumerate(sub):
             if xi[i]:
-                f = f + A._pf(sub[:t] + sub[t + 1:]) * (xi[i] if t % 2 == 0 else -xi[i])
-        if not f.is_zero():
-            gens.append(f)
+                x = xi[i] if t % 2 == 0 else -xi[i]
+                for m, c in A._pf(sub[:t] + sub[t + 1:]).items():
+                    acc[m] = acc.get(m, 0) + x * c
+        acc = {m: c for m, c in acc.items() if c}
+        if acc:
+            gens.append(A._form(acc, r, den))
     return gens
 
 

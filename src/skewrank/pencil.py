@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .forms import Form
@@ -88,12 +89,19 @@ def pencil_invariants(B1, B2):
     return KroneckerInvariants(n - len(indices), partition, indices.count(0))
 
 
+@lru_cache(maxsize=512)
+def invariants_of(A):
+    """pencil_invariants of the pencil A, computed once per matrix content
+    for certification and classification alike."""
+    return pencil_invariants(*A.integer_basis())
+
+
 def minimal_indices(A):
     """Kronecker invariants of a constant-rank pencil; raises ValueError
     unless A is a pencil of constant rank."""
     if A.nvars != 2:
         raise ValueError("minimal indices are defined for pencils (d = 2)")
-    inv = pencil_invariants(*A.integer_basis())
+    inv = invariants_of(A)
     if not inv.constant:
         raise ValueError("pencil does not have constant rank")
     return inv

@@ -3,8 +3,14 @@
 The matrix stores only its strict upper triangle; the lower triangle and
 the zero diagonal are implied.  Entries are homogeneous linear
 :class:`~skewrank.forms.Form` values (or zero) in a shared tuple of
-parameter variables.  Values are immutable; Pfaffian computations share a
-per-instance memo table keyed by principal index subsets.
+parameter variables.  Values are immutable.
+
+Pfaffians are expanded on integers: A = lam * A_int for the one rational
+lam of `integer_basis`, and a per-instance memo keyed by principal index
+subsets holds the Pfaffians of A_int as dicts from packed exponents to
+integer coefficients.  A Form is built only where a caller gets one; the
+Pfaffian of size 2k is lam^k times that of A_int, so the Forms are exactly
+the Pfaffians of A.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ Q = Fraction
 
 
 class SkewPolyMatrix:
-    __slots__ = ("order", "vars", "_upper", "_pf_memo", "_hash", "_int_basis")
+    __slots__ = ("order", "vars", "_upper", "_pf_memo", "_hash", "_int_basis",
+                 "_int_entries")
 
     def __init__(self, order, vars, upper):
         order = int(order)
@@ -53,6 +60,7 @@ class SkewPolyMatrix:
         object.__setattr__(self, "_pf_memo", {})
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_int_basis", None)
+        object.__setattr__(self, "_int_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPolyMatrix is immutable")
@@ -126,6 +134,10 @@ class SkewPolyMatrix:
         and no line through given parameter points.  Built once per
         matrix and cached.
         """
+        return self._integer_scaled()[0]
+
+    def _integer_scaled(self):
+        """(integer_basis(), lam) with A = lam * sum(var_k * B_k)."""
         got = self._int_basis
         if got is None:
             mats = self.coefficient_basis()
@@ -133,8 +145,8 @@ class SkewPolyMatrix:
             mats = [[[x.numerator * (m // x.denominator) for x in row]
                      for row in B] for B in mats]
             g = gcd(*(x for B in mats for row in B for x in row)) or 1
-            got = tuple(tuple(tuple(x // g for x in row) for row in B)
-                        for B in mats)
+            got = (tuple(tuple(tuple(x // g for x in row) for row in B)
+                         for B in mats), Q(g, m))
             object.__setattr__(self, "_int_basis", got)
         return got
 
@@ -247,31 +259,64 @@ class SkewPolyMatrix:
 
     # -- Pfaffians ----------------------------------------------------------
 
+    def _packing_width(self):
+        """Bits per variable in a packed exponent.  A Pfaffian has degree
+        at most order // 2, so no exponent carries into the next field."""
+        return (self.order // 2).bit_length()
+
     def _pf(self, idx):
-        """Pfaffian of the principal submatrix on the sorted index tuple."""
+        """Pfaffian of the principal submatrix of A_int on the sorted index
+        tuple, as {packed exponents: integer coefficient}."""
         memo = self._pf_memo
         got = memo.get(idx)
         if got is not None:
             return got
+        entries = self._int_entries
+        if entries is None:
+            basis = self.integer_basis()
+            w = self._packing_width()
+            entries = {(i, j): [(1 << (w * k), B[i][j])
+                                for k, B in enumerate(basis) if B[i][j]]
+                       for (i, j) in self._upper}
+            object.__setattr__(self, "_int_entries", entries)
         if not idx:
-            out = Form.constant(self.vars, 1)
+            out = {0: 1}
         else:
             rest = idx[1:]
             i0 = idx[0]
-            out = Form.zero(self.vars)
+            out = {}
             for t, j in enumerate(rest):
-                e = self._upper.get((i0, j))
-                if e is not None:
-                    # negate the linear entry, not the larger product
-                    out = out + (e if t % 2 == 0 else -e) * self._pf(rest[:t] + rest[t + 1:])
+                e = entries.get((i0, j))
+                if e is None:
+                    continue
+                sub = self._pf(rest[:t] + rest[t + 1:])
+                for m1, c1 in e:
+                    if t % 2:
+                        c1 = -c1
+                    for m2, c2 in sub.items():
+                        m = m1 + m2
+                        out[m] = out.get(m, 0) + c1 * c2
+            out = {m: c for m, c in out.items() if c}
         memo[idx] = out
         return out
+
+    def _form(self, poly, degree, den=1):
+        """The Form lam^degree / den * poly of a packed integer polynomial
+        of the given degree, such as a Pfaffian of size 2 * degree."""
+        scale = self._integer_scaled()[1] ** degree / den
+        p, q = scale.numerator, scale.denominator
+        w = self._packing_width()
+        mask = (1 << w) - 1
+        shifts = [w * k for k in range(self.nvars)]
+        return Form._from_clean(self.vars, {
+            tuple(m >> s & mask for s in shifts): Q(c * p, q)
+            for m, c in poly.items()})
 
     def pfaffian_symbolic(self):
         """Pfaffian of the whole matrix; requires even order."""
         if self.order % 2:
             raise ValueError("Pfaffian needs even order")
-        return self._pf(tuple(range(self.order)))
+        return self._form(self._pf(tuple(range(self.order))), self.order // 2)
 
     def sub_pfaffians(self, size):
         """Pfaffians of all principal size x size submatrices, lex order."""
@@ -281,7 +326,8 @@ class SkewPolyMatrix:
         if size < 0 or size > self.order:
             raise ValueError("size %d out of range for order %d" % (size, self.order))
         from itertools import combinations
-        return [self._pf(s) for s in combinations(range(self.order), size)]
+        return [self._form(self._pf(s), size // 2)
+                for s in combinations(range(self.order), size)]
 
     # -- JSON ------------------------------------------------------------
 

@@ -128,3 +128,24 @@ def test_pencil_invariants_report_the_normal_rank():
     assert pencil_invariants(*catalog.get("M7").matrix.integer_basis()).constant
     with pytest.raises(ValueError):
         pencil_invariants(*SkewPolyMatrix.zero(3, AB).integer_basis())
+
+
+def test_catalog_runs_each_pencil_sequence_once(monkeypatch):
+    # certification and classification share one rank sequence per matrix
+    from skewrank import certify, geometry, pencil
+    names = [n for n in catalog.names() if catalog.get(n).matrix.nvars == 2]
+    assert len(names) == 9
+    calls = []
+
+    def counting(B1, B2):
+        calls.append(1)
+        return pencil_invariants(B1, B2)
+
+    for module in (certify, geometry, pencil):      # every alias callers hold
+        if hasattr(module, "pencil_invariants"):
+            monkeypatch.setattr(module, "pencil_invariants", counting)
+    certify._certify_cached.cache_clear()
+    pencil.invariants_of.cache_clear()
+    rows = catalog.reproduce_all(names_filter=names)
+    assert rows and all(row.ok for row in rows)
+    assert len(calls) == 9

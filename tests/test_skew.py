@@ -1,9 +1,11 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 from tests.conftest import random_invertible, random_skew
 
-from skewrank import catalog, linalg
+from skewrank import catalog, geometry, linalg
 from skewrank.forms import Form
 from skewrank.pencil import minimal_indices
 from skewrank.skew import SkewPolyMatrix, pfaffian
@@ -80,6 +82,71 @@ def test_sub_pfaffians():
     M7 = catalog.get("M7").matrix
     with pytest.raises(ValueError):
         M7.sub_pfaffians(8)
+
+
+def _diagonal_blocks(vars, names):
+    """Block-diagonal matrix with 2x2 blocks carrying the named variables."""
+    return SkewPolyMatrix(2 * len(names), vars,
+                          {(2 * k, 2 * k + 1): v for k, v in enumerate(names)})
+
+
+def test_pfaffian_exponents_reach_the_top_of_their_field():
+    # t * J_m has Pfaffian t^m, the largest degree order 2m allows
+    for m in (4, 8):
+        assert _diagonal_blocks(("t",), ["t"] * m).pfaffian_symbolic() \
+            == Form(("t",), {(m,): 1})
+        for names in (["a", "b"] * (m // 2), ["a"] * (m - 1) + ["b"]):
+            want = (names.count("a"), names.count("b"))
+            assert _diagonal_blocks(AB, names).pfaffian_symbolic() \
+                == Form(AB, {want: 1})
+
+
+def test_pf_congruence_scaling_with_rational_linear_entries(rng):
+    for n in (4, 6):
+        upper = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                upper[(i, j)] = Form(ABC, {e: Q(rng.randint(-4, 4), rng.randint(1, 5))
+                                           for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
+        A = SkewPolyMatrix(n, ABC, upper)
+        assert any(c.denominator > 1 for _, f in A.upper_entries() for _, c in f.terms())
+        P = random_invertible(rng, n)
+        pf = A.pfaffian_symbolic()
+        assert not pf.is_zero()
+        assert A.congruence_transform(P).pfaffian_symbolic() == linalg.det(P) * pf
+
+
+# sha256 of the Forms below, recorded with the Form-valued Pfaffian recursion
+PFAFFIAN_GATE = "c17b6e4d1b585723db408742a734daa2207a9fc01afafa6777fa741a869288eb"
+
+
+def _pfaffian_gate_forms():
+    """Rank-size sub-Pfaffians and bordered generators (default covector
+    and one seeded rational covector) of every catalog entry and of one
+    seeded dense variant of each: an integer congruence composed with a
+    rational parameter change."""
+    rng = random.Random("pfaffian-gate")
+    for name in catalog.names():
+        entry = catalog.get(name)
+        A = entry.matrix
+        P = random_invertible(rng, A.order, -2, 2)
+        while True:
+            L = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(A.nvars)]
+                 for _ in range(A.nvars)]
+            if linalg.det(L):
+                break
+        xi = [Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(A.order)]
+        for M in (A, A.congruence_transform(P).parameter_change(L)):
+            yield from M.sub_pfaffians(entry.expected.generic_rank)
+            for covector in (geometry.default_covector(M.order), xi):
+                yield from geometry._bordered_pfaffians(M, covector)
+
+
+def test_pfaffian_forms_are_pinned():
+    h = hashlib.sha256()
+    for f in _pfaffian_gate_forms():
+        h.update(("%s|%r\n" % (f, f.terms())).encode())
+    assert h.hexdigest() == PFAFFIAN_GATE
 
 
 def test_rank_at_examples():
