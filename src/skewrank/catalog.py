@@ -87,8 +87,7 @@ def dk_steiner(lam, mu, nu):
              lam, mu, nu]
     from itertools import combinations
     for trip in combinations(range(6), 3):
-        m = [list(lines[t]) for t in trip]
-        if linalg.det(m) == 0:
+        if linalg.bareiss_rank([lines[t] for t in trip]) < 3:
             raise ValueError("degenerate line configuration: lines %r concurrent"
                              % (trip,))
     a, b, c = (Form.variable(ABC, v) for v in ABC)
@@ -472,13 +471,10 @@ def random_extension_attempts(attempts=20, seed=0, base_names=EIGHT_BY_EIGHT_PLA
     import random as _random
 
     rng = _random.Random("extension:%d" % seed)
-    vars4 = ("a", "b", "c", "d")
-    images = [Form.variable(vars4, v) for v in ("a", "b", "c")]
     out = []
     for t in range(attempts):
         base = get(base_names[t % len(base_names)]).matrix
-        upper = {ij: f.linear_substitute(images) for ij, f in base.upper_entries()}
-        d_form = Form.variable(vars4, "d")
+        D = [[0] * base.order for _ in range(base.order)]
         placed = 0
         while placed < 6:
             i = rng.randrange(base.order)
@@ -489,12 +485,13 @@ def random_extension_attempts(attempts=20, seed=0, base_names=EIGHT_BY_EIGHT_PLA
             coeff = rng.randint(-2, 2)
             if not coeff:
                 continue
-            upper[(i, j)] = upper.get((i, j), Form.zero(vars4)) + coeff * d_form
+            D[i][j] += coeff
+            D[j][i] -= coeff
             placed += 1
-        ext = SkewPolyMatrix(base.order, vars4, upper)
-        flat = [[B[i][j] for i in range(ext.order) for j in range(ext.order)]
-                for B in ext.coefficient_basis()]
-        if linalg.rank(flat) != 4:
+        ext = SkewPolyMatrix.from_coefficient_basis(
+            ("a", "b", "c", "d"), base.coefficient_basis() + [D])
+        if linalg.rank([[x for row in B for x in row]
+                        for B in ext.integer_basis()]) != 4:
             continue                      # not a 4-dimensional space; retry slot
         out.append((base_names[t % len(base_names)],
                     certify_constant_rank(ext, seed=seed)))

@@ -19,13 +19,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import combinations
+from math import isqrt, lcm
 
 from . import linalg
-from .forms import Form, binary_gcd
+from .forms import binary_gcd
 from .groebner import Ideal, is_projectively_empty
 from .pencil import invariants_of
-from .skew import SkewPolyMatrix
 
 Q = Fraction
 
@@ -63,7 +63,7 @@ def generic_rank(A):
     polynomial.  Symbolic; never decided by sampling."""
     top = A.order - (A.order % 2)
     for size in range(top, 0, -2):
-        if any(not f.is_zero() for f in A.sub_pfaffians(size)):
+        if any(A._pf(s) for s in combinations(range(A.order), size)):
             return size
     raise ValueError("zero matrix has no generic rank")
 
@@ -71,16 +71,11 @@ def generic_rank(A):
 def restrict_line(A, p, q):
     """Restriction of A to the parameter line s*p + t*q (a pencil in s, t)
     through the independent points p and q."""
-    p = [Q(x) for x in p]
-    q = [Q(x) for x in q]
     if len(p) != A.nvars or len(q) != A.nvars:
         raise ValueError("points must have one coordinate per variable")
     if linalg.rank([p, q]) != 2:
         raise ValueError("line needs two independent points")
-    target = ("s", "t")
-    images = [Form(target, [((1, 0), pi), ((0, 1), qi)]) for pi, qi in zip(p, q)]
-    upper = {ij: f.linear_substitute(images) for ij, f in A.upper_entries()}
-    return SkewPolyMatrix(A.order, target, upper)
+    return A._substitute(("s", "t"), [p, q])
 
 
 def _binary_rational_roots(g):
@@ -93,9 +88,7 @@ def _binary_rational_roots(g):
     """
     roots = []
     d = g.degree()
-    coeff = {}
-    for (ea, eb), c in g._terms.items():
-        coeff[ea] = c
+    coeff = {ea: c for (ea, _), c in g._terms.items()}
     min_a = min(coeff)
     max_a = max(coeff)
     if min_a > 0:                      # first variable divides
@@ -103,9 +96,7 @@ def _binary_rational_roots(g):
     if max_a < d:                      # second variable divides
         roots.append((Q(1), Q(0)))
     # dehomogenise: F(t) = sum coeff[ea] * t^(ea - min_a)
-    den = 1
-    for c in coeff.values():
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in coeff.values()))
     ints = {ea - min_a: int(c * den) for ea, c in coeff.items()}
     deg = max(ints)
     lead = ints[deg]
@@ -145,24 +136,28 @@ def witness_candidates(d, seed=0, n_points=25, n_lines=25):
     return points, lines
 
 
+def _first_drop(pencil, rank):
+    """First rational point (s, t) where a pencil has rank below `rank`:
+    the first rational root of the GCD of its nonzero rank-size
+    sub-Pfaffians, (1, 0) when all of them vanish (the rank drops
+    everywhere), None when the GCD has no rational root."""
+    pfs = [f for f in pencil.sub_pfaffians(rank) if not f.is_zero()]
+    if not pfs:
+        return Q(1), Q(0)
+    roots = _binary_rational_roots(binary_gcd(pfs))
+    return roots[0] if roots else None
+
+
 def _search_witness(A, rank, seed):
-    d = A.nvars
-    points, lines = witness_candidates(d, seed)
+    points, lines = witness_candidates(A.nvars, seed)
     for p in points:
         if A.rank_at(p) < rank:
             return p
     for p, q in lines:
-        pencil = restrict_line(A, p, q)
-        pfs = [f for f in pencil.sub_pfaffians(rank) if not f.is_zero()]
-        if not pfs:
-            # whole line drops rank; take the first point on it
-            return p
-        g = binary_gcd(pfs)
-        if g.degree() > 0:
-            for s, t in _binary_rational_roots(g):
-                pt = tuple(s * pi + t * qi for pi, qi in zip(p, q))
-                if any(pt):
-                    return pt
+        st = _first_drop(restrict_line(A, p, q), rank)
+        if st is not None:
+            s, t = st
+            return tuple(s * pi + t * qi for pi, qi in zip(p, q))
     return None
 
 
@@ -172,10 +167,8 @@ def _certify_cached(A, seed):
         inv = invariants_of(A)
         if inv.constant:
             return RankCertificate(inv.rank, True, METHOD_KRONECKER)
-        pfs = [f for f in A.sub_pfaffians(inv.rank) if not f.is_zero()]
-        roots = _binary_rational_roots(binary_gcd(pfs))
         return RankCertificate(inv.rank, False, METHOD_KRONECKER,
-                               witness=roots[0] if roots else None)
+                               witness=_first_drop(A, inv.rank))
     rank = generic_rank(A)
     pfs = [f for f in A.sub_pfaffians(rank) if not f.is_zero()]
     ideal = Ideal(A.vars, sorted(set(pfs), key=str))
@@ -192,6 +185,17 @@ def certify_constant_rank(A, seed=0):
     return _certify_cached(A, seed)
 
 
+def _sample_points(d, n_points, seed):
+    """n_points seeded nonzero points with coordinates in [-9, 9]."""
+    rng = random.Random(seed)
+    done = 0
+    while done < n_points:
+        p = tuple(Q(rng.randint(-9, 9)) for _ in range(d))
+        if any(p):
+            done += 1
+            yield p
+
+
 def sampled_probe(A, n_points=200, seed=0):
     """Sampling probe for beyond-desk-scale inputs; never certifies.
 
@@ -199,33 +203,17 @@ def sampled_probe(A, n_points=200, seed=0):
     constant=None (unknown).
     """
     rank = generic_rank(A)
-    rng = random.Random(seed)
-    d = A.nvars
-    tried = 0
-    while tried < n_points:
-        p = tuple(Q(rng.randint(-9, 9)) for _ in range(d))
-        if not any(p):
-            continue
-        tried += 1
+    for tried, p in enumerate(_sample_points(A.nvars, n_points, seed), 1):
         if A.rank_at(p) < rank:
             return RankCertificate(rank, False, METHOD_SAMPLED, witness=p,
                                    sampled_points=tried)
-    return RankCertificate(rank, None, METHOD_SAMPLED, sampled_points=tried)
+    return RankCertificate(rank, None, METHOD_SAMPLED, sampled_points=n_points)
 
 
 def cross_validate(A, cert, n_points=200, seed=0):
     """Check rank_at == generic_rank at seeded pseudo-random points."""
-    rng = random.Random(seed)
-    d = A.nvars
-    done = 0
-    while done < n_points:
-        p = tuple(Q(rng.randint(-9, 9)) for _ in range(d))
-        if not any(p):
-            continue
-        done += 1
-        if A.rank_at(p) != cert.generic_rank:
-            return False
-    return True
+    return all(A.rank_at(p) == cert.generic_rank
+               for p in _sample_points(A.nvars, n_points, seed))
 
 
 def check_bound(A, nondegenerate, cert=None):

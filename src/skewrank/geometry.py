@@ -244,11 +244,7 @@ def splitting_on_line(A, p, q):
     q = linalg.primitive_vector(q)
     if linalg.rank([p, q]) != 2:
         raise ValueError("line needs two independent points")
-    basis = A.integer_basis()
-    n = A.order
-    B1, B2 = ([[sum(c * B[i][j] for c, B in zip(pt, basis)) for j in range(n)]
-               for i in range(n)] for pt in (p, q))
-    inv = pencil_invariants(B1, B2)
+    inv = pencil_invariants(A._combine(p), A._combine(q))
     rank = certify_constant_rank(A).generic_rank
     if not (inv.constant and inv.rank == rank):
         raise ValueError("line does not have rank %d at every point" % rank)

@@ -117,17 +117,10 @@ def bareiss_det(rows):
 def det(rows):
     """Determinant over Q."""
     rows = [[Q(x) for x in row] for row in rows]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    scale = Q(1)
-    for i, row in enumerate(rows):
-        m = 1
-        for x in row:
-            m = m * x.denominator // gcd(m, x.denominator)
-        scale *= m
-        rows[i] = [int(x * m) for x in row]
-    return Q(bareiss_det(rows), 1) / scale
+    scale = 1
+    for row in rows:
+        scale *= lcm(*(x.denominator for x in row))
+    return Q(bareiss_det(_to_int_rows(rows)), scale)
 
 
 def reduced_echelon_int(rows, ncols):

@@ -1,16 +1,15 @@
 """Skew-symmetric matrices of linear forms.
 
-The matrix stores only its strict upper triangle; the lower triangle and
-the zero diagonal are implied.  Entries are homogeneous linear
-:class:`~skewrank.forms.Form` values (or zero) in a shared tuple of
-parameter variables.  Values are immutable.
-
-Pfaffians are expanded on integers: A = lam * A_int for the one rational
-lam of `integer_basis`, and a per-instance memo keyed by principal index
-subsets holds the Pfaffians of A_int as dicts from packed exponents to
-integer coefficients.  A Form is built only where a caller gets one; the
-Pfaffian of size 2k is lam^k times that of A_int, so the Forms are exactly
-the Pfaffians of A.
+A matrix is A = lam * sum(x_k * B_k): integer skew matrices B_k with
+coprime entries (`integer_basis`) and one rational lam > 0, built once,
+by a transform or from the entry Forms' terms on first use.  Congruence,
+parameter change, evaluation and restriction to a line are integer
+combinations of the B_k; the Pfaffians of sum(x_k * B_k) are expanded
+on integers into a memo keyed by principal index subsets.  Forms stay
+at the edges: the strict upper triangle is kept as linear Forms for
+text, JSON and equality, and a Pfaffian of size 2k becomes a Form,
+lam^k times the integer one, only where a caller gets one.  Values are
+immutable.
 """
 
 from __future__ import annotations
@@ -27,17 +26,12 @@ Q = Fraction
 
 
 class SkewPolyMatrix:
-    __slots__ = ("order", "vars", "_upper", "_pf_memo", "_hash", "_int_basis",
-                 "_int_entries")
+    __slots__ = ("order", "vars", "_upper", "_pf_memo", "_hash", "_int")
 
     def __init__(self, order, vars, upper):
         order = int(order)
-        if order < 1:
-            raise ValueError("order must be at least 1")
         vars = tuple(str(v) for v in vars)
-        if not vars:
-            raise ValueError("need at least one parameter variable")
-        clean = {}
+        self._init(order, vars)
         items = upper.items() if isinstance(upper, dict) else upper
         for (i, j), f in items:
             i, j = int(i), int(j)
@@ -53,14 +47,16 @@ class SkewPolyMatrix:
                 continue
             if not f.is_homogeneous(1):
                 raise ValueError("entry (%d, %d) is not linear: %s" % (i, j, f))
-            clean[(i, j)] = f
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "_upper", clean)
-        object.__setattr__(self, "_pf_memo", {})
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_int_basis", None)
-        object.__setattr__(self, "_int_entries", None)
+            self._upper[(i, j)] = f
+
+    def _init(self, order, vars):
+        if order < 1:
+            raise ValueError("order must be at least 1")
+        if not vars or len(set(vars)) != len(vars):
+            raise ValueError("need distinct parameter variables, at least one")
+        for name, value in (("order", order), ("vars", vars), ("_upper", {}),
+                            ("_pf_memo", {(): {0: 1}}), ("_hash", None), ("_int", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPolyMatrix is immutable")
@@ -76,11 +72,9 @@ class SkewPolyMatrix:
     @classmethod
     def from_coefficient_basis(cls, vars, matrices):
         """Rebuild sum(var_k * B_k) from constant skew matrices B_k."""
-        vars = tuple(vars)
         if len(matrices) != len(vars):
             raise ValueError("need one coefficient matrix per variable")
         order = len(matrices[0])
-        upper = {}
         for k, B in enumerate(matrices):
             if len(B) != order or any(len(r) != order for r in B):
                 raise ValueError("coefficient matrices must share one order")
@@ -90,11 +84,57 @@ class SkewPolyMatrix:
                 for j in range(i + 1, order):
                     if Q(B[i][j]) != -Q(B[j][i]):
                         raise ValueError("coefficient matrix %d is not skew" % k)
-                    if B[i][j]:
-                        e = tuple(1 if t == k else 0 for t in range(len(vars)))
-                        f = upper.get((i, j), Form.zero(vars))
-                        upper[(i, j)] = f + Form(vars, [(e, Q(B[i][j]))])
-        return cls(order, vars, upper)
+        ints, m = _integer_rows([row for B in matrices for row in B])
+        return cls._from_integer(tuple(str(v) for v in vars),
+                                 [ints[k:k + order] for k in range(0, len(ints), order)],
+                                 Q(1, m))
+
+    @classmethod
+    def _from_integer(cls, vars, mats, scale):
+        """scale * sum(var_k * mats[k]) for integer skew matrices mats[k],
+        with the basis stored and the entry Forms read off it."""
+        A = object.__new__(cls)
+        A._init(len(mats[0]), vars)
+        _, lam, entries = A._seed(mats, scale)
+        units = [tuple(int(t == k) for t in range(len(vars))) for k in range(len(vars))]
+        for ij, t in entries.items():
+            A._upper[ij] = Form._from_clean(vars, {units[k]: lam * c for k, c in t})
+        return A
+
+    def _integer(self):
+        """(integer_basis(), lam, entries) with A = lam * sum(var_k * B_k);
+        entries maps each nonzero upper position (i, j) to the pairs
+        (k, B_k[i][j]) with B_k[i][j] != 0.  Read off the terms of the
+        entry Forms on first use."""
+        if self._int is None:
+            m = lcm(*(c.denominator for f in self._upper.values()
+                      for c in f._terms.values()))
+            mats = [[[0] * self.order for _ in range(self.order)] for _ in self.vars]
+            for (i, j), f in self._upper.items():
+                for e, c in f._terms.items():
+                    B = mats[e.index(1)]
+                    B[i][j] = c.numerator * (m // c.denominator)
+                    B[j][i] = -B[i][j]
+            self._seed(mats, Q(1, m))
+        return self._int
+
+    def _seed(self, mats, scale):
+        """Store _integer() for A = scale * sum(var_k * mats[k]); the
+        content and sign of the integer mats[k] move into lam, so the
+        basis is primitive and lam > 0."""
+        g = gcd(*(x for B in mats for row in B for x in row)) or 1
+        lam = scale * g
+        if lam < 0:
+            g, lam = -g, -lam
+        basis = tuple(tuple(tuple(x // g for x in row) for row in B) for B in mats)
+        entries = {}
+        for i in range(self.order):
+            for j in range(i + 1, self.order):
+                t = tuple((k, B[i][j]) for k, B in enumerate(basis) if B[i][j])
+                if t:
+                    entries[(i, j)] = t
+        object.__setattr__(self, "_int", (basis, lam, entries))
+        return self._int
 
     # -- access ---------------------------------------------------------
 
@@ -111,44 +151,38 @@ class SkewPolyMatrix:
         """Nonzero strict-upper entries as ((i, j), Form), lex ordered."""
         return [((i, j), self._upper[(i, j)]) for (i, j) in sorted(self._upper)]
 
-    def coefficient_basis(self):
-        """Constant skew matrices B_k with A = sum(var_k * B_k)."""
-        mats = []
-        for k in range(self.nvars):
-            B = [[Q(0)] * self.order for _ in range(self.order)]
-            for (i, j), f in self._upper.items():
-                e = tuple(1 if t == k else 0 for t in range(self.nvars))
-                c = f.coefficient(e)
-                if c:
-                    B[i][j] = c
-                    B[j][i] = -c
-            mats.append(B)
-        return mats
-
     def integer_basis(self):
-        """Primitive integer coefficient matrices, as nested tuples.
+        """Primitive integer coefficient matrices B_k, as nested tuples.
 
-        The B_k of coefficient_basis, all scaled by one positive rational
-        so that the entries are coprime integers.  One common scale is a
+        A = lam * sum(var_k * B_k) for one positive rational lam, so the
+        entries of the B_k are coprime integers.  One common scale is a
         constant factor on the whole space: it changes no rank, no span
-        and no line through given parameter points.  Built once per
-        matrix and cached.
+        and no line through given parameter points.
         """
-        return self._integer_scaled()[0]
+        return self._integer()[0]
 
-    def _integer_scaled(self):
-        """(integer_basis(), lam) with A = lam * sum(var_k * B_k)."""
-        got = self._int_basis
-        if got is None:
-            mats = self.coefficient_basis()
-            m = lcm(*(x.denominator for B in mats for row in B for x in row))
-            mats = [[[x.numerator * (m // x.denominator) for x in row]
-                     for row in B] for B in mats]
-            g = gcd(*(x for B in mats for row in B for x in row)) or 1
-            got = (tuple(tuple(tuple(x // g for x in row) for row in B)
-                         for B in mats), Q(g, m))
-            object.__setattr__(self, "_int_basis", got)
-        return got
+    def coefficient_basis(self):
+        """Constant skew matrices lam * B_k with A = sum(var_k * lam * B_k)."""
+        lam = self._integer()[1]
+        return [[[lam * x for x in row] for row in B] for B in self.integer_basis()]
+
+    def _combine(self, c):
+        """The integer matrix sum(c_k * B_k) for integers c_k, summed over
+        the nonzero positions only."""
+        n = self.order
+        M = [[0] * n for _ in range(n)]
+        for (i, j), t in self._integer()[2].items():
+            v = sum(c[k] * x for k, x in t)
+            M[i][j] = v
+            M[j][i] = -v
+        return M
+
+    def _substitute(self, vars, images):
+        """Replace var_k by sum(images[l][k] * vars[l]): the space read on
+        the span of the rational points images[l] of the old parameters."""
+        ints, m = _integer_rows(images)
+        return SkewPolyMatrix._from_integer(
+            vars, [self._combine(c) for c in ints], self._integer()[1] / m)
 
     def __eq__(self, other):
         return (isinstance(other, SkewPolyMatrix) and self.order == other.order
@@ -167,23 +201,24 @@ class SkewPolyMatrix:
 
     # -- evaluation -------------------------------------------------------
 
-    def evaluate_at(self, point):
-        """Constant skew matrix at a nonzero parameter point."""
+    def _at(self, point):
+        """(M, s) with A(point) = s * M for an integer matrix M."""
         point = [Q(x) for x in point]
         if len(point) != self.nvars:
             raise ValueError("point length does not match variable count")
         if not any(point):
             raise ValueError("zero parameter point")
-        M = [[Q(0)] * self.order for _ in range(self.order)]
-        for (i, j), f in self._upper.items():
-            v = f.evaluate(point)
-            M[i][j] = v
-            M[j][i] = -v
-        return M
+        (c,), m = _integer_rows([point])
+        return self._combine(c), self._integer()[1] / m
+
+    def evaluate_at(self, point):
+        """Constant skew matrix at a nonzero parameter point."""
+        M, s = self._at(point)
+        return [[s * x if x else Q(0) for x in row] for row in M]
 
     def rank_at(self, point):
         """Exact rank at a nonzero point (always even)."""
-        r = linalg.bareiss_rank(self.evaluate_at(point))
+        r = linalg.bareiss_rank(self._at(point)[0])
         assert r % 2 == 0
         return r
 
@@ -191,32 +226,25 @@ class SkewPolyMatrix:
 
     def congruence_transform(self, P):
         """Congruence P^T A P by an invertible constant matrix."""
-        P = [[Q(x) for x in row] for row in P]
         n = self.order
         if len(P) != n or any(len(r) != n for r in P):
             raise ValueError("transform must be square of order %d" % n)
-        if linalg.det(P) == 0:
+        P, m = _integer_rows(P)
+        if linalg.bareiss_rank(P) < n:
             raise ValueError("singular congruence matrix")
         Pt = linalg.transpose(P)
-        basis = self.coefficient_basis()
-        new = [linalg.mat_mul(linalg.mat_mul(Pt, B), P) for B in basis]
-        return SkewPolyMatrix.from_coefficient_basis(self.vars, new)
+        return SkewPolyMatrix._from_integer(
+            self.vars, [linalg.mat_mul(linalg.mat_mul(Pt, B), P)
+                        for B in self.integer_basis()], self._integer()[1] / (m * m))
 
     def parameter_change(self, L):
         """Substitute variables by L * (vars); L invertible d x d."""
         d = self.nvars
-        L = [[Q(x) for x in row] for row in L]
         if len(L) != d or any(len(r) != d for r in L):
             raise ValueError("parameter change must be square of order %d" % d)
-        if linalg.det(L) == 0:
+        if linalg.bareiss_rank(L) < d:
             raise ValueError("singular parameter change")
-        images = []
-        for i in range(d):
-            images.append(Form(self.vars,
-                               [(tuple(1 if t == j else 0 for t in range(d)), L[i][j])
-                                for j in range(d) if L[i][j]]))
-        upper = {ij: f.linear_substitute(images) for ij, f in self._upper.items()}
-        return SkewPolyMatrix(self.order, self.vars, upper)
+        return self._substitute(self.vars, linalg.transpose(L))
 
     def direct_sum(self, other):
         if not isinstance(other, SkewPolyMatrix):
@@ -246,7 +274,7 @@ class SkewPolyMatrix:
         kernel and their images span the whole space; for skew-symmetric
         spaces the two conditions agree.
         """
-        basis = self.coefficient_basis()
+        basis = self.integer_basis()
         stacked = [row for B in basis for row in B]
         kernel = linalg.nullspace(stacked, ncols=self.order)
         concat = [sum((list(B[i]) for B in basis), []) for i in range(self.order)]
@@ -271,39 +299,29 @@ class SkewPolyMatrix:
         got = memo.get(idx)
         if got is not None:
             return got
-        entries = self._int_entries
-        if entries is None:
-            basis = self.integer_basis()
-            w = self._packing_width()
-            entries = {(i, j): [(1 << (w * k), B[i][j])
-                                for k, B in enumerate(basis) if B[i][j]]
-                       for (i, j) in self._upper}
-            object.__setattr__(self, "_int_entries", entries)
-        if not idx:
-            out = {0: 1}
-        else:
-            rest = idx[1:]
-            i0 = idx[0]
-            out = {}
-            for t, j in enumerate(rest):
-                e = entries.get((i0, j))
-                if e is None:
-                    continue
-                sub = self._pf(rest[:t] + rest[t + 1:])
-                for m1, c1 in e:
-                    if t % 2:
-                        c1 = -c1
-                    for m2, c2 in sub.items():
-                        m = m1 + m2
-                        out[m] = out.get(m, 0) + c1 * c2
-            out = {m: c for m, c in out.items() if c}
-        memo[idx] = out
+        entries = self._integer()[2]
+        w = self._packing_width()
+        rest = idx[1:]
+        out = {}
+        for t, j in enumerate(rest):
+            e = entries.get((idx[0], j))
+            if e is None:
+                continue
+            sub = self._pf(rest[:t] + rest[t + 1:])
+            for k, c1 in e:
+                m1 = 1 << (w * k)
+                if t % 2:
+                    c1 = -c1
+                for m2, c2 in sub.items():
+                    m = m1 + m2
+                    out[m] = out.get(m, 0) + c1 * c2
+        out = memo[idx] = {m: c for m, c in out.items() if c}
         return out
 
     def _form(self, poly, degree, den=1):
         """The Form lam^degree / den * poly of a packed integer polynomial
         of the given degree, such as a Pfaffian of size 2 * degree."""
-        scale = self._integer_scaled()[1] ** degree / den
+        scale = self._integer()[1] ** degree / den
         p, q = scale.numerator, scale.denominator
         w = self._packing_width()
         mask = (1 << w) - 1
@@ -366,6 +384,14 @@ class SkewPolyMatrix:
         """Content digest of the canonical JSON encoding."""
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _integer_rows(rows):
+    """(integer rows, m): the rational rows times m, the lcm of all their
+    denominators."""
+    rows = [[Q(x) for x in row] for row in rows]
+    m = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (m // x.denominator) for x in row] for row in rows], m
 
 
 def pfaffian(rows):

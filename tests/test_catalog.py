@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from skewrank import catalog
@@ -77,12 +79,20 @@ def test_report_formatting():
     assert '"ok": true' in js and '"seed": 0' in js
 
 
+# sha256 of `reproduce --table` at seed 0; a change to what the catalog
+# checks, such as a new invariant, changes it on purpose
+REPRODUCE_TABLE_SHA256 = \
+    "0e75ed859ea54ceb352e7aca6e6387a9f423b197dfaffd60865c009983e0336b"
+
+
 def test_reproduce_full_run_has_no_failures():
     rows = catalog.reproduce_all()
     fails = [r for r in rows if not r.ok]
     assert fails == [], catalog.format_report(fails, as_table=True)
     checked = {r.name for r in rows}
     assert checked == set(catalog.names())
+    table = catalog.format_report(rows, as_table=True, seed=0)
+    assert hashlib.sha256(table.encode()).hexdigest() == REPRODUCE_TABLE_SHA256
 
 
 def test_extension_attempts_all_fail():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from tests.conftest import partitions, random_invertible
@@ -22,6 +23,23 @@ def test_generic_rank_examples():
     assert generic_rank(catalog.get("triangle3").matrix) == 2
     with pytest.raises(ValueError):
         generic_rank(SkewPolyMatrix.zero(3, AB))
+
+
+def test_certify_builds_each_rank_size_pfaffian_form_once(monkeypatch):
+    # generic_rank reads the integer Pfaffians; only the ideal needs Forms
+    P = random_invertible(random.Random("form-count"), 8)
+    A = catalog.get("pi6").matrix.congruence_transform(P)
+    built = []
+    form = SkewPolyMatrix._form
+
+    def counting(self, *args):
+        built.append(args)
+        return form(self, *args)
+
+    monkeypatch.setattr(SkewPolyMatrix, "_form", counting)
+    cert = certify_constant_rank(A)
+    assert (cert.generic_rank, cert.constant) == (6, True)
+    assert len(built) == comb(8, 6)
 
 
 def test_certify_examples():

@@ -6,6 +6,7 @@ import pytest
 from tests.conftest import random_invertible, random_skew
 
 from skewrank import catalog, geometry, linalg
+from skewrank.certify import restrict_line
 from skewrank.forms import Form
 from skewrank.pencil import minimal_indices
 from skewrank.skew import SkewPolyMatrix, pfaffian
@@ -22,6 +23,10 @@ def test_constructor_validation():
         SkewPolyMatrix(3, AB, {(2, 1): "a"})
     with pytest.raises(ValueError):
         SkewPolyMatrix(3, AB, {(0, 1): "a^2"})
+    with pytest.raises(ValueError):
+        SkewPolyMatrix(3, ("a", "a"), {})
+    with pytest.raises(ValueError):
+        SkewPolyMatrix.from_coefficient_basis(("a", "a"), [[[0, 1], [-1, 0]]] * 2)
     A = SkewPolyMatrix(3, AB, {(0, 1): "a"})
     assert A.entry(1, 0) == -Form.variable(AB, "a")
     assert A.entry(2, 2).is_zero()
@@ -147,6 +152,53 @@ def test_pfaffian_forms_are_pinned():
     for f in _pfaffian_gate_forms():
         h.update(("%s|%r\n" % (f, f.terms())).encode())
     assert h.hexdigest() == PFAFFIAN_GATE
+
+
+# sha256 of the lines below, recorded with Fraction matrix products for
+# congruences and Form substitution for parameter changes and lines
+TRANSFORM_GATE = "a09087595d6f09acbcd95d6101763d8797011c1f223d0c6722ad561ae82fb00b"
+
+
+def _rational_invertible(rng, n):
+    while True:
+        M = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        if linalg.det(M):
+            return M
+
+
+def _transform_gate_lines():
+    """Every catalog entry under a seeded rational congruence P, parameter
+    change L and both, with its bases, nondegeneracy, value and rank at
+    two seeded rational points p, q, and its restriction to their line."""
+    rng = random.Random("transform-gate")
+    for name in catalog.names():
+        A = catalog.get(name).matrix
+        P = _rational_invertible(rng, A.order)
+        L = _rational_invertible(rng, A.nvars)
+        while True:
+            p, q = ([Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(A.nvars)]
+                    for _ in range(2))
+            if linalg.rank([p, q]) == 2:
+                break
+        moved = A.congruence_transform(P)
+        for M in (A, moved, A.parameter_change(L), moved.parameter_change(L)):
+            yield M.dumps()
+            yield repr([[[str(x) for x in row] for row in B]
+                        for B in M.coefficient_basis()])
+            yield repr(M.integer_basis())
+            yield repr(M.is_nondegenerate())
+            for pt in (p, q):
+                yield repr([[str(x) for x in row] for row in M.evaluate_at(pt)])
+                yield repr(M.rank_at(pt))
+            yield restrict_line(M, p, q).dumps()
+
+
+def test_transforms_are_pinned():
+    h = hashlib.sha256()
+    for line in _transform_gate_lines():
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == TRANSFORM_GATE
 
 
 def test_rank_at_examples():
