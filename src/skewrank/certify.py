@@ -7,8 +7,9 @@ Only a refutation expands the sub-Pfaffians of that size, whose binary
 GCD locates a rational witness where the rank drops.  Any other number
 of variables takes the symbolic generic rank (largest size with a
 principal sub-Pfaffian that is not the zero polynomial) and certifies
-constancy by projective emptiness of the sub-Pfaffian ideal; on failure
-a deterministic search over probe points and lines tries to exhibit a
+constancy by projective emptiness of the sub-Pfaffian ideal, built
+from the packed integer Pfaffians in subset order; on failure a
+deterministic search over probe points and lines tries to exhibit a
 rational witness.  The verdict never depends on finding one.
 """
 
@@ -170,9 +171,8 @@ def _certify_cached(A, seed):
         return RankCertificate(inv.rank, False, METHOD_KRONECKER,
                                witness=_first_drop(A, inv.rank))
     rank = generic_rank(A)
-    pfs = [f for f in A.sub_pfaffians(rank) if not f.is_zero()]
-    ideal = Ideal(A.vars, sorted(set(pfs), key=str))
-    if is_projectively_empty(ideal):
+    pfs = [p for p in map(A._pf, combinations(range(A.order), rank)) if p]
+    if is_projectively_empty(Ideal._from_packed(A.vars, pfs)):
         return RankCertificate(rank, True, METHOD_GROEBNER)
     witness = _search_witness(A, rank, seed)
     return RankCertificate(rank, False, METHOD_GROEBNER, witness=witness)

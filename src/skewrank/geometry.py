@@ -2,8 +2,10 @@
 
 Order reduction by verified projection, the kernel 2-plane map through
 complementary sub-Pfaffians, line restrictions with their splitting data,
-jumping-line scans, and degrees of section zero schemes.  Everything is
-exact; randomness is always drawn from a caller-supplied seed.
+jumping-line scans, and degrees of section zero schemes.  The kernel
+map's span and the zero-scheme ideals read the packed integer Pfaffians;
+only `kernel_plucker` builds Forms.  Everything is exact; randomness is
+always drawn from a caller-supplied seed.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
 
 from . import linalg
 from .certify import certify_constant_rank
 from .groebner import Ideal, WrongDimension, hilbert_profile
 from .pencil import KroneckerInvariants, pencil_invariants
-from .skew import SkewPolyMatrix
+from .skew import SkewPolyMatrix, _integer_rows
 
 Q = Fraction
 
@@ -148,6 +149,7 @@ def find_valid_center(A, target_order, seed=0, budget=200):
 
 
 def _check_corank2(A, cert):
+    cert = cert or certify_constant_rank(A)
     if A.order % 2:
         raise ValueError("kernel 2-plane map needs even order")
     if cert.constant is not True:
@@ -159,8 +161,6 @@ def _check_corank2(A, cert):
 def kernel_plucker(A, cert=None):
     """Coordinates of the kernel 2-plane: entry (i, j) is
     (-1)^(i+j) times the Pfaffian with rows and columns i, j removed."""
-    if cert is None:
-        cert = certify_constant_rank(A)
     _check_corank2(A, cert)
     n = A.order
     out = {}
@@ -196,13 +196,13 @@ def kernel_plane_at(A, point):
 
 
 def gauss_span_dim(A, cert=None):
-    """Dimension of the rational span of the kernel-map coordinates."""
-    kp = kernel_plucker(A, cert)
-    forms = list(kp.values())
-    monos = sorted({e for f in forms for e in f._terms},
-                   reverse=True)
-    rows = [[f.coefficient(e) for e in monos] for f in forms]
-    return linalg.rank(rows)
+    """Dimension of the rational span of the kernel-map coordinates: the
+    rank of the integer coefficient rows of the complementary Pfaffians,
+    of which the coordinates are nonzero constant multiples."""
+    _check_corank2(A, cert)
+    pfs = [A._pf(idx) for idx in combinations(range(A.order), A.order - 2)]
+    monos = sorted({m for p in pfs for m in p})
+    return linalg.rank([[p.get(m, 0) for m in monos] for p in pfs])
 
 
 # -- lines, splitting types, jumping lines -------------------------------
@@ -360,21 +360,19 @@ def conic_contains(conic, line):
 
 def _bordered_pfaffians(A, xi):
     """Nonzero Pfaffians of size 2r+2 of A bordered skew-symmetrically by
-    the constant covector xi (only subsets through the border survive).
+    the constant covector xi (only subsets through the border survive),
+    as packed integer polynomials P with Pfaffian lam^r / den * P, den
+    the lcm of the denominators of xi.
 
     Expanded along the border: Pf(sub + border) is the sum over t of
     (-1)^t xi[sub[t]] Pf(sub without sub[t]), and those size-2r
     sub-Pfaffians are the ones certification already computed.  The sum
     runs on the integer Pfaffians of A_int with xi cleared of
-    denominators, and each generator becomes a Form once.
+    denominators.
     """
-    cert = certify_constant_rank(A)
-    r = cert.generic_rank // 2
-    xi = [Q(x) for x in xi]
-    den = lcm(*(x.denominator for x in xi))
-    xi = [int(x * den) for x in xi]
+    (xi,), den = _integer_rows([xi])
     gens = []
-    for sub in combinations(range(A.order), 2 * r + 1):
+    for sub in combinations(range(A.order), certify_constant_rank(A).generic_rank + 1):
         acc = {}
         for t, i in enumerate(sub):
             if xi[i]:
@@ -383,12 +381,20 @@ def _bordered_pfaffians(A, xi):
                     acc[m] = acc.get(m, 0) + x * c
         acc = {m: c for m, c in acc.items() if c}
         if acc:
-            gens.append(A._form(acc, r, den))
+            gens.append(acc)
     return gens
 
 
 def default_covector(order):
     return tuple(Q(i) for i in range(1, order + 1))
+
+
+def _draw_covector(rng, order):
+    """The first nonzero covector drawn from rng, coordinates in [-9, 9]."""
+    while True:
+        xi = tuple(Q(rng.randint(-9, 9)) for _ in range(order))
+        if any(xi):
+            return xi
 
 
 def section_zero_scheme_degree(A, xi=None, seed=0, retries=10):
@@ -404,16 +410,16 @@ def section_zero_scheme_degree(A, xi=None, seed=0, retries=10):
         raise ValueError("zero-scheme degrees are computed for d = 3 or 4")
     want_dim = 0 if d == 3 else 1
     rng = random.Random("covector:%d" % seed)
-    tried = 0
     current = tuple(Q(x) for x in xi) if xi is not None else default_covector(A.order)
     if not any(current):
         raise ValueError("zero covector")
+    tried = 0
     last_error = None
     while tried <= retries:
         tried += 1
         gens = _bordered_pfaffians(A, current)
         if gens:
-            prof = hilbert_profile(Ideal(A.vars, sorted(set(gens), key=str)))
+            prof = hilbert_profile(Ideal._from_packed(A.vars, gens))
             if prof.dimension == -1:
                 return 0
             if prof.dimension == want_dim:
@@ -421,9 +427,7 @@ def section_zero_scheme_degree(A, xi=None, seed=0, retries=10):
             last_error = "dimension %d (wanted %d)" % (prof.dimension, want_dim)
         else:
             last_error = "section vanished identically"
-        current = tuple(Q(rng.randint(-9, 9)) for _ in range(A.order))
-        while not any(current):
-            current = tuple(Q(rng.randint(-9, 9)) for _ in range(A.order))
+        current = _draw_covector(rng, A.order)
     raise WrongDimension("no generic covector found after %d draws: %s"
                          % (tried, last_error))
 
@@ -469,9 +473,7 @@ def bundle_fingerprint(A, seed=0, budget=200):
     rng = random.Random("fingerprint-covectors:%d" % seed)
     degrees = [section_zero_scheme_degree(A, seed=seed)]
     for _ in range(2):
-        xi = tuple(Q(rng.randint(-9, 9)) for _ in range(A.order))
-        while not any(xi):
-            xi = tuple(Q(rng.randint(-9, 9)) for _ in range(A.order))
+        xi = _draw_covector(rng, A.order)
         degrees.append(section_zero_scheme_degree(A, xi=xi, seed=seed))
     if len(set(degrees)) != 1:
         raise WrongDimension("covector draws disagree on the zero-scheme "

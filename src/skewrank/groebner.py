@@ -6,14 +6,18 @@ projective emptiness through the pure-power criterion on the leading-term
 ideal, and the dimension and degree of any projective scheme, read off
 the exact Hilbert series of the leading-term ideal.
 
-Internally, monomials are packed into single integers: one B-bit field
-per variable plus the total degree in the top field.  Two keys are used
-per monomial: ``dkey`` holds the raw exponents (additive under
-multiplication, guard-bit divisibility test) and ``okey`` orders
-monomials graded reverse lexicographically as plain integers.  A packed
-polynomial is a list of ``(okey, dkey, coeff)`` triples, descending in
-okey, with nonzero integer coefficients.  Only this module knows the
-format; everything it returns is a :class:`~skewrank.forms.Form`.
+This module owns the one packed polynomial format of the package.  A
+monomial is a single integer, its ``dkey``: one B-bit field per variable
+plus the total degree in the top field (`_make_layout`), so keys add
+under multiplication and divisibility is a guard-bit test.  Its ``okey``
+orders monomials graded reverse lexicographically as plain integers.
+Callers hold polynomials as dicts {dkey: nonzero integer}: the Pfaffian
+memo of `skewrank.skew` is keyed this way, and `Ideal._from_packed`
+takes such dicts with no Form in between.  Inside, a polynomial is a
+list of ``(okey, dkey, coeff)`` triples, descending in okey.  Forms are
+built only where a caller reads them: the generators of a packed ideal
+and the monic basis of a `GroebnerBasis` on first access; emptiness and
+Hilbert profiles read leading exponents only.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 from .forms import Form, parse_form
 
@@ -36,41 +41,20 @@ class WrongDimension(ValueError):
 # -- packed-monomial kernel ------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _make_layout(nvars):
-    """Packing parameters for a ring with `nvars` variables."""
+    """Packing parameters for a ring with `nvars` variables; the last
+    item holds the dkey of each variable."""
     n = int(nvars)
     if n < 1:
         raise ValueError("need at least one variable")
-    B = min(16, 63 // (n + 1))
-    if B < 8:
-        B = 8
+    B = max(8, min(16, 63 // (n + 1)))
     mask = (1 << B) - 1
     degshift = n * B
-    lowall = 0
-    guard = 0
-    for i in range(n):
-        lowall |= mask << (i * B)
-    for i in range(n + 1):
-        guard |= 1 << ((i + 1) * B - 1)
-    degmask = mask << degshift
-    return (n, B, degshift, degmask, lowall, guard)
-
-
-def _pack(exps, lay):
-    n, B, degshift = lay[0], lay[1], lay[2]
-    if len(exps) != n:
-        raise ValueError("exponent length mismatch")
-    cap = 1 << (B - 1)
-    dkey = 0
-    total = 0
-    for i, e in enumerate(exps):
-        if e < 0 or e >= cap:
-            raise ValueError("exponent %d out of packing range" % e)
-        dkey |= e << (i * B)
-        total += e
-    if total >= cap:
-        raise ValueError("degree %d out of packing range" % total)
-    return dkey | (total << degshift)
+    lowall = sum(mask << (i * B) for i in range(n))
+    guard = sum(1 << ((i + 1) * B - 1) for i in range(n + 1))
+    units = tuple((1 << (i * B)) | (1 << degshift) for i in range(n))
+    return (n, B, degshift, mask << degshift, lowall, guard, units)
 
 
 def _unpack(dkey, lay):
@@ -102,18 +86,28 @@ def _lcm(a, b, lay):
     return out | (total << degshift)
 
 
+def _from_dict(p, lay):
+    """The packed polynomial of a dict {dkey: nonzero integer}."""
+    return sorted(((_okey(dk, lay), dk, c) for dk, c in p.items()), reverse=True)
+
+
+def _as_form(terms, vars, scale=1):
+    """The Form of scale times the polynomial of (dkey, integer) pairs."""
+    lay = _make_layout(len(vars))
+    return Form._from_clean(vars, {_unpack(dk, lay): scale * Q(c) for dk, c in terms})
+
+
 def _pack_form(f, lay):
     """(p, den): the packed polynomial p == den * f with integer
     coefficients, den the lcm of the coefficient denominators."""
-    den = 1
-    for c in f._terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    p = []
+    B, degshift = lay[1], lay[2]
+    den = lcm(*(c.denominator for c in f._terms.values()))
+    p = {}
     for e, c in f._terms.items():
-        dk = _pack(e, lay)
-        p.append((_okey(dk, lay), dk, int(c * den)))
-    p.sort(reverse=True)
-    return p, den
+        if sum(e) >> (B - 1):          # a field keeps its top bit as guard
+            raise ValueError("degree %d out of packing range" % sum(e))
+        p[sum(x << (i * B) for i, x in enumerate(e)) | sum(e) << degshift] = int(c * den)
+    return _from_dict(p, lay), den
 
 
 def _content(p):
@@ -236,29 +230,45 @@ def _reduce_primitive(f, basis, lay):
 # -- ideals and bases ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Ideal:
-    vars: tuple
-    generators: tuple
+    """A homogeneous ideal: the names of its ring's variables and its
+    generators, Forms or strings parsed in that ring.  `_from_packed`
+    builds one from packed integer polynomials; `generators` then makes
+    their Forms on first access."""
+
+    __slots__ = ("vars", "_generators", "_polys")
 
     def __init__(self, vars, generators):
-        vars = tuple(vars)
-        gens = []
-        for g in generators:
-            if isinstance(g, str):
-                g = parse_form(g, vars)
-            if not isinstance(g, Form) or g.vars != vars:
-                raise ValueError("generator ring mismatch")
-            gens.append(g)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "generators", tuple(gens))
+        self.vars = vars = tuple(vars)
+        self._generators = tuple(parse_form(g, vars) if isinstance(g, str) else g
+                                 for g in generators)
+        if not all(isinstance(g, Form) and g.vars == vars for g in self._generators):
+            raise ValueError("generator ring mismatch")
+        self._polys = None
 
     @classmethod
-    def of(cls, forms):
-        forms = list(forms)
-        if not forms:
-            raise ValueError("cannot infer ring of an empty ideal")
-        return cls(forms[0].vars, forms)
+    def _from_packed(cls, vars, polys):
+        """The ideal of nonzero homogeneous dicts {dkey: integer} in the
+        layout of len(vars) variables, duplicates dropped."""
+        ideal = cls(vars, ())
+        ideal._generators = None
+        ideal._polys = list({frozenset(p.items()): p for p in polys}.values())
+        return ideal
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            self._generators = tuple(_as_form(p.items(), self.vars) for p in self._polys)
+        return self._generators
+
+    def _packed(self, lay):
+        """The nonzero generators as packed polynomials."""
+        if self._polys is not None:
+            return [_from_dict(p, lay) for p in self._polys]
+        for g in self._generators:
+            if not g.is_homogeneous():
+                raise ValueError("non-homogeneous generator %s" % g)
+        return [_pack_form(g, lay)[0] for g in self._generators if not g.is_zero()]
 
     def to_json(self):
         return {"vars": list(self.vars),
@@ -279,15 +289,20 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """Reduced degrevlex Groebner basis (monic forms, ascending leads)."""
+    """Reduced degrevlex Groebner basis: primitive packed polynomials with
+    ascending leads; `basis` makes them monic Forms on first access."""
 
-    __slots__ = ("ideal", "basis", "_lay", "_kpolys")
+    __slots__ = ("ideal", "_lay", "_kpolys", "_basis")
 
-    def __init__(self, ideal, basis, lay, kpolys):
-        self.ideal = ideal
-        self.basis = tuple(basis)
-        self._lay = lay
-        self._kpolys = kpolys
+    def __init__(self, ideal, lay, kpolys):
+        self.ideal, self._lay, self._kpolys, self._basis = ideal, lay, kpolys, None
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = tuple(_as_form(((dk, c) for _, dk, c in p), self.ideal.vars,
+                                         Q(1, p[0][2])) for p in self._kpolys)
+        return self._basis
 
     def leading_exponents(self):
         return [_unpack(p[0][1], self._lay) for p in self._kpolys]
@@ -296,12 +311,7 @@ class GroebnerBasis:
         return iter(self.basis)
 
     def __len__(self):
-        return len(self.basis)
-
-
-def _kernel_to_monic_form(p, vars, lay):
-    lead = Q(p[0][2])
-    return Form(vars, [(_unpack(dk, lay), Q(c) / lead) for _, dk, c in p])
+        return len(self._kpolys)
 
 
 def _interreduce(polys, lay):
@@ -323,16 +333,8 @@ def _interreduce(polys, lay):
 
 def buchberger(ideal):
     """Reduced Groebner basis of a homogeneous ideal, deterministically."""
-    vars = ideal.vars
-    n = len(vars)
-    lay = _make_layout(n)
-    gens = []
-    for g in ideal.generators:
-        if g.is_zero():
-            continue
-        if not g.is_homogeneous():
-            raise ValueError("non-homogeneous generator %s" % g)
-        gens.append(_primitive(_pack_form(g, lay)[0]))
+    lay = _make_layout(len(ideal.vars))
+    gens = [_primitive(p) for p in ideal._packed(lay)]
     seen = set()
     unique = []
     for p in gens:
@@ -393,8 +395,7 @@ def buchberger(ideal):
         others = kept[:i] + kept[i + 1:]
         final.append(_reduce_primitive(p, others, lay) if others else p)
     final.sort(key=lambda p: p[0][0])
-    forms = [_kernel_to_monic_form(p, vars, lay) for p in final]
-    return GroebnerBasis(ideal, forms, lay, final)
+    return GroebnerBasis(ideal, lay, final)
 
 
 def normal_form(f, gb):
@@ -403,11 +404,9 @@ def normal_form(f, gb):
         raise ValueError("ring mismatch")
     if f.is_zero():
         return f
-    lay = gb._lay
-    work, den = _pack_form(f, lay)
-    rem, mult = _reduce(work, gb._kpolys, lay)
-    mult *= den
-    return Form(gb.ideal.vars, [(_unpack(dk, lay), c / mult) for _, dk, c in rem])
+    work, den = _pack_form(f, gb._lay)
+    rem, mult = _reduce(work, gb._kpolys, gb._lay)
+    return _as_form(((dk, c) for _, dk, c in rem), f.vars, 1 / (mult * den))
 
 
 def _as_gb(x):
@@ -423,7 +422,7 @@ def is_projectively_empty(x):
     power of every variable.  The zero ideal yields False (whole space).
     """
     gb = _as_gb(x)
-    if not gb.basis:
+    if not gb:
         return False
     covered = [False] * len(gb.ideal.vars)
     for exps in gb.leading_exponents():

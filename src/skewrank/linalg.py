@@ -17,12 +17,15 @@ Q = Fraction
 
 
 def _to_int_rows(rows):
-    """Scale each row by the lcm of its denominators; returns int rows."""
+    """Integer rows: a row of ints as it is, any other row scaled by the
+    lcm of its denominators.  Callers copy before they write."""
     out = []
     for row in rows:
-        row = [Q(x) for x in row]
-        m = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (m // x.denominator) for x in row])
+        if not all(type(x) is int for x in row):
+            row = [Q(x) for x in row]
+            m = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (m // x.denominator) for x in row]
+        out.append(row)
     return out
 
 

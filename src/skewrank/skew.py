@@ -5,11 +5,12 @@ coprime entries (`integer_basis`) and one rational lam > 0, built once,
 by a transform or from the entry Forms' terms on first use.  Congruence,
 parameter change, evaluation and restriction to a line are integer
 combinations of the B_k; the Pfaffians of sum(x_k * B_k) are expanded
-on integers into a memo keyed by principal index subsets.  Forms stay
-at the edges: the strict upper triangle is kept as linear Forms for
-text, JSON and equality, and a Pfaffian of size 2k becomes a Form,
-lam^k times the integer one, only where a caller gets one.  Values are
-immutable.
+on integers into a memo keyed by principal index subsets, as dicts
+from `skewrank.groebner`'s packed monomial keys to integers that
+Groebner bases take as they are.  Forms stay at the edges: the strict
+upper triangle is kept as linear Forms for text, JSON and equality, and
+a Pfaffian of size 2k becomes a Form, lam^k times the integer one, only
+where a caller gets one.  Values are immutable.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .forms import Form, parse_form
+from .groebner import _as_form, _make_layout
 
 Q = Fraction
 
@@ -287,20 +289,17 @@ class SkewPolyMatrix:
 
     # -- Pfaffians ----------------------------------------------------------
 
-    def _packing_width(self):
-        """Bits per variable in a packed exponent.  A Pfaffian has degree
-        at most order // 2, so no exponent carries into the next field."""
-        return (self.order // 2).bit_length()
-
     def _pf(self, idx):
         """Pfaffian of the principal submatrix of A_int on the sorted index
-        tuple, as {packed exponents: integer coefficient}."""
+        tuple, as {groebner monomial key: integer coefficient}."""
         memo = self._pf_memo
         got = memo.get(idx)
         if got is not None:
             return got
         entries = self._integer()[2]
-        w = self._packing_width()
+        _, bits, *_, keys = _make_layout(self.nvars)
+        if len(idx) >> bits:               # the degree must stay below a field's guard bit
+            raise ValueError("Pfaffian of size %d out of packing range" % len(idx))
         rest = idx[1:]
         out = {}
         for t, j in enumerate(rest):
@@ -309,7 +308,7 @@ class SkewPolyMatrix:
                 continue
             sub = self._pf(rest[:t] + rest[t + 1:])
             for k, c1 in e:
-                m1 = 1 << (w * k)
+                m1 = keys[k]
                 if t % 2:
                     c1 = -c1
                 for m2, c2 in sub.items():
@@ -321,14 +320,7 @@ class SkewPolyMatrix:
     def _form(self, poly, degree, den=1):
         """The Form lam^degree / den * poly of a packed integer polynomial
         of the given degree, such as a Pfaffian of size 2 * degree."""
-        scale = self._integer()[1] ** degree / den
-        p, q = scale.numerator, scale.denominator
-        w = self._packing_width()
-        mask = (1 << w) - 1
-        shifts = [w * k for k in range(self.nvars)]
-        return Form._from_clean(self.vars, {
-            tuple(m >> s & mask for s in shifts): Q(c * p, q)
-            for m, c in poly.items()})
+        return _as_form(poly.items(), self.vars, self._integer()[1] ** degree / den)
 
     def pfaffian_symbolic(self):
         """Pfaffian of the whole matrix; requires even order."""

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from skewrank import linalg
+from skewrank import geometry, linalg
+from skewrank.certify import certify_constant_rank
 
 Q = Fraction
 
@@ -40,3 +42,11 @@ def partitions(r):
         for rest in partitions(r - first):
             if not rest or rest[0] <= first:
                 yield (first,) + rest
+
+
+def bordered_forms(A, xi):
+    """The bordered Pfaffians of A by the covector xi as Forms: the packed
+    integer ones of geometry._bordered_pfaffians times lam^r / den."""
+    r = certify_constant_rank(A).generic_rank // 2
+    den = lcm(*(Q(x).denominator for x in xi))
+    return [A._form(p, r, den) for p in geometry._bordered_pfaffians(A, xi)]

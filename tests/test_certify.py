@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 from tests.conftest import partitions, random_invertible
@@ -11,6 +10,7 @@ from skewrank.certify import (_binary_rational_roots, certify_constant_rank,
                               cross_validate, generic_rank, restrict_line,
                               sampled_probe)
 from skewrank.forms import binary_gcd
+from skewrank.geometry import section_zero_scheme_degree
 from skewrank.skew import SkewPolyMatrix
 
 Q = Fraction
@@ -25,8 +25,8 @@ def test_generic_rank_examples():
         generic_rank(SkewPolyMatrix.zero(3, AB))
 
 
-def test_certify_builds_each_rank_size_pfaffian_form_once(monkeypatch):
-    # generic_rank reads the integer Pfaffians; only the ideal needs Forms
+def test_certify_and_zero_scheme_build_no_pfaffian_form(monkeypatch):
+    # both ideals reach groebner as the packed integer Pfaffians
     P = random_invertible(random.Random("form-count"), 8)
     A = catalog.get("pi6").matrix.congruence_transform(P)
     built = []
@@ -39,7 +39,8 @@ def test_certify_builds_each_rank_size_pfaffian_form_once(monkeypatch):
     monkeypatch.setattr(SkewPolyMatrix, "_form", counting)
     cert = certify_constant_rank(A)
     assert (cert.generic_rank, cert.constant) == (6, True)
-    assert len(built) == comb(8, 6)
+    assert section_zero_scheme_degree(A) == 3
+    assert built == []
 
 
 def test_certify_examples():

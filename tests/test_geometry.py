@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from tests.conftest import bordered_forms
 
 from skewrank import catalog, geometry, groebner, linalg
 from skewrank.certify import certify_constant_rank, restrict_line
@@ -313,7 +314,7 @@ def test_bordered_pfaffians_match_numeric_bordering(rng):
                 values.append([pfaffian([[B[i][j] for j in s] for i in s])
                                for s in subs])
             nonzero = [v for v in zip(*values) if any(v)]
-            gens = geometry._bordered_pfaffians(A, xi)
+            gens = bordered_forms(A, xi)
             assert [tuple(g.evaluate(p) for p in points) for g in gens] == nonzero
 
 

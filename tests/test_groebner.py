@@ -2,10 +2,10 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from tests.conftest import random_invertible
+from tests.conftest import bordered_forms, random_invertible
 
 from skewrank import catalog
 from skewrank.certify import certify_constant_rank
@@ -152,7 +152,7 @@ def test_s_polynomials_reduce_on_workload_ideals():
         Ideal(dk.vars, sorted({f for f in dk.sub_pfaffians(6)
                                if not f.is_zero()}, key=str)),
         Ideal(w.vars, sorted({str(f): f for f in
-                              _bordered_pfaffians(w, default_covector(10))}
+                              bordered_forms(w, default_covector(10))}
                              .values(), key=str)),
     ]
     for ideal in ideals:
@@ -179,7 +179,7 @@ def test_reduced_basis_digests_on_workload_ideals():
     cases = [
         ({f for f in w.sub_pfaffians(8) if not f.is_zero()}, w.vars,
          35, "5673142640001abc", (-1, 0)),
-        (set(_bordered_pfaffians(w, default_covector(10))), w.vars,
+        (set(bordered_forms(w, default_covector(10))), w.vars,
          12, "f9a02dacf304ba1d", (1, 6)),
         ({f for f in dk.sub_pfaffians(6) if not f.is_zero()}, dk.vars,
          10, "cb5ec8e996768e3f", (-1, 0)),
@@ -191,6 +191,43 @@ def test_reduced_basis_digests_on_workload_ideals():
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
         prof = hilbert_profile(gb)
         assert (prof.dimension, prof.degree) == (dim, degree)
+
+
+# sha256 of the reduced bases and Hilbert profiles of the ideals below,
+# recorded with Form generators in str order
+PFAFFIAN_IDEAL_GATE = "2c124aff60841d874af8a0af7baeb0882eb625dbbebc1fc9c995a915efc800e7"
+
+
+def _gate_ideals():
+    """The rank-size sub-Pfaffian ideal and the bordered ideal at the
+    default covector of every certified d in {3, 4} entry and of one
+    seeded dense variant of each: an integer congruence composed with a
+    rational parameter change.  Built as certification and the zero
+    scheme build them, from the packed integer Pfaffians."""
+    rng = random.Random("pfaffian-ideal-gate")
+    for name in catalog.names():
+        entry = catalog.get(name)
+        A = entry.matrix
+        if entry.expected.constant is not True or A.nvars not in (3, 4):
+            continue
+        P = random_invertible(rng, A.order, -2, 2)
+        L = random_invertible(rng, A.nvars)
+        L = [[x / rng.randint(1, 3) for x in row] for row in L]
+        rank = entry.expected.generic_rank
+        for M in (A, A.congruence_transform(P).parameter_change(L)):
+            pfs = [p for p in map(M._pf, combinations(range(M.order), rank)) if p]
+            yield Ideal._from_packed(M.vars, pfs)
+            yield Ideal._from_packed(M.vars, _bordered_pfaffians(
+                M, default_covector(M.order)))
+
+
+def test_pfaffian_ideal_bases_are_pinned():
+    h = hashlib.sha256()
+    for ideal in _gate_ideals():
+        gb = buchberger(ideal)
+        h.update(("%s\n%r\n" % ("\n".join(str(g) for g in gb.basis),
+                                hilbert_profile(gb))).encode())
+    assert h.hexdigest() == PFAFFIAN_IDEAL_GATE
 
 
 # (dimension, degree) of the bordered ideals of every certified d in {3, 4}
@@ -222,7 +259,7 @@ def test_exact_series_agrees_with_the_window_on_degree_and_certify_ideals():
         xis = [default_covector(A.order)] + [
             tuple(Q(rng.randint(-9, 9)) for _ in range(A.order)) for _ in range(3)]
         cases = [([f for f in A.sub_pfaffians(rank) if not f.is_zero()], (-1, 0))]
-        cases += [(_bordered_pfaffians(A, xi), WINDOW_PROFILES[name]) for xi in xis]
+        cases += [(bordered_forms(A, xi), WINDOW_PROFILES[name]) for xi in xis]
         for gens, want in cases:
             gb = buchberger(Ideal(A.vars, sorted(set(gens), key=str)))
             prof = hilbert_profile(gb)

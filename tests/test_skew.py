@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from tests.conftest import random_invertible, random_skew
+from tests.conftest import bordered_forms, random_invertible, random_skew
 
 from skewrank import catalog, geometry, linalg
 from skewrank.certify import restrict_line
@@ -144,7 +144,7 @@ def _pfaffian_gate_forms():
         for M in (A, A.congruence_transform(P).parameter_change(L)):
             yield from M.sub_pfaffians(entry.expected.generic_rank)
             for covector in (geometry.default_covector(M.order), xi):
-                yield from geometry._bordered_pfaffians(M, covector)
+                yield from bordered_forms(M, covector)
 
 
 def test_pfaffian_forms_are_pinned():
