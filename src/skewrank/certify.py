@@ -10,14 +10,15 @@ principal sub-Pfaffian that is not the zero polynomial) and certifies
 constancy by projective emptiness of the sub-Pfaffian ideal, built
 from the packed integer Pfaffians in subset order; on failure a
 deterministic search over probe points and lines tries to exhibit a
-rational witness.  The verdict never depends on finding one.
+rational witness.  The verdict never depends on finding one: it is
+computed once per matrix content, and only that search once per seed.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -163,7 +164,9 @@ def _search_witness(A, rank, seed):
 
 
 @lru_cache(maxsize=512)
-def _certify_cached(A, seed):
+def _certify_cached(A):
+    """The certificate without its seeded part, once per matrix content:
+    the rank and verdict, and a pencil's seed-free witness."""
     if A.nvars == 2:
         inv = invariants_of(A)
         if inv.constant:
@@ -172,17 +175,27 @@ def _certify_cached(A, seed):
                                witness=_first_drop(A, inv.rank))
     rank = generic_rank(A)
     pfs = [p for p in map(A._pf, combinations(range(A.order), rank)) if p]
-    if is_projectively_empty(Ideal._from_packed(A.vars, pfs)):
-        return RankCertificate(rank, True, METHOD_GROEBNER)
-    witness = _search_witness(A, rank, seed)
-    return RankCertificate(rank, False, METHOD_GROEBNER, witness=witness)
+    return RankCertificate(rank, is_projectively_empty(
+        Ideal._from_packed(A.vars, pfs)), METHOD_GROEBNER)
+
+
+@lru_cache(maxsize=512)
+def _witnessed(A, seed):
+    """A refutation with the witness that the search seeded by `seed`
+    finds, if any."""
+    cert = _certify_cached(A)
+    return replace(cert, witness=_search_witness(A, cert.generic_rank, seed))
 
 
 def certify_constant_rank(A, seed=0):
     """Certificate that A has constant rank on the whole projective
     parameter space, or a refutation (with a rational witness point where
-    one was found)."""
-    return _certify_cached(A, seed)
+    one was found).  Only the witness search of a refuted space with more
+    than two parameters depends on the seed."""
+    cert = _certify_cached(A)
+    if cert.constant is False and cert.method == METHOD_GROEBNER:
+        return _witnessed(A, seed)
+    return cert
 
 
 def _sample_points(d, n_points, seed):

@@ -2,10 +2,12 @@
 
 Order reduction by verified projection, the kernel 2-plane map through
 complementary sub-Pfaffians, line restrictions with their splitting data,
-jumping-line scans, and degrees of section zero schemes.  The kernel
-map's span and the zero-scheme ideals read the packed integer Pfaffians;
-only `kernel_plucker` builds Forms.  Everything is exact; randomness is
-always drawn from a caller-supplied seed.
+jumping-line scans, and degrees of section zero schemes.  A line query
+on a certified constant-rank space hands the proven rank to
+`pencil_invariants`, which stops once it forces the splitting.  The
+kernel map's span and the zero-scheme ideals read the packed integer
+Pfaffians; only `kernel_plucker` builds Forms.  Everything is exact;
+randomness is always drawn from a caller-supplied seed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
+from math import gcd
 
 from . import linalg
 from .certify import certify_constant_rank
@@ -210,10 +213,10 @@ def gauss_span_dim(A, cert=None):
 
 def line_span_points(line):
     """Two deterministic independent points on the line with the given
-    dual coordinates."""
-    line = [Q(x) for x in line]
+    dual coordinates, as primitive integer triples."""
     if len(line) != 3:
         raise ValueError("dual line coordinates must be a triple")
+    line = linalg.primitive_vector(line)
     j0 = next((i for i, x in enumerate(line) if x), None)
     if j0 is None:
         raise ValueError("zero dual vector is not a line")
@@ -221,10 +224,10 @@ def line_span_points(line):
     for j in range(3):
         if j == j0:
             continue
-        v = [Q(0)] * 3
+        v = [0] * 3
         v[j] = line[j0]
         v[j0] = -line[j]
-        pts.append(tuple(linalg.primitive_vector(v)))
+        pts.append(linalg.primitive_int(v))
     return pts[0], pts[1]
 
 
@@ -233,7 +236,10 @@ def splitting_on_line(A, p, q):
 
     The restriction is the integer pencil s*sum(p_k B_k) + t*sum(q_k B_k)
     over the integer coefficient basis B_k of A, with p and q scaled to
-    primitive integers (a parameter change).  Its rank sequence is the
+    primitive integers (a parameter change).  When A is certified of
+    constant rank 2r, every point of the line has rank 2r, so the rank
+    sequence stops as soon as that forces the indices: one 2n x n rank
+    on an 8x8 plane of rank 6.  Otherwise the full sequence is the
     line's certificate: ValueError unless the line has the ambient
     generic rank at every point, so a line through the rank-drop locus of
     a space of non-constant rank is rejected.
@@ -244,10 +250,12 @@ def splitting_on_line(A, p, q):
     q = linalg.primitive_vector(q)
     if linalg.rank([p, q]) != 2:
         raise ValueError("line needs two independent points")
-    inv = pencil_invariants(A._combine(p), A._combine(q))
-    rank = certify_constant_rank(A).generic_rank
-    if not (inv.constant and inv.rank == rank):
-        raise ValueError("line does not have rank %d at every point" % rank)
+    cert = certify_constant_rank(A)
+    proven = cert.generic_rank if cert.constant is True else None
+    inv = pencil_invariants(A._combine(p), A._combine(q), proven)
+    if not (inv.constant and inv.rank == cert.generic_rank):
+        raise ValueError("line does not have rank %d at every point"
+                         % cert.generic_rank)
     return inv
 
 
@@ -281,20 +289,55 @@ def jumping_test(A, line, generic=None, seed=0):
     return splitting_on_line(A, p, q) != generic
 
 
-@lru_cache(maxsize=1)
-def grid_lines():
-    """Duals of all lines through pairs of grid points with coordinates in
-    [-GRID_BOUND, GRID_BOUND], deduplicated, simplest first."""
-    rng = range(-GRID_BOUND, GRID_BOUND + 1)
-    pts = {linalg.primitive_int(v) for v in product(rng, repeat=3) if any(v)}
-    lines = set()
-    for a, b in combinations(pts, 2):
-        cross = (a[1] * b[2] - a[2] * b[1],
-                 a[2] * b[0] - a[0] * b[2],
-                 a[0] * b[1] - a[1] * b[0])
-        if any(cross):
-            lines.add(linalg.primitive_int(cross))
-    return tuple(sorted(lines, key=lambda l: (max(abs(x) for x in l), l)))
+@lru_cache(maxsize=None)
+def _meets_two_grid_points(a, b, c):
+    """Do two independent grid points lie on the line (a, b, c), where
+    0 <= a <= b <= c?  Signs and order of the coordinates do not matter,
+    since the grid is symmetric.  A point (x, y, z) on it has
+    z = -(a*x + b*y) / c, so (x, y) runs over the grid square, up to sign."""
+    bound = GRID_BOUND * c
+    first = None
+    for x in range(GRID_BOUND + 1):
+        for y in range(-GRID_BOUND if x else 1, GRID_BOUND + 1):
+            s = a * x + b * y
+            if s % c == 0 and -bound <= s <= bound:
+                if first is None:
+                    first = (x, y)
+                elif first[0] * y != first[1] * x:
+                    return True
+    return False
+
+
+@lru_cache(maxsize=None)
+def _grid_shell(h):
+    """The grid lines of height h (largest |coordinate|) in lex order,
+    each a primitive triple with its first nonzero coordinate positive:
+    only the triples with a coordinate of size h are enumerated."""
+    out = []
+    span = range(-h, h + 1)
+    for x0 in range(h + 1):
+        for x1 in (span if x0 else range(h + 1)):
+            for x2 in (span if max(x0, abs(x1)) == h else (-h, h)):
+                line = (x0, x1, x2)
+                if (x0 or x1 or x2 > 0) and gcd(*line) == 1 and \
+                        _meets_two_grid_points(*sorted(map(abs, line))):
+                    out.append(line)
+    return tuple(out)
+
+
+def grid_lines(count=None):
+    """Duals of the lines through two independent points with coordinates
+    in [-GRID_BOUND, GRID_BOUND], simplest first: by height, lex within a
+    height; `count` slices the list as [:count] does.  Heights are
+    enumerated only as far as a nonnegative count reads; no such line is
+    higher than 2 * GRID_BOUND**2, the largest cross product of two
+    points."""
+    lines = []
+    for h in range(1, 2 * GRID_BOUND ** 2 + 1):
+        if count is not None and 0 <= count <= len(lines):
+            break
+        lines += _grid_shell(h)
+    return tuple(lines[:count])
 
 
 @dataclass(frozen=True)
@@ -308,7 +351,7 @@ class ScanResult:
 def jumping_scan(A, budget=200, seed=0):
     """Test the first `budget` grid lines for jumping."""
     generic = generic_splitting(A, seed=seed)
-    candidates = grid_lines()[:budget]
+    candidates = grid_lines(budget)
     jumps = []
     for line in candidates:
         p, q = line_span_points(line)
@@ -328,8 +371,8 @@ def verify_jumping_set(A, lines, negatives=50, seed=0):
     rng = random.Random("negative-lines:%d" % seed)
     done = 0
     while done < negatives:
-        l = tuple(Q(rng.randint(-9, 9)) for _ in range(3))
-        if not any(l) or tuple(linalg.primitive_vector(l)) in positives:
+        l = tuple(rng.randint(-9, 9) for _ in range(3))
+        if not any(l) or linalg.primitive_int(l) in positives:
             continue
         done += 1
         if jumping_test(A, l, generic=generic):

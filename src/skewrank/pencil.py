@@ -17,6 +17,19 @@ stops once the rows left over cannot hold a block of index delta.  The
 normal rank is n minus the number of indices, 2*sum(eps) + R, and the
 rank is the same at every point exactly when R = 0, that is when the
 indices sum to half the normal rank: the constancy proof of `certify`.
+
+A caller that has already proved rank 2r at every point (a line in a
+certified constant-rank space) passes it as `constant_rank`, and the
+sequence stops as soon as that proof forces the rest.  With R = 0 the
+m = n - 2r indices sum to r.  Before T_delta, the indices found are
+exactly those below delta, so the m' still missing are all >= delta and
+sum to r' = r - (sum found).  When m' <= 1, or r' - m' * delta = e <= 1,
+there is one way to do that: the single index r', or e indices
+delta + 1 and m' - e indices delta.  On an 8x8 rank-6 plane T_0 alone
+decides the splitting: one constant kernel vector gives (3) with
+padding 1, none gives (2, 1).  A claimed rank that no indices can meet
+raises ValueError; one that is wrong but consistent gives wrong indices,
+so only a proven rank may be passed.
 """
 
 from __future__ import annotations
@@ -71,22 +84,48 @@ def _toeplitz_rank(B1, B2, n, delta):
     return len(linalg.echelon_int(rows, (delta + 1) * n)[1])
 
 
-def pencil_invariants(B1, B2):
+def _forced_indices(m, r, delta):
+    """The m indices left, all >= delta and summing to r, when that forces
+    them; None when it does not.  ValueError when no indices can."""
+    e = r - m * delta
+    if m < 0 or e < 0 or (m == 0 and e):
+        raise ValueError("the claimed constant rank does not fit the "
+                         "pencil's Kronecker indices")
+    if m == 1:
+        return [r]
+    if e <= 1:
+        return [delta + 1] * e + [delta] * (m - e)
+    return None
+
+
+def pencil_invariants(B1, B2, constant_rank=None):
     """Kronecker invariants of the nonzero integer pencil a*B1 + b*B2,
     with its normal rank; `constant` tells whether that rank is attained
-    at every point."""
+    at every point.  `constant_rank`, when given, must be a proven rank
+    at every point; the sequence then stops once it forces the indices."""
     n = len(B1)
     k = [0, 0]                       # k_(delta-2), k_(delta-1), ...
     indices = []
     delta = 0
     while n - 2 * sum(indices) - len(indices) >= 2 * delta + 1:
+        if constant_rank is not None:
+            forced = _forced_indices(n - constant_rank - len(indices),
+                                     constant_rank // 2 - sum(indices), delta)
+            if forced is not None:
+                indices += forced
+                break
         k.append((delta + 1) * n - _toeplitz_rank(B1, B2, n, delta))
         indices += [delta] * (k[-1] - 2 * k[-2] + k[-3])
         delta += 1
     if len(indices) == n:
         raise ValueError("zero pencil has no Kronecker invariants")
     partition = tuple(sorted((d for d in indices if d), reverse=True))
-    return KroneckerInvariants(n - len(indices), partition, indices.count(0))
+    inv = KroneckerInvariants(n - len(indices), partition, indices.count(0))
+    if constant_rank is not None and not (inv.constant
+                                          and inv.rank == constant_rank):
+        raise ValueError("the claimed constant rank does not fit the "
+                         "pencil's Kronecker indices")
+    return inv
 
 
 @lru_cache(maxsize=512)

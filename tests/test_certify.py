@@ -43,6 +43,29 @@ def test_certify_and_zero_scheme_build_no_pfaffian_form(monkeypatch):
     assert built == []
 
 
+def test_one_verdict_per_matrix_across_seeds(monkeypatch):
+    from skewrank import certify
+    checks = []
+    real = certify.is_projectively_empty
+    monkeypatch.setattr(certify, "is_projectively_empty",
+                        lambda ideal: checks.append(1) or real(ideal))
+    P = random_invertible(random.Random("seed-free"), 8)
+    A = catalog.get("pi2").matrix.congruence_transform(P)
+    certs = {certify_constant_rank(A, seed=seed) for seed in (0, 1, 3)}
+    assert len(certs) == 1 and len(checks) == 1
+    # a refutation keeps its seeded witness search, on the one verdict;
+    # the rank drops at none of the first, seed-free probe points
+    net = SkewPolyMatrix(4, ("a", "b", "c"),
+                         {(0, 1): "a + b + c", (2, 3): "a + 2*b + 3*c"})
+    witnesses = set()
+    for seed in (0, 3):
+        c = certify_constant_rank(net, seed=seed)
+        assert (c.generic_rank, c.constant, c.method) == (4, False, "groebner")
+        assert c.witness == certify._search_witness(net, 4, seed)
+        witnesses.add(c.witness)
+    assert len(witnesses) == 2 and len(checks) == 2
+
+
 def test_certify_examples():
     c = certify_constant_rank(catalog.get("M8").matrix)
     assert (c.generic_rank, c.constant, c.method) == (6, True, "kronecker")

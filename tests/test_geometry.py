@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,8 @@ from tests.conftest import bordered_forms
 
 from skewrank import catalog, geometry, groebner, linalg
 from skewrank.certify import certify_constant_rank, restrict_line
-from skewrank.pencil import KroneckerInvariants, minimal_indices
+from skewrank.pencil import (KroneckerInvariants, minimal_indices,
+                             pencil_invariants)
 from skewrank.skew import SkewPolyMatrix, pfaffian
 
 Q = Fraction
@@ -209,6 +211,84 @@ def test_line_span_points():
     for v in (p, q):
         assert sum(Q(x) * Q(y) for x, y in zip((1, 2, 3), v)) == 0
     assert linalg.rank([list(p), list(q)]) == 2
+    assert (p, q) == ((2, -1, 0), (3, 0, -1))
+    # rational and scaled duals give the same integer points
+    assert geometry.line_span_points((Q(-1, 2), -1, Q(-3, 2))) == (p, q)
+    assert all(type(x) is int for x in p + q)
+
+
+_PLANES = ("pi1", "pi2", "pi3", "pi4", "pi5", "pi6", "schwarzenberger",
+           "dk_steiner")
+_SPLIT_03 = KroneckerInvariants(6, (3,), 1)
+
+
+def _forced_equals_full(A, rank, pairs):
+    """The rank sequence stopped by the proven constant rank gives the
+    full sequence's invariants on the line through each pair p, q."""
+    got = []
+    for p, q in pairs:
+        B1, B2 = A._combine(p), A._combine(q)
+        full = pencil_invariants(B1, B2)
+        assert pencil_invariants(B1, B2, rank) == full, (p, q)
+        got.append(full)
+    return got
+
+
+def test_forced_splitting_matches_the_full_sequence(rng):
+    from tests.conftest import random_invertible
+
+    grid = [geometry.line_span_points(l) for l in geometry.grid_lines(100)]
+    seen = set()
+    for name in _PLANES:
+        A = catalog.get(name).matrix
+        rank = certify_constant_rank(A).generic_rank
+        full = _forced_equals_full(A, rank, grid)
+        assert [geometry.splitting_on_line(A, p, q) for p, q in grid] == full
+        seen.update(full)
+        # a congruence keeps the rank at every point and the invariants of
+        # every line, so a moved copy's forced indices must be these
+        moved = A.congruence_transform(random_invertible(rng, 8))
+        assert [pencil_invariants(moved._combine(p), moved._combine(q), rank)
+                for p, q in grid] == full
+    assert seen == {KroneckerInvariants(6, (2, 1), 0), _SPLIT_03}
+    # the known jumping lines, forced to (0, 3) by T_0 alone
+    pi3_pencil = [(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, -2), (0, 3, 4)]
+    for name, lines in [("dk_steiner", catalog.DK_JUMPING_LINES),
+                        ("pi4", [(0, 0, 1)]), ("pi5", [(1, 0, 0)]),
+                        ("pi3", pi3_pencil)]:
+        A = catalog.get(name).matrix
+        pairs = [geometry.line_span_points(l) for l in lines]
+        assert _forced_equals_full(A, 6, pairs) == [_SPLIT_03] * len(lines)
+        assert all(geometry.splitting_on_line(A, p, q) == _SPLIT_03
+                   for p, q in pairs)
+    # seeded lines of every other entry with two or more parameters
+    for name in catalog.names():
+        A = catalog.get(name).matrix
+        if name in _PLANES or A.nvars < 2:
+            continue
+        pairs = []
+        while len(pairs) < 10:
+            p = [rng.randint(-5, 5) for _ in range(A.nvars)]
+            q = [rng.randint(-5, 5) for _ in range(A.nvars)]
+            if linalg.rank([p, q]) == 2:
+                pairs.append((p, q))
+        cert = certify_constant_rank(A)
+        assert cert.constant is True
+        assert _forced_equals_full(A, cert.generic_rank, pairs) == \
+            [geometry.splitting_on_line(A, p, q) for p, q in pairs]
+
+
+def test_line_queries_on_uncertified_spaces_run_the_full_sequence(monkeypatch):
+    # a non-constant space passes no rank, so the line keeps its check
+    net = SkewPolyMatrix(4, ("a", "b", "c"), {(0, 1): "a", (2, 3): "b"})
+    ranks = []
+    monkeypatch.setattr(geometry, "pencil_invariants",
+                        lambda B1, B2, rank=None: ranks.append(rank)
+                        or pencil_invariants(B1, B2, rank))
+    with pytest.raises(ValueError):
+        geometry.splitting_on_line(net, (1, 2, 3), (2, -1, 5))
+    geometry.splitting_on_line(catalog.get("pi2").matrix, (1, 0, 0), (0, 1, 0))
+    assert ranks == [None, 6]
 
 
 def test_dk_jumping_lines():
@@ -340,6 +420,23 @@ def test_fingerprint_bundle():
 _GRID_DIGEST = (13093, "d776963061fd260dcf234e3eca4ed2e2952a3ea0ee663bbc7f7614de5f5887fc")
 _SW_JUMPS = ((0, 0, 1), (1, -1, 1), (1, 0, 0), (1, 1, 1),
              (1, -2, 4), (1, 2, 4), (4, -2, 1), (4, 2, 1))
+
+
+def test_grid_lines_are_read_as_a_prefix():
+    geometry._grid_shell.cache_clear()
+    geometry._meets_two_grid_points.cache_clear()
+    t0 = time.perf_counter()
+    lines = geometry.grid_lines()
+    assert time.perf_counter() - t0 < 1.5
+    assert len(lines) == _GRID_DIGEST[0]
+    for n in (1, 200, 300, 1000, 0, -5):
+        assert geometry.grid_lines(n) == lines[:n]
+    assert geometry.grid_lines(20000) == lines
+    # a scan of 200 lines enumerates heights up to the one it reads
+    geometry._grid_shell.cache_clear()
+    geometry.grid_lines(200)
+    height = max(max(map(abs, l)) for l in lines[:200])
+    assert geometry._grid_shell.cache_info().currsize == height
 
 
 def test_line_scan_outputs_are_pinned():

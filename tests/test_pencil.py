@@ -5,8 +5,8 @@ from tests.conftest import partitions, random_invertible
 
 from skewrank import catalog
 from skewrank.certify import certify_constant_rank
-from skewrank.pencil import (canonical_form, equivalent, minimal_indices,
-                             pencil_invariants)
+from skewrank.pencil import (KroneckerInvariants, canonical_form, equivalent,
+                             minimal_indices, pencil_invariants)
 from skewrank.skew import SkewPolyMatrix
 
 Q = Fraction
@@ -128,6 +128,45 @@ def test_pencil_invariants_report_the_normal_rank():
     assert pencil_invariants(*catalog.get("M7").matrix.integer_basis()).constant
     with pytest.raises(ValueError):
         pencil_invariants(*SkewPolyMatrix.zero(3, AB).integer_basis())
+
+
+def test_forced_indices_match_the_full_sequence(rng, monkeypatch):
+    from skewrank import pencil
+    degrees = []
+    real = pencil._toeplitz_rank
+    monkeypatch.setattr(pencil, "_toeplitz_rank",
+                        lambda *args: degrees.append(args[3]) or real(*args))
+    forced_ranks = {}
+    for r in range(1, 5):
+        for partition in partitions(r):
+            for pad in range(3):
+                A = canonical_form(partition).matrix.pad_zero(pad)
+                B = A.congruence_transform(random_invertible(rng, A.order))
+                want = KroneckerInvariants(2 * r, partition, pad)
+                assert pencil_invariants(*B.integer_basis()) == want
+                full = len(degrees)
+                degrees.clear()
+                assert pencil_invariants(*B.integer_basis(), 2 * r) == want
+                assert len(degrees) <= full
+                forced_ranks[partition, pad] = len(degrees)
+                degrees.clear()
+    # one index left (m' = 1) before any rank; the rest equal at
+    # delta = 1 (e = 0) or one of them one higher (e = 1) after T_0;
+    # (3) with padding 1 has one index left once T_0 finds the zero
+    assert forced_ranks[(1,), 0] == forced_ranks[(3,), 0] == 0
+    assert forced_ranks[(1, 1), 0] == forced_ranks[(1, 1, 1), 0] == 1
+    assert forced_ranks[(2, 1), 0] == forced_ranks[(2, 1, 1), 0] == 1
+    assert forced_ranks[(3,), 1] == 1
+
+
+def test_inconsistent_constant_rank_raises():
+    B1, B2 = catalog.get("M8").matrix.integer_basis()
+    assert pencil_invariants(B1, B2, 6) == pencil_invariants(B1, B2)
+    # rank 4 leaves four indices summing to 2, all >= 1 after T_0;
+    # rank 8 leaves none to carry r = 4; rank 10 exceeds the order
+    for rank in (4, 8, 10, 5):
+        with pytest.raises(ValueError):
+            pencil_invariants(B1, B2, rank)
 
 
 def test_catalog_runs_each_pencil_sequence_once(monkeypatch):
