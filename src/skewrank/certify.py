@@ -215,6 +215,8 @@ def sampled_probe(A, n_points=200, seed=0):
     Returns constant=False with a witness when a drop is found, otherwise
     constant=None (unknown).
     """
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1, got %r" % n_points)
     rank = generic_rank(A)
     for tried, p in enumerate(_sample_points(A.nvars, n_points, seed), 1):
         if A.rank_at(p) < rank:

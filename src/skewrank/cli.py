@@ -52,6 +52,14 @@ def _parse_csv_rationals(text):
         raise ValueError("zero denominator in %r" % text) from None
 
 
+def positive_int(text):
+    """argparse type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
+
+
 def cmd_certify(args):
     A = _load_matrix(args.matrix)
     if args.sampled:
@@ -179,7 +187,7 @@ def build_parser():
 
     p = sub.add_parser("certify", help="constant-rank certificate")
     p.add_argument("matrix")
-    p.add_argument("--sampled", type=int, metavar="N", default=0,
+    p.add_argument("--sampled", type=positive_int, metavar="N",
                    help="probe N random points instead of certifying "
                         "(never certifies; for beyond-desk-scale inputs)")
     p.set_defaults(fn=cmd_certify)
@@ -205,7 +213,7 @@ def build_parser():
 
     p = sub.add_parser("fingerprint", help="kernel-bundle fingerprint")
     p.add_argument("matrix")
-    p.add_argument("--budget", type=int, default=200,
+    p.add_argument("--budget", type=positive_int, default=200,
                    help="jumping-line scan budget")
     p.set_defaults(fn=cmd_fingerprint)
 
@@ -223,7 +231,7 @@ def build_parser():
     p.add_argument("--name", action="append", help="restrict to entries")
     p.add_argument("--section", action="append", type=int,
                    help="restrict to catalog sections")
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=positive_int, default=200)
     p.add_argument("--table", action="store_true", help="plain-text table")
     p.set_defaults(fn=cmd_reproduce)
 

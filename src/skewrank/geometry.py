@@ -87,15 +87,16 @@ def _projection_basis_change(center):
 
 
 def project(A, center, seed=0):
-    """Project the space from a point; validity is decided by
-    re-certification of the result at the same rank, never assumed."""
+    """Project the space from a point: cut the last row and column off
+    the coefficient matrices moved by `_projection_basis_change`.
+    Validity is decided by re-certification of the result at the same
+    rank, never assumed."""
     if len(center) != A.order:
         raise ValueError("center must have one coordinate per matrix row")
     P, center = _projection_basis_change(center)
     moved = A.congruence_transform(P)
-    upper = {(i, j): f for (i, j), f in moved.upper_entries()
-             if j < A.order - 1}
-    result = SkewPolyMatrix(A.order - 1, A.vars, upper)
+    result = SkewPolyMatrix.from_coefficient_basis(
+        A.vars, [[row[:-1] for row in B[:-1]] for B in moved.coefficient_basis()])
     cert_in = certify_constant_rank(A, seed=seed)
     cert_out = certify_constant_rank(result, seed=seed)
     valid = (cert_out.constant is True
@@ -350,6 +351,8 @@ class ScanResult:
 
 def jumping_scan(A, budget=200, seed=0):
     """Test the first `budget` grid lines for jumping."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1, got %r" % budget)
     generic = generic_splitting(A, seed=seed)
     candidates = grid_lines(budget)
     jumps = []
@@ -512,6 +515,8 @@ def bundle_fingerprint(A, seed=0, budget=200):
     and must agree; a disagreement raises (it would mean the covectors
     were degenerate in a way the retries did not catch).
     """
+    if budget < 1:
+        raise ValueError("budget must be at least 1, got %r" % budget)
     cert = certify_constant_rank(A, seed=seed)
     rng = random.Random("fingerprint-covectors:%d" % seed)
     degrees = [section_zero_scheme_degree(A, seed=seed)]

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .forms import Form
 from .skew import SkewPolyMatrix
 
 
@@ -149,8 +148,9 @@ def minimal_indices(A):
 def canonical_form(partition):
     """Canonical pencil for a partition (r_1 >= ... >= r_h >= 1).
 
-    Block layout: order 2r + h with the top-right r x (r + h) block made of
-    staircase blocks carrying `a` on the diagonal and `b` beside it.
+    Block layout: order 2r + h; the 0/+-1 coefficient matrices of `a` and
+    `b` fill the top-right r x (r + h) block with staircase blocks, `a`
+    on their diagonal and `b` beside it.
     """
     partition = tuple(int(x) for x in partition)
     if not partition:
@@ -162,19 +162,15 @@ def canonical_form(partition):
     r = sum(partition)
     h = len(partition)
     order = 2 * r + h
-    vars = ("a", "b")
-    a = Form.variable(vars, "a")
-    b = Form.variable(vars, "b")
-    upper = {}
-    row = 0
-    col = r
+    Ba, Bb = ([[0] * order for _ in range(order)] for _ in range(2))
+    row, col = 0, r
     for ri in partition:
         for t in range(ri):
-            upper[(row + t, col + t)] = a
-            upper[(row + t, col + t + 1)] = b
+            for B, j in ((Ba, col + t), (Bb, col + t + 1)):
+                B[row + t][j], B[j][row + t] = 1, -1
         row += ri
         col += ri + 1
-    matrix = SkewPolyMatrix(order, vars, upper)
+    matrix = SkewPolyMatrix.from_coefficient_basis(("a", "b"), [Ba, Bb])
     return CanonicalPencil(KroneckerInvariants(2 * r, partition, 0), matrix)
 
 

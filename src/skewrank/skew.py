@@ -1,16 +1,19 @@
 """Skew-symmetric matrices of linear forms.
 
-A matrix is A = lam * sum(x_k * B_k): integer skew matrices B_k with
-coprime entries (`integer_basis`) and one rational lam > 0, built once,
-by a transform or from the entry Forms' terms on first use.  Congruence,
-parameter change, evaluation and restriction to a line are integer
-combinations of the B_k; the Pfaffians of sum(x_k * B_k) are expanded
-on integers into a memo keyed by principal index subsets, as dicts
-from `skewrank.groebner`'s packed monomial keys to integers that
-Groebner bases take as they are.  Forms stay at the edges: the strict
-upper triangle is kept as linear Forms for text, JSON and equality, and
-a Pfaffian of size 2k becomes a Form, lam^k times the integer one, only
-where a caller gets one.  Values are immutable.
+A matrix is stored once, as A = lam * sum(x_k * B_k): integer skew
+matrices B_k with coprime entries (`integer_basis`), one rational
+lam > 0 (1 for the zero space) and the index of nonzero upper positions
+that evaluation and Pfaffians read.  The public constructor scales the
+entry Forms' coefficients to integers; congruence, parameter change,
+line restriction, direct sum and padding compute integer combinations
+of the B_k; all of them store through one `_seed`.  Equality and
+hashing compare (order, vars, lam, basis).  The Pfaffians of
+sum(x_k * B_k) are expanded on integers into a memo keyed by principal
+index subsets, as dicts from `skewrank.groebner`'s packed monomial keys
+to integers that Groebner bases take as they are.  Forms are built only
+at the edges: an entry for text or JSON as lam times its integer one,
+and a Pfaffian of size 2k as lam^k times its integer one.  Values are
+immutable.
 """
 
 from __future__ import annotations
@@ -28,37 +31,32 @@ Q = Fraction
 
 
 class SkewPolyMatrix:
-    __slots__ = ("order", "vars", "_upper", "_pf_memo", "_hash", "_int")
+    __slots__ = ("order", "vars", "_basis", "_lam", "_entries", "_pf_memo", "_hash")
 
     def __init__(self, order, vars, upper):
         order = int(order)
         vars = tuple(str(v) for v in vars)
-        self._init(order, vars)
+        forms = {}
         items = upper.items() if isinstance(upper, dict) else upper
         for (i, j), f in items:
             i, j = int(i), int(j)
             if not (0 <= i < j < order):
                 raise ValueError("bad upper-triangle position (%d, %d)" % (i, j))
+            if (i, j) in forms:
+                raise ValueError("upper-triangle position (%d, %d) given twice" % (i, j))
             if isinstance(f, str):
                 f = parse_form(f, vars)
             if not isinstance(f, Form):
                 raise ValueError("entries must be Forms")
             if f.vars != vars:
                 raise ValueError("entry ring %r does not match %r" % (f.vars, vars))
-            if f.is_zero():
-                continue
             if not f.is_homogeneous(1):
                 raise ValueError("entry (%d, %d) is not linear: %s" % (i, j, f))
-            self._upper[(i, j)] = f
-
-    def _init(self, order, vars):
-        if order < 1:
-            raise ValueError("order must be at least 1")
-        if not vars or len(set(vars)) != len(vars):
-            raise ValueError("need distinct parameter variables, at least one")
-        for name, value in (("order", order), ("vars", vars), ("_upper", {}),
-                            ("_pf_memo", {(): {0: 1}}), ("_hash", None), ("_int", None)):
-            object.__setattr__(self, name, value)
+            forms[(i, j)] = f
+        m = lcm(*(c.denominator for f in forms.values() for c in f._terms.values()))
+        self._seed(order, vars, {ij: sorted((e.index(1), c.numerator * (m // c.denominator))
+                                            for e, c in f._terms.items())
+                                 for ij, f in forms.items()}, Q(1, m))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPolyMatrix is immutable")
@@ -93,65 +91,52 @@ class SkewPolyMatrix:
 
     @classmethod
     def _from_integer(cls, vars, mats, scale):
-        """scale * sum(var_k * mats[k]) for integer skew matrices mats[k],
-        with the basis stored and the entry Forms read off it."""
-        A = object.__new__(cls)
-        A._init(len(mats[0]), vars)
-        _, lam, entries = A._seed(mats, scale)
-        units = [tuple(int(t == k) for t in range(len(vars))) for k in range(len(vars))]
-        for ij, t in entries.items():
-            A._upper[ij] = Form._from_clean(vars, {units[k]: lam * c for k, c in t})
-        return A
+        """scale * sum(var_k * mats[k]) for integer skew matrices mats[k]."""
+        n = len(mats[0])
+        return object.__new__(cls)._seed(n, vars, {
+            (i, j): [(k, x) for k, x in enumerate(col) if x] for i in range(n)
+            for j, col in enumerate(zip(*(B[i][i + 1:] for B in mats)), i + 1)
+            if any(col)}, scale)
 
-    def _integer(self):
-        """(integer_basis(), lam, entries) with A = lam * sum(var_k * B_k);
-        entries maps each nonzero upper position (i, j) to the pairs
-        (k, B_k[i][j]) with B_k[i][j] != 0.  Read off the terms of the
-        entry Forms on first use."""
-        if self._int is None:
-            m = lcm(*(c.denominator for f in self._upper.values()
-                      for c in f._terms.values()))
-            mats = [[[0] * self.order for _ in range(self.order)] for _ in self.vars]
-            for (i, j), f in self._upper.items():
-                for e, c in f._terms.items():
-                    B = mats[e.index(1)]
-                    B[i][j] = c.numerator * (m // c.denominator)
-                    B[j][i] = -B[i][j]
-            self._seed(mats, Q(1, m))
-        return self._int
-
-    def _seed(self, mats, scale):
-        """Store _integer() for A = scale * sum(var_k * mats[k]); the
-        content and sign of the integer mats[k] move into lam, so the
-        basis is primitive and lam > 0."""
-        g = gcd(*(x for B in mats for row in B for x in row)) or 1
-        lam = scale * g
+    def _seed(self, n, vars, upper, scale):
+        """Store A = scale * sum(var_k * B_k) of order n, where upper maps
+        positions (i, j), i < j, to the pairs (k, c) of the nonzero
+        integers c = B_k[i][j].  The content and sign move into lam, so
+        the stored basis is primitive and lam > 0 (lam = 1 for the zero
+        space); _entries keeps the nonzero positions with their pairs."""
+        if not vars or len(set(vars)) != len(vars):
+            raise ValueError("need distinct parameter variables, at least one")
+        if n < 1:
+            raise ValueError("order must be at least 1")
+        g = gcd(*(x for t in upper.values() for _, x in t))
+        lam = scale * g if g else Q(1)
         if lam < 0:
             g, lam = -g, -lam
-        basis = tuple(tuple(tuple(x // g for x in row) for row in B) for B in mats)
-        entries = {}
-        for i in range(self.order):
-            for j in range(i + 1, self.order):
-                t = tuple((k, B[i][j]) for k, B in enumerate(basis) if B[i][j])
-                if t:
-                    entries[(i, j)] = t
-        object.__setattr__(self, "_int", (basis, lam, entries))
-        return self._int
+        entries = {ij: tuple((k, x // g) for k, x in t) for ij, t in upper.items() if t}
+        basis = [[[0] * n for _ in range(n)] for _ in vars]
+        for (i, j), t in entries.items():
+            for k, x in t:
+                basis[k][i][j], basis[k][j][i] = x, -x
+        basis = tuple(tuple(map(tuple, B)) for B in basis)
+        for name, value in (("order", n), ("vars", vars), ("_lam", lam),
+                            ("_basis", basis), ("_entries", entries),
+                            ("_pf_memo", {(): {0: 1}}),
+                            ("_hash", hash((n, vars, lam, basis)))):
+            object.__setattr__(self, name, value)
+        return self
 
     # -- access ---------------------------------------------------------
 
     def entry(self, i, j):
         """Entry (i, j) with the skew sign materialised."""
-        if i == j:
-            return Form.zero(self.vars)
-        if i < j:
-            return self._upper.get((i, j), Form.zero(self.vars))
-        f = self._upper.get((j, i))
-        return -f if f is not None else Form.zero(self.vars)
+        if i > j:
+            return -self.entry(j, i)
+        keys = _make_layout(self.nvars)[-1]
+        return self._form({keys[k]: c for k, c in self._entries.get((i, j), ())}, 1)
 
     def upper_entries(self):
         """Nonzero strict-upper entries as ((i, j), Form), lex ordered."""
-        return [((i, j), self._upper[(i, j)]) for (i, j) in sorted(self._upper)]
+        return [((i, j), self.entry(i, j)) for i, j in sorted(self._entries)]
 
     def integer_basis(self):
         """Primitive integer coefficient matrices B_k, as nested tuples.
@@ -161,19 +146,18 @@ class SkewPolyMatrix:
         constant factor on the whole space: it changes no rank, no span
         and no line through given parameter points.
         """
-        return self._integer()[0]
+        return self._basis
 
     def coefficient_basis(self):
         """Constant skew matrices lam * B_k with A = sum(var_k * lam * B_k)."""
-        lam = self._integer()[1]
-        return [[[lam * x for x in row] for row in B] for B in self.integer_basis()]
+        return [[[self._lam * x for x in row] for row in B] for B in self._basis]
 
     def _combine(self, c):
         """The integer matrix sum(c_k * B_k) for integers c_k, summed over
         the nonzero positions only."""
         n = self.order
         M = [[0] * n for _ in range(n)]
-        for (i, j), t in self._integer()[2].items():
+        for (i, j), t in self._entries.items():
             v = sum(c[k] * x for k, x in t)
             M[i][j] = v
             M[j][i] = -v
@@ -184,22 +168,19 @@ class SkewPolyMatrix:
         the span of the rational points images[l] of the old parameters."""
         ints, m = _integer_rows(images)
         return SkewPolyMatrix._from_integer(
-            vars, [self._combine(c) for c in ints], self._integer()[1] / m)
+            vars, [self._combine(c) for c in ints], self._lam / m)
 
     def __eq__(self, other):
         return (isinstance(other, SkewPolyMatrix) and self.order == other.order
-                and self.vars == other.vars and self._upper == other._upper)
+                and self.vars == other.vars and self._lam == other._lam
+                and self._basis == other._basis)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.order, self.vars, tuple(sorted(self._upper.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     def __repr__(self):
         return "SkewPolyMatrix(order=%d, vars=%r, entries=%d)" % (
-            self.order, list(self.vars), len(self._upper))
+            self.order, list(self.vars), len(self._entries))
 
     # -- evaluation -------------------------------------------------------
 
@@ -211,7 +192,7 @@ class SkewPolyMatrix:
         if not any(point):
             raise ValueError("zero parameter point")
         (c,), m = _integer_rows([point])
-        return self._combine(c), self._integer()[1] / m
+        return self._combine(c), self._lam / m
 
     def evaluate_at(self, point):
         """Constant skew matrix at a nonzero parameter point."""
@@ -237,7 +218,7 @@ class SkewPolyMatrix:
         Pt = linalg.transpose(P)
         return SkewPolyMatrix._from_integer(
             self.vars, [linalg.mat_mul(linalg.mat_mul(Pt, B), P)
-                        for B in self.integer_basis()], self._integer()[1] / (m * m))
+                        for B in self._basis], self._lam / (m * m))
 
     def parameter_change(self, L):
         """Substitute variables by L * (vars); L invertible d x d."""
@@ -253,11 +234,14 @@ class SkewPolyMatrix:
             raise ValueError("direct_sum needs a SkewPolyMatrix")
         if self.vars != other.vars:
             raise ValueError("variable mismatch: %r vs %r" % (self.vars, other.vars))
-        n = self.order
-        upper = dict(self._upper)
-        for (i, j), f in other._upper.items():
-            upper[(i + n, j + n)] = f
-        return SkewPolyMatrix(n + other.order, self.vars, upper)
+        m = lcm(self._lam.denominator, other._lam.denominator)
+        upper = {}
+        for A, s in ((self, 0), (other, self.order)):
+            c = int(A._lam * m)
+            upper.update({(i + s, j + s): [(k, c * x) for k, x in t]
+                          for (i, j), t in A._entries.items()})
+        return object.__new__(SkewPolyMatrix)._seed(
+            self.order + other.order, self.vars, upper, Q(1, m))
 
     def pad_zero(self, k):
         """Append k zero rows and columns."""
@@ -265,7 +249,7 @@ class SkewPolyMatrix:
             raise ValueError("negative padding")
         if k == 0:
             return self
-        return SkewPolyMatrix(self.order + k, self.vars, dict(self._upper))
+        return self.direct_sum(SkewPolyMatrix.zero(k, self.vars))
 
     # -- nondegeneracy ------------------------------------------------------
 
@@ -296,7 +280,7 @@ class SkewPolyMatrix:
         got = memo.get(idx)
         if got is not None:
             return got
-        entries = self._integer()[2]
+        entries = self._entries
         _, bits, *_, keys = _make_layout(self.nvars)
         if len(idx) >> bits:               # the degree must stay below a field's guard bit
             raise ValueError("Pfaffian of size %d out of packing range" % len(idx))
@@ -320,7 +304,7 @@ class SkewPolyMatrix:
     def _form(self, poly, degree, den=1):
         """The Form lam^degree / den * poly of a packed integer polynomial
         of the given degree, such as a Pfaffian of size 2 * degree."""
-        return _as_form(poly.items(), self.vars, self._integer()[1] ** degree / den)
+        return _as_form(poly.items(), self.vars, self._lam ** degree / den)
 
     def pfaffian_symbolic(self):
         """Pfaffian of the whole matrix; requires even order."""
@@ -361,9 +345,8 @@ class SkewPolyMatrix:
                         for e in obj["upper"])):
             raise ValueError('matrix JSON must be {"order": int, "vars": [str], '
                              '"upper": [{"i": int, "j": int, "form": str}]}')
-        vars = tuple(obj["vars"])
-        upper = {(e["i"], e["j"]): parse_form(e["form"], vars) for e in obj["upper"]}
-        return cls(obj["order"], vars, upper)
+        return cls(obj["order"], obj["vars"],
+                   [((e["i"], e["j"]), e["form"]) for e in obj["upper"]])
 
     def dumps(self):
         return json.dumps(self.to_json(), indent=2, sort_keys=True)

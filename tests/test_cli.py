@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from skewrank import catalog
-from skewrank.certify import _certify_cached
+from skewrank import catalog, geometry
+from skewrank.certify import _certify_cached, sampled_probe
 from skewrank.cli import main
 from skewrank.skew import SkewPolyMatrix
 
@@ -222,6 +222,8 @@ def test_usage_errors(tmp_path, capsys):
     '{"order": 4, "vars": 3, "upper": []}',
     '{"order": 4, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": 7}]}',
     '[1, 2]',
+    '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a"}, '
+    '{"i": 0, "j": 1, "form": "b"}]}',
 ])
 def test_malformed_matrix_json_is_a_usage_error(tmp_path, capsys, text):
     p = tmp_path / "bad.json"
@@ -229,3 +231,29 @@ def test_malformed_matrix_json_is_a_usage_error(tmp_path, capsys, text):
     assert main(["certify", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "--name", "pi1", "--budget", "0"],
+    ["reproduce", "--section", "4", "--budget", "0"],
+    ["fingerprint", "--budget", "-3", "MATRIX"],
+    ["certify", "--sampled", "-5", "MATRIX"],
+    ["certify", "--sampled", "0", "MATRIX"],
+])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
+    argv = [write_matrix(tmp_path, "pi1") if a == "MATRIX" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid positive_int value" in captured.err
+
+
+def test_library_budgets_below_one_are_rejected_up_front():
+    pi1, m8 = catalog.get("pi1").matrix, catalog.get("M8").matrix
+    for call in (lambda: geometry.jumping_scan(pi1, budget=0),
+                 lambda: geometry.bundle_fingerprint(m8, budget=0),
+                 lambda: catalog.reproduce_all(names_filter={"pi1"}, budget=-3),
+                 lambda: sampled_probe(m8, n_points=0)):
+        with pytest.raises(ValueError, match="at least 1"):
+            call()

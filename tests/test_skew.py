@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -27,6 +28,13 @@ def test_constructor_validation():
         SkewPolyMatrix(3, ("a", "a"), {})
     with pytest.raises(ValueError):
         SkewPolyMatrix.from_coefficient_basis(("a", "a"), [[[0, 1], [-1, 0]]] * 2)
+    with pytest.raises(ValueError, match="given twice"):
+        SkewPolyMatrix(3, AB, [((0, 1), "a"), ((1, 2), "b"), ((0, 1), "b")])
+    with pytest.raises(ValueError, match="given twice"):
+        SkewPolyMatrix(3, AB, [((0, 1), "a"), ((0, 1), "0")])
+    with pytest.raises(ValueError, match="given twice"):
+        SkewPolyMatrix.from_json({"order": 2, "vars": ["a", "b"], "upper": [
+            {"i": 0, "j": 1, "form": "a"}, {"i": 0, "j": 1, "form": "b"}]})
     A = SkewPolyMatrix(3, AB, {(0, 1): "a"})
     assert A.entry(1, 0) == -Form.variable(AB, "a")
     assert A.entry(2, 2).is_zero()
@@ -307,6 +315,61 @@ def test_json_round_trip():
     for name in ("M8", "pi5", "westwick"):
         A = catalog.get(name).matrix
         assert SkewPolyMatrix.loads(A.dumps()) == A
+
+
+def _scalar(n, c):
+    return [[Q(c) if i == j else Q(0) for j in range(n)] for i in range(n)]
+
+
+def _one_representation_family():
+    """Matrices from every constructor and transform, with equal spaces
+    reached by more than one route."""
+    rng = random.Random("one-representation")
+    for name in catalog.names():
+        A = catalog.get(name).matrix
+        n, d = A.order, A.nvars
+        P = _rational_invertible(rng, n)
+        L = _rational_invertible(rng, d)
+        while True:
+            p, q = ([Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+                    for _ in range(2))
+            if linalg.rank([p, q]) == 2:
+                break
+        Lp, Lq = ([sum(L[k][l] * v[l] for l in range(d)) for k in range(d)]
+                  for v in (p, q))
+        moved = A.congruence_transform(P)
+        yield from (
+            A, moved, A.parameter_change(L), moved.parameter_change(L),
+            A.congruence_transform(_scalar(n, 2)).congruence_transform(_scalar(n, "1/2")),
+            A.parameter_change(_scalar(d, 3)).parameter_change(_scalar(d, "1/3")),
+            SkewPolyMatrix.from_coefficient_basis(A.vars, A.coefficient_basis()),
+            restrict_line(A, p, q), restrict_line(A, Lp, Lq),
+            restrict_line(A.parameter_change(L), p, q),
+            A.pad_zero(2), A.direct_sum(SkewPolyMatrix.zero(2, A.vars)),
+            A.direct_sum(moved))
+    zeros = [[[0] * 4 for _ in range(4)]] * 2
+    yield from (
+        SkewPolyMatrix.zero(4, AB), SkewPolyMatrix(4, AB, {(0, 1): "0"}),
+        SkewPolyMatrix.from_coefficient_basis(AB, zeros),
+        SkewPolyMatrix(4, ABC, {(0, 1): "1/3*c"})._substitute(AB, [[1, 0, 0], [0, 1, 0]]),
+        SkewPolyMatrix.zero(4, ABC)._substitute(AB, [[1, 2, 3], [0, 1, 1]]),
+        SkewPolyMatrix(2, AB, {(0, 1): "1/2*a"}).direct_sum(
+            SkewPolyMatrix(2, AB, {(0, 1): "-2/3*b"})),
+        SkewPolyMatrix(4, AB, {(0, 1): "1/2*a", (2, 3): "-2/3*b"}))
+
+
+def test_one_representation():
+    """Equality is equality of the JSON text, equal matrices hash alike,
+    and the JSON reads back to an equal matrix."""
+    family = list(_one_representation_family())
+    texts = [json.dumps(A.to_json(), sort_keys=True) for A in family]
+    assert len(set(texts)) < len(texts)      # some spaces are reached twice
+    for A, s in zip(family, texts):
+        assert SkewPolyMatrix.from_json(json.loads(s)) == A
+        for B, t in zip(family, texts):
+            assert (A == B) == (s == t)
+            if s == t:
+                assert hash(A) == hash(B)
 
 
 def test_coefficient_basis_round_trip():
