@@ -1,16 +1,21 @@
-"""Exact dense linear algebra over the rationals and the integers.
+"""Exact linear algebra over the rationals and the integers.
 
 Small helper routines shared across the package.  Ranks, the integer
-reduced echelon form, kernels and canonical span bases all come from one
-routine, fraction-free (Bareiss) forward elimination of integer rows
-(`echelon_int`); rational input is first scaled row by row to integers.
-Determinants use the square Bareiss recurrence.  Matrices are lists of
-lists; nothing here is optimised beyond what desk-scale inputs need.
+reduced echelon form, kernels and canonical span bases of dense matrices
+(lists of lists) come from one routine, fraction-free (Bareiss) forward
+elimination of integer rows in column order (`echelon_int`); rational
+input is first scaled row by row to integers.  Determinants use the
+square Bareiss recurrence.  The one large sparse system, the orbit
+stabilizer system, is ranked by `sparse_rank` on dict rows instead: its
+rows hold at most 2n + d nonzeros out of n^2 + d^2 columns, and column
+order would fill them in.  The small Toeplitz and Pfaffian-coefficient
+systems stay on `echelon_int`, which is cheaper there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 Q = Fraction
@@ -78,6 +83,68 @@ def echelon_int(rows, ncols):
         if r == nrows:
             break
     return m[:r], pivots
+
+
+def sparse_rank(rows):
+    """Exact rank of integer rows given as dicts column -> value.
+
+    Markowitz's pivot rule (Management Science 3, 1957): each step pivots
+    on the shortest remaining row, at its column with the fewest nonzeros
+    among the remaining rows.  Only the rows with a nonzero in that column
+    change: row <- a*row - b*pivot with a = p/g, b = t/g, g = gcd(p, t),
+    then the row is divided by the gcd of its entries.  Keeping rows
+    primitive bounds the entries without Bareiss's common divisor, and
+    an update touches no column outside the two rows.  It pays on sparse
+    systems, where few rows meet each pivot column; `echelon_int` stays
+    cheaper on small or dense ones.  The input is not modified.
+    """
+    live = {}                               # row id -> {column: value}
+    where = {}                              # column -> ids of rows using it
+    for i, row in enumerate(rows):
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            live[i] = row
+            for c in row:
+                where.setdefault(c, set()).add(i)
+    queue = [(len(row), i) for i, row in live.items()]
+    heapify(queue)                  # (length, id), stale once a row changes
+    rank = 0
+    while live:
+        size, i = heappop(queue)
+        if len(live.get(i, ())) != size:
+            continue
+        piv = live.pop(i)
+        for c in piv:
+            where[c].discard(i)
+        col = min(piv, key=lambda c: len(where[c]))
+        p = piv.pop(col)
+        rank += 1
+        for k in where.pop(col):
+            row = live[k]
+            t = row.pop(col)
+            g = gcd(p, t)
+            a, b = p // g, t // g
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+            for c, v in piv.items():
+                x = row.get(c, 0) - b * v
+                if x:
+                    if c not in row:
+                        where[c].add(k)
+                    row[c] = x
+                elif c in row:
+                    del row[c]
+                    where[c].discard(k)
+            if not row:
+                del live[k]
+                continue
+            g = gcd(*row.values())
+            if g != 1:
+                for c in row:
+                    row[c] //= g
+            heappush(queue, (len(row), k))
+    return rank
 
 
 def bareiss_rank(rows):

@@ -20,6 +20,20 @@ isomorphic to s: dim s = n^2 + d^2 - rank.  Hence orbit_dim = rank - d^2.
 The tangent rank, the dimension of the affine cone over the orbit in
 Pluecker space, is orbit_dim + 1.
 
+Each row has at most 2n + d nonzeros out of n^2 + d^2 columns, so the
+rank is `linalg.sparse_rank`: Markowitz pivots (shortest row, rarest
+column) with primitive integer rows, exact, with no modular step.
+
+A pencil (d = 2) of constant rank is congruent to its Kronecker
+canonical form, the staircase blocks of its minimal indices padded by
+zero rows (Thompson, LAA 147, 1991), and `pencil.invariants_of` proves
+those indices from integer ranks.  Congruence moves V along its orbit
+and a parameter change does not move V at all, so both spaces have the
+same orbit, and the same order and d.  Such a pencil is therefore ranked
+on the system of `canonical_form(partition).matrix.pad_zero(padding)`,
+whose 0/+-1 rows stay sparse however dense the input is.  Every other
+space, a non-constant pencil included, ranks its own system.
+
 Reference: the same number is the rank of the Pluecker tangent rows.
 Each elementary matrix E gives one row, the derivative at t = 0 of the
 Pluecker vector of (B_1 + t D_1) ^ ... ^ (B_d + t D_d) with
@@ -35,7 +49,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from . import linalg
+from . import linalg, pencil
 
 
 @dataclass(frozen=True)
@@ -82,10 +96,12 @@ def _require_independent(basis):
 
 
 def stabilizer_rows(basis):
-    """Integer rows of the stabilizer system (see the module docstring).
+    """Integer rows of the stabilizer system (see the module docstring), as
+    dicts column -> value.
 
     Columns p*n + q hold X_pq and n^2 + l*d + k hold C_lk; all-zero rows
-    are left out.
+    are left out.  The columns of one row are distinct, since X_pi and
+    X_pj differ for i != j, so every entry is read off once.
     """
     d = len(basis)
     n = len(basis[0])
@@ -95,13 +111,16 @@ def stabilizer_rows(basis):
         for i in range(n):
             Bi = B[i]
             for j in range(i + 1, n):
-                row = [0] * (nn + d * d)
+                row = {}
                 for p in range(n):
-                    row[p * n + i] += B[p][j]
-                    row[p * n + j] += Bi[p]
+                    if B[p][j]:
+                        row[p * n + i] = B[p][j]
+                    if Bi[p]:
+                        row[p * n + j] = Bi[p]
                 for l, Bl in enumerate(basis):
-                    row[nn + l * d + k] = -Bl[i][j]
-                if any(row):
+                    if Bl[i][j]:
+                        row[nn + l * d + k] = -Bl[i][j]
+                if row:
                     rows.append(row)
     return rows
 
@@ -233,7 +252,12 @@ def orbit_dimension(A, seed=0):
     d = A.nvars
     basis = A.integer_basis()
     _require_independent(basis)
-    rank = len(linalg.echelon_int(stabilizer_rows(basis), n * n + d * d)[1])
+    if d == 2:
+        inv = pencil.invariants_of(A)
+        if inv.constant:
+            basis = pencil.canonical_form(inv.partition).matrix \
+                .pad_zero(inv.padding).integer_basis()
+    rank = linalg.sparse_rank(stabilizer_rows(basis))
     orbit_dim = rank - d * d
     return OrbitReport(
         ambient_grassmannian_dim=d * (comb(n, 2) - d),

@@ -74,6 +74,8 @@ class SkewPolyMatrix:
         """Rebuild sum(var_k * B_k) from constant skew matrices B_k."""
         if len(matrices) != len(vars):
             raise ValueError("need one coefficient matrix per variable")
+        if not matrices:
+            raise ValueError("need at least one coefficient matrix")
         order = len(matrices[0])
         for k, B in enumerate(matrices):
             if len(B) != order or any(len(r) != order for r in B):

@@ -96,3 +96,40 @@ def test_det_of_skew_is_square(rng):
         M = random_skew(rng, n)
         d = linalg.det(M)
         assert d >= 0
+
+
+def _low_rank(rng, m, n, k, bound):
+    """An m x n integer product of m x k and k x n factors: rank <= k."""
+    left = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(m)]
+    right = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+    return [[sum(left[i][t] * right[t][j] for t in range(k))
+             for j in range(n)] for i in range(m)]
+
+
+def test_sparse_rank_matches_echelon_int():
+    assert linalg.sparse_rank([]) == 0
+    assert linalg.sparse_rank([{}, {3: 0}]) == 0
+    rng = random.Random("sparse-rank")
+    for case in range(400):
+        m = rng.randint(1, 12)
+        n = rng.randint(1, 12)
+        bound = rng.choice((3, 10 ** 6))
+        if case % 4 == 3:
+            rows = _low_rank(rng, m, n, rng.randint(0, min(m, n) - 1), bound)
+        else:
+            density = rng.choice((0.2, 0.5, 1.0))
+            rows = [[rng.randint(-bound, bound) if rng.random() < density
+                     else 0 for _ in range(n)] for _ in range(m)]
+            if case % 4 == 1:
+                rows[rng.randrange(m)] = [0] * n
+            elif case % 4 == 2 and m > 1:
+                a, b = rng.sample(range(m), 2)
+                c = rng.randint(-bound, bound)
+                rows.append([x - c * y for x, y in zip(rows[a], rows[b])])
+        # explicit zero entries are allowed in the dict rows
+        sparse = [{c: v for c, v in enumerate(row) if v or c == 0}
+                  for row in rows]
+        frozen = [dict(row) for row in sparse]
+        assert linalg.sparse_rank(sparse) == \
+            len(linalg.echelon_int(rows, n)[1]), case
+        assert sparse == frozen

@@ -28,6 +28,8 @@ def test_constructor_validation():
         SkewPolyMatrix(3, ("a", "a"), {})
     with pytest.raises(ValueError):
         SkewPolyMatrix.from_coefficient_basis(("a", "a"), [[[0, 1], [-1, 0]]] * 2)
+    with pytest.raises(ValueError, match="at least one"):
+        SkewPolyMatrix.from_coefficient_basis((), [])
     with pytest.raises(ValueError, match="given twice"):
         SkewPolyMatrix(3, AB, [((0, 1), "a"), ((1, 2), "b"), ((0, 1), "b")])
     with pytest.raises(ValueError, match="given twice"):
