@@ -161,12 +161,12 @@ def _build_entries():
         CatalogEntry(
             "triangle3", 3, "3x3 building block, full upper triangle",
             SkewPolyMatrix(3, ABC, {(0, 1): "a", (0, 2): "b", (1, 2): "c"}),
-            Expected(generic_rank=2, constant=True, method="groebner",
+            Expected(generic_rank=2, constant=True, method="macaulay",
                      nondegenerate=True)),
         CatalogEntry(
             "rowblock4", 3, "4x4 building block, single nonzero row",
             SkewPolyMatrix(4, ABC, {(0, 1): "a", (0, 2): "b", (0, 3): "c"}),
-            Expected(generic_rank=2, constant=True, method="groebner",
+            Expected(generic_rank=2, constant=True, method="macaulay",
                      nondegenerate=True)),
         CatalogEntry(
             "conic5", 3, "5x5 net of constant rank 4",
@@ -178,35 +178,35 @@ def _build_entries():
             "split6", 3, "6x6: two triangle blocks",
             SkewPolyMatrix(6, ABC, {(0, 1): "a", (0, 2): "b", (1, 2): "c",
                                     (3, 4): "a", (3, 5): "b", (4, 5): "c"}),
-            Expected(generic_rank=4, constant=True, method="groebner",
+            Expected(generic_rank=4, constant=True, method="macaulay",
                      nondegenerate=True)),
         CatalogEntry(
             "nullcorr6", 3, "6x6 net of constant rank 4",
             SkewPolyMatrix(6, ABC, {(0, 3): "a", (0, 4): "b", (0, 5): "c",
                                     (1, 2): "a", (1, 3): "b", (2, 3): "c"}),
-            Expected(generic_rank=4, constant=True, method="groebner",
+            Expected(generic_rank=4, constant=True, method="macaulay",
                      nondegenerate=True)),
         CatalogEntry(
             "steiner6", 3, "6x6 net of constant rank 4",
             SkewPolyMatrix(6, ABC, {(0, 3): "a", (0, 4): "b", (0, 5): "c",
                                     (1, 2): "a", (1, 3): "b", (1, 4): "c"}),
-            Expected(generic_rank=4, constant=True, method="groebner",
+            Expected(generic_rank=4, constant=True, method="macaulay",
                      nondegenerate=True)),
         CatalogEntry(
             "mixed7", 3, "7x7 net of constant rank 4",
             SkewPolyMatrix(7, ABC, {(0, 4): "a", (0, 5): "b", (0, 6): "c",
                                     (1, 2): "a", (1, 3): "b", (2, 3): "c"}),
-            Expected(generic_rank=4, constant=True, method="groebner")),
+            Expected(generic_rank=4, constant=True, method="macaulay")),
         CatalogEntry(
             "double_t8", 3, "8x8 net of constant rank 4",
             SkewPolyMatrix(8, ABC, {(0, 5): "a", (0, 6): "b", (0, 7): "c",
                                     (1, 2): "a", (1, 3): "b", (1, 4): "c"}),
-            Expected(generic_rank=4, constant=True, method="groebner")),
+            Expected(generic_rank=4, constant=True, method="macaulay")),
         CatalogEntry(
             "tquot7", 3, "7x7 net of constant rank 4",
             SkewPolyMatrix(7, ABC, {(0, 4): "a", (0, 5): "b", (0, 6): "c",
                                     (1, 2): "a", (1, 3): "b", (1, 4): "c"}),
-            Expected(generic_rank=4, constant=True, method="groebner")),
+            Expected(generic_rank=4, constant=True, method="macaulay")),
 
         CatalogEntry(
             "pi1", 4, "8x8 plane, kernel dual splits with a trivial summand",
@@ -223,7 +223,7 @@ def _build_entries():
                                     (1, 2): "a", (1, 3): "b", (1, 4): "c",
                                     (2, 3): "c", (5, 6): "a", (5, 7): "b",
                                     (6, 7): "c"}),
-            Expected(generic_rank=6, constant=True, method="groebner",
+            Expected(generic_rank=6, constant=True, method="macaulay",
                      nondegenerate=True, c2=2, orbit_dim=60, jumping="none")),
         CatalogEntry(
             "pi3", 4, "8x8 plane, unstable kernel dual",
@@ -231,14 +231,14 @@ def _build_entries():
                                     (1, 4): "a", (1, 5): "b",
                                     (2, 3): "a", (2, 4): "b", (2, 5): "c",
                                     (3, 4): "c"}),
-            Expected(generic_rank=6, constant=True, method="groebner",
+            Expected(generic_rank=6, constant=True, method="macaulay",
                      nondegenerate=True, c2=3, orbit_dim=58)),
         CatalogEntry(
             "pi4", 4, "8x8 plane, stable kernel dual with c2 = 5",
             SkewPolyMatrix(8, ABC, {(0, 5): "a", (0, 6): "b", (0, 7): "c",
                                     (1, 4): "a", (1, 5): "b", (1, 6): "c",
                                     (2, 3): "a", (2, 4): "b", (3, 4): "c"}),
-            Expected(generic_rank=6, constant=True, method="groebner",
+            Expected(generic_rank=6, constant=True, method="macaulay",
                      nondegenerate=True, c2=5, orbit_dim=58)),
         CatalogEntry(
             "pi5", 4, "8x8 plane, stable kernel dual with c2 = 4",
@@ -246,7 +246,7 @@ def _build_entries():
                                     (1, 2): "b", (1, 7): "b", (2, 3): "c-b",
                                     (2, 6): "a", (3, 6): "b", (4, 5): "a",
                                     (4, 6): "b", (4, 7): "c"}),
-            Expected(generic_rank=6, constant=True, method="groebner",
+            Expected(generic_rank=6, constant=True, method="macaulay",
                      nondegenerate=True, c2=4, orbit_dim=59)),
         CatalogEntry(
             "pi6", 4, "8x8 plane, kernel dual is the plane tangent bundle",
@@ -254,7 +254,7 @@ def _build_entries():
                                     (1, 3): "b", (1, 7): "b", (2, 3): "a",
                                     (2, 4): "b", (3, 4): "c", (5, 6): "a",
                                     (5, 7): "b", (6, 7): "c"}),
-            Expected(generic_rank=6, constant=True, method="groebner",
+            Expected(generic_rank=6, constant=True, method="macaulay",
                      nondegenerate=True, c2=3, orbit_dim=60,
                      gauss_span_dim=10, jumping="none")),
         CatalogEntry(
@@ -262,12 +262,12 @@ def _build_entries():
             SkewPolyMatrix(8, ABC, {(0, 3): "a", (0, 4): "b", (0, 5): "c",
                                     (1, 4): "a", (1, 5): "b", (1, 6): "c",
                                     (2, 5): "a", (2, 6): "b", (2, 7): "c"}),
-            Expected(generic_rank=6, constant=True, method="groebner",
+            Expected(generic_rank=6, constant=True, method="macaulay",
                      nondegenerate=True, c2=6, orbit_dim=52, jumping="conic")),
         CatalogEntry(
             "dk_steiner", 4, "8x8 plane from six chosen jumping lines",
             dk_steiner(*DK_DEFAULT_PARAMS),
-            Expected(generic_rank=6, constant=True, method="groebner",
+            Expected(generic_rank=6, constant=True, method="macaulay",
                      nondegenerate=True, c2=6, orbit_dim=56,
                      jumping="dk-lines")),
 
@@ -281,7 +281,7 @@ def _build_entries():
                                       (3, 8): "d",
                                       (4, 6): "c", (4, 7): "-d",
                                       (5, 6): "d"}),
-            Expected(generic_rank=8, constant=True, method="groebner",
+            Expected(generic_rank=8, constant=True, method="macaulay",
                      nondegenerate=True, curve_degree=6)),
     ]
     return {e.name: e for e in entries}

@@ -1,17 +1,28 @@
 """Constant-rank certification over the whole parameter space.
 
 A pencil (two variables) is decided by its Kronecker rank sequence
-(`pencil.pencil_invariants`): integer block-Toeplitz ranks give the
-normal rank and prove it constant exactly when there is no regular part.
-Only a refutation expands the sub-Pfaffians of that size, whose binary
-GCD locates a rational witness where the rank drops.  Any other number
-of variables takes the symbolic generic rank (largest size with a
-principal sub-Pfaffian that is not the zero polynomial) and certifies
-constancy by projective emptiness of the sub-Pfaffian ideal, built
-from the packed integer Pfaffians in subset order; on failure a
-deterministic search over probe points and lines tries to exhibit a
-rational witness.  The verdict never depends on finding one: it is
-computed once per matrix content, and only that search once per seed.
+(`pencil.pencil_invariants`), method ``kronecker``: integer
+block-Toeplitz ranks give the normal rank and prove it constant exactly
+when there is no regular part.  Only a refutation expands the
+sub-Pfaffians of that size, whose binary GCD locates a rational witness
+where the rank drops.  Any other number of variables d takes the
+symbolic generic rank 2r (largest size with a principal sub-Pfaffian
+that is not the zero polynomial); the rank is constant exactly when the
+ideal of the size-2r sub-Pfaffians, forms of degree r, has no
+projective zero.  Two proofs decide that, both on the packed integer
+Pfaffians in subset order:
+
+- method ``macaulay``: their integer coefficient rows have rank
+  C(r + d - 1, d - 1), so they span every form of degree r; the ideal
+  then holds each x_i^r and its zero set is empty.  This only ever
+  proves constancy;
+- method ``groebner``: otherwise, projective emptiness of a Buchberger
+  basis decides either way.  Every refutation takes this branch.
+
+On a refutation a deterministic search over probe points and lines
+tries to exhibit a rational witness.  The verdict never depends on
+finding one: it is computed once per matrix content, and only that
+search once per seed.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 from . import linalg
 from .forms import binary_gcd
@@ -33,6 +44,7 @@ Q = Fraction
 
 METHOD_GROEBNER = "groebner"
 METHOD_KRONECKER = "kronecker"
+METHOD_MACAULAY = "macaulay"
 METHOD_SAMPLED = "sampled"
 
 ROOT_SEARCH_BOUND = 10 ** 6   # largest end coefficient trial-divided for roots
@@ -131,10 +143,10 @@ def witness_candidates(d, seed=0, n_points=25, n_lines=25):
             points.append(p)
     lines = []
     while len(lines) < n_lines:
-        p = tuple(Q(rng.randint(-3, 3)) for _ in range(d))
-        q = tuple(Q(rng.randint(-3, 3)) for _ in range(d))
-        if any(p) and any(q) and linalg.rank([list(p), list(q)]) == 2:
-            lines.append((p, q))
+        p = [rng.randint(-3, 3) for _ in range(d)]
+        q = [rng.randint(-3, 3) for _ in range(d)]
+        if any(p[i] * q[j] != p[j] * q[i] for i, j in combinations(range(d), 2)):
+            lines.append((tuple(map(Q, p)), tuple(map(Q, q))))
     return points, lines
 
 
@@ -174,9 +186,18 @@ def _certify_cached(A):
         return RankCertificate(inv.rank, False, METHOD_KRONECKER,
                                witness=_first_drop(A, inv.rank))
     rank = generic_rank(A)
+    return RankCertificate(rank, *_pfaffian_ideal_empty(A, rank))
+
+
+def _pfaffian_ideal_empty(A, rank):
+    """(verdict, method): whether the nonzero rank-size sub-Pfaffians of A
+    have no common projective zero, by their span of the forms of degree
+    rank/2 when that is all of them, else by a Groebner basis."""
     pfs = [p for p in map(A._pf, combinations(range(A.order), rank)) if p]
-    return RankCertificate(rank, is_projectively_empty(
-        Ideal._from_packed(A.vars, pfs)), METHOD_GROEBNER)
+    forms = comb(rank // 2 + A.nvars - 1, A.nvars - 1)
+    if len(pfs) >= forms and linalg.coefficient_rank(pfs) == forms:
+        return True, METHOD_MACAULAY
+    return is_projectively_empty(Ideal._from_packed(A.vars, pfs)), METHOD_GROEBNER
 
 
 @lru_cache(maxsize=512)
@@ -193,7 +214,7 @@ def certify_constant_rank(A, seed=0):
     one was found).  Only the witness search of a refuted space with more
     than two parameters depends on the seed."""
     cert = _certify_cached(A)
-    if cert.constant is False and cert.method == METHOD_GROEBNER:
+    if cert.constant is False and A.nvars != 2:
         return _witnessed(A, seed)
     return cert
 

@@ -204,9 +204,8 @@ def gauss_span_dim(A, cert=None):
     rank of the integer coefficient rows of the complementary Pfaffians,
     of which the coordinates are nonzero constant multiples."""
     _check_corank2(A, cert)
-    pfs = [A._pf(idx) for idx in combinations(range(A.order), A.order - 2)]
-    monos = sorted({m for p in pfs for m in p})
-    return linalg.rank([[p.get(m, 0) for m in monos] for p in pfs])
+    return linalg.coefficient_rank(
+        [A._pf(idx) for idx in combinations(range(A.order), A.order - 2)])
 
 
 # -- lines, splitting types, jumping lines -------------------------------

@@ -9,7 +9,8 @@ square Bareiss recurrence.  The one large sparse system, the orbit
 stabilizer system, is ranked by `sparse_rank` on dict rows instead: its
 rows hold at most 2n + d nonzeros out of n^2 + d^2 columns, and column
 order would fill them in.  The small Toeplitz and Pfaffian-coefficient
-systems stay on `echelon_int`, which is cheaper there.
+systems stay on `echelon_int`, which is cheaper there; `coefficient_rank`
+ranks the coefficient rows of packed polynomials with it.
 """
 
 from __future__ import annotations
@@ -145,6 +146,14 @@ def sparse_rank(rows):
                     row[c] //= g
             heappush(queue, (len(row), k))
     return rank
+
+
+def coefficient_rank(polys):
+    """Rank of the integer coefficient rows of polynomials given as dicts
+    {monomial: integer}, against the monomials that occur."""
+    monos = sorted({m for p in polys for m in p})
+    return len(echelon_int([[p.get(m, 0) for m in monos] for p in polys],
+                           len(monos))[1])
 
 
 def bareiss_rank(rows):

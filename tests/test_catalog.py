@@ -82,7 +82,7 @@ def test_report_formatting():
 # sha256 of `reproduce --table` at seed 0; a change to what the catalog
 # checks, such as a new invariant, changes it on purpose
 REPRODUCE_TABLE_SHA256 = \
-    "0e75ed859ea54ceb352e7aca6e6387a9f423b197dfaffd60865c009983e0336b"
+    "fb582fd451cdae3b2ef4091117d08ade381e1a80a001adf4cbec0e6f221f6801"
 
 
 def test_reproduce_full_run_has_no_failures():

@@ -1,20 +1,24 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from tests.conftest import partitions, random_invertible
+from tests.conftest import partitions, random_invertible, random_skew
 
-from skewrank import catalog
+from skewrank import catalog, linalg
 from skewrank.certify import (_binary_rational_roots, certify_constant_rank,
                               check_bound,
                               cross_validate, generic_rank, restrict_line,
-                              sampled_probe)
+                              sampled_probe, witness_candidates)
 from skewrank.forms import binary_gcd
 from skewrank.geometry import section_zero_scheme_degree
 from skewrank.skew import SkewPolyMatrix
 
 Q = Fraction
 AB = ("a", "b")
+ABCD = ("a", "b", "c", "d")
 
 
 def test_generic_rank_examples():
@@ -46,9 +50,9 @@ def test_certify_and_zero_scheme_build_no_pfaffian_form(monkeypatch):
 def test_one_verdict_per_matrix_across_seeds(monkeypatch):
     from skewrank import certify
     checks = []
-    real = certify.is_projectively_empty
-    monkeypatch.setattr(certify, "is_projectively_empty",
-                        lambda ideal: checks.append(1) or real(ideal))
+    real = certify._pfaffian_ideal_empty
+    monkeypatch.setattr(certify, "_pfaffian_ideal_empty",
+                        lambda A, rank: checks.append(1) or real(A, rank))
     P = random_invertible(random.Random("seed-free"), 8)
     A = catalog.get("pi2").matrix.congruence_transform(P)
     certs = {certify_constant_rank(A, seed=seed) for seed in (0, 1, 3)}
@@ -66,6 +70,105 @@ def test_one_verdict_per_matrix_across_seeds(monkeypatch):
     assert len(witnesses) == 2 and len(checks) == 2
 
 
+def _extend(A, B, var="d"):
+    """A with one more variable, whose coefficient matrix is B."""
+    return SkewPolyMatrix.from_coefficient_basis(
+        A.vars + (var,), A.coefficient_basis() + [B])
+
+
+def test_span_proof_agrees_with_groebner(monkeypatch):
+    # the span proof answers only where the packed sub-Pfaffian ideal is
+    # empty, and every other input reaches the Groebner basis
+    from skewrank import certify
+    from skewrank.groebner import Ideal, is_projectively_empty
+
+    rng = random.Random(23)
+    span = []                        # d >= 3 inputs whose span is all of S_r
+    other = []                       # inputs whose span is not
+    for name in catalog.names():
+        entry = catalog.get(name)
+        A = entry.matrix
+        if A.nvars == 2:
+            continue
+        cases = span if entry.expected.method == "macaulay" else other
+        cases.append(A)
+        for k in range(2):
+            B = A.congruence_transform(random_invertible(rng, A.order))
+            cases.append(B.parameter_change(random_invertible(rng, A.nvars))
+                         if k else B)
+    for name in ("pi1", "pi2", "pi3", "pi4", "pi5", "pi6",
+                 "schwarzenberger", "dk_steiner"):
+        A = catalog.get(name).matrix
+        # generic rank 8: one quartic Pfaffian, a surface in P^3
+        other.append(_extend(A, random_skew(rng, 8)))
+        # generic rank 6: A read through a map of rank 3 from Q^4, which
+        # vanishes at the point of its kernel
+        images = random_invertible(rng, 3) + [[Q(rng.randint(-3, 3))
+                                               for _ in range(3)]]
+        other.append(A._substitute(ABCD, images))
+    # generic rank 6: pi1's common kernel vector e_7 kept by the new matrix
+    B = [row[:7] + [Q(0)] for row in random_skew(rng, 7)] + [[Q(0)] * 8]
+    other.append(_extend(catalog.get("pi1").matrix, B))
+    # as many entries as linear forms, spanning one form fewer: they
+    # vanish at (0, 0, 1) and at (0, 0, 1, -1)
+    other.append(SkewPolyMatrix(3, ("a", "b", "c"), {(0, 1): "a", (0, 2): "b",
+                                                     (1, 2): "a + b"}))
+    other.append(SkewPolyMatrix(5, ABCD, {(0, 1): "a", (0, 2): "b",
+                                          (0, 3): "c + d",
+                                          (0, 4): "a + b + c + d"}))
+    assert (len(span), len(other)) == (48, 25)
+
+    groebner_calls = []
+    monkeypatch.setattr(certify, "is_projectively_empty",
+                        lambda ideal: groebner_calls.append(1)
+                        or is_projectively_empty(ideal))
+    refuted = 0
+    for cases, method in ((span, "macaulay"), (other, "groebner")):
+        for A in cases:
+            rank = generic_rank(A)
+            pfs = [p for p in map(A._pf, combinations(range(A.order), rank)) if p]
+            want = is_projectively_empty(Ideal._from_packed(A.vars, pfs))
+            del groebner_calls[:]
+            assert certify._pfaffian_ideal_empty(A, rank) == (want, method)
+            assert len(groebner_calls) == (method == "groebner")
+            refuted += not want
+    assert refuted == 19
+    assert sum(generic_rank(A) == 6 and A.nvars == 4 for A in other) == 9
+
+
+def _rank_rule_lines(d, seed):
+    """witness_candidates' 25 lines as the rank of the pair picks them,
+    after the same draws for its 25 points."""
+    rng = random.Random(seed)
+    points = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    points.append((1,) * d)
+    while len(points) < 25:
+        p = tuple(rng.randint(-3, 3) for _ in range(d))
+        if any(p) and p not in points:
+            points.append(p)
+    lines = []
+    while len(lines) < 25:
+        p = [Q(rng.randint(-3, 3)) for _ in range(d)]
+        q = [Q(rng.randint(-3, 3)) for _ in range(d)]
+        if any(p) and any(q) and linalg.rank([p, q]) == 2:
+            lines.append((tuple(p), tuple(q)))
+    return lines
+
+
+def test_witness_lines_by_integer_minors():
+    for d in (3, 4, 5):
+        for seed in range(6):
+            assert witness_candidates(d, seed)[1] == _rank_rule_lines(d, seed)
+    pins = {0: "709c463a35a6b5e4100bba370c472e0fb11f5097472439f9ea7dbf6c5522d6fc",
+            3: "dd934c7c670bca9bb98e5951472d1ddda703ef4603e1161bc4e875310c3ced57"}
+    for seed, want in pins.items():
+        points, lines = witness_candidates(4, seed)
+        blob = json.dumps([[list(map(str, p)) for p in points],
+                           [[list(map(str, p)), list(map(str, q))] for p, q in lines]])
+        assert hashlib.sha256(blob.encode()).hexdigest() == want
+        assert all(type(x) is Q for p, q in lines for x in p + q)
+
+
 def test_certify_examples():
     c = certify_constant_rank(catalog.get("M8").matrix)
     assert (c.generic_rank, c.constant, c.method) == (6, True, "kronecker")
@@ -74,7 +177,7 @@ def test_certify_examples():
     assert (c.generic_rank, c.constant) == (4, False)
     assert c.witness == (Q(0), Q(1))
     c = certify_constant_rank(catalog.get("westwick").matrix)
-    assert (c.generic_rank, c.constant, c.method) == (8, True, "groebner")
+    assert (c.generic_rank, c.constant, c.method) == (8, True, "macaulay")
 
 
 def test_witness_drops_rank():
@@ -229,7 +332,7 @@ def test_pencil_and_one_variable_edge_cases():
         certify_constant_rank(SkewPolyMatrix.zero(4, AB))
     line = SkewPolyMatrix(4, ("x",), {(0, 1): "x", (2, 3): "3*x"})
     c = certify_constant_rank(line)
-    assert (c.generic_rank, c.constant, c.method) == (4, True, "groebner")
+    assert (c.generic_rank, c.constant, c.method) == (4, True, "macaulay")
 
 
 def test_witness_roots_are_bounded():

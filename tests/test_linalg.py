@@ -133,3 +133,16 @@ def test_sparse_rank_matches_echelon_int():
         assert linalg.sparse_rank(sparse) == \
             len(linalg.echelon_int(rows, n)[1]), case
         assert sparse == frozen
+
+
+def test_coefficient_rank_of_dict_polynomials(rng):
+    # columns are the keys that occur, in any order of the dicts
+    assert linalg.coefficient_rank([]) == 0
+    assert linalg.coefficient_rank([{5: 1, 9: 2}, {9: 4, 5: 2}, {7: -3}]) == 2
+    for _ in range(50):
+        keys = rng.sample(range(100), 6)
+        polys = [{k: rng.randint(-2, 2) for k in rng.sample(keys, 3)}
+                 for _ in range(rng.randint(1, 8))]
+        polys = [{k: c for k, c in p.items() if c} for p in polys]
+        dense = [[p.get(k, 0) for k in keys] for p in polys]
+        assert linalg.coefficient_rank(polys) == linalg.rank(dense)
