@@ -407,8 +407,7 @@ def _observed_jumping(A, kind, seed, budget):
         return "none" if not scan.jumping_lines else \
             "jumps:%d" % len(scan.jumping_lines)
     if kind == "dk-lines":
-        ok = geometry.verify_jumping_set(
-            A, DK_JUMPING_LINES, negatives=50, seed=seed)
+        ok = geometry.verify_jumping_set(A, DK_JUMPING_LINES, seed=seed)
         return "dk-lines" if ok else "mismatch"
     if kind == "conic":
         scan = geometry.jumping_scan(A, budget=max(budget, 300), seed=seed)
@@ -458,7 +457,7 @@ EIGHT_BY_EIGHT_PLANES = ("pi1", "pi2", "pi3", "pi4", "pi5", "pi6",
                          "schwarzenberger", "dk_steiner")
 
 
-def random_extension_attempts(attempts=20, seed=0, base_names=EIGHT_BY_EIGHT_PLANES):
+def random_extension_attempts(attempts=20, seed=0):
     """Try to extend 8x8 rank-6 planes by a fourth random generator.
 
     Each attempt lifts one catalog plane to four variables and adds a
@@ -473,7 +472,8 @@ def random_extension_attempts(attempts=20, seed=0, base_names=EIGHT_BY_EIGHT_PLA
     rng = _random.Random("extension:%d" % seed)
     out = []
     for t in range(attempts):
-        base = get(base_names[t % len(base_names)]).matrix
+        name = EIGHT_BY_EIGHT_PLANES[t % len(EIGHT_BY_EIGHT_PLANES)]
+        base = get(name).matrix
         D = [[0] * base.order for _ in range(base.order)]
         placed = 0
         while placed < 6:
@@ -493,8 +493,7 @@ def random_extension_attempts(attempts=20, seed=0, base_names=EIGHT_BY_EIGHT_PLA
         if linalg.rank([[x for row in B for x in row]
                         for B in ext.integer_basis()]) != 4:
             continue                      # not a 4-dimensional space; retry slot
-        out.append((base_names[t % len(base_names)],
-                    certify_constant_rank(ext, seed=seed)))
+        out.append((name, certify_constant_rank(ext, seed=seed)))
     return out
 
 

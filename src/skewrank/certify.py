@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 
 from . import linalg
 from .forms import binary_gcd
@@ -48,6 +48,8 @@ METHOD_MACAULAY = "macaulay"
 METHOD_SAMPLED = "sampled"
 
 ROOT_SEARCH_BOUND = 10 ** 6   # largest end coefficient trial-divided for roots
+WITNESS_PROBES = 25           # points, and lines, tried by the witness search
+SAMPLED_POINTS = 200          # points of a sampling probe or cross-check
 
 
 @dataclass(frozen=True)
@@ -110,11 +112,10 @@ def _binary_rational_roots(g):
     if max_a < d:                      # second variable divides
         roots.append((Q(1), Q(0)))
     # dehomogenise: F(t) = sum coeff[ea] * t^(ea - min_a)
-    den = lcm(*(c.denominator for c in coeff.values()))
-    ints = {ea - min_a: int(c * den) for ea, c in coeff.items()}
+    (cs,), _ = linalg.integer_rows([coeff.values()])
+    ints = {ea - min_a: c for ea, c in zip(coeff, cs)}
     deg = max(ints)
-    lead = ints[deg]
-    const = ints[0]
+    lead, const = ints[deg], ints[0]
     if deg == 1:
         roots.append((Q(-const, lead), Q(1)))
     elif deg > 1 and max(abs(const), abs(lead)) <= ROOT_SEARCH_BOUND:
@@ -130,19 +131,21 @@ def _divisors(n):
     return sorted(set(small + [n // i for i in small]))
 
 
-def witness_candidates(d, seed=0, n_points=25, n_lines=25):
-    """Deterministic probe points and lines in the parameter space."""
+def witness_candidates(d, seed=0):
+    """Deterministic probe points and lines; one parameter spans no line."""
+    if d == 1:
+        return [(Q(1),)], []
     rng = random.Random(seed)
     points = []
     for i in range(d):
         points.append(tuple(Q(1) if j == i else Q(0) for j in range(d)))
     points.append(tuple(Q(1) for _ in range(d)))
-    while len(points) < n_points:
+    while len(points) < WITNESS_PROBES:
         p = tuple(Q(rng.randint(-3, 3)) for _ in range(d))
         if any(p) and p not in points:
             points.append(p)
     lines = []
-    while len(lines) < n_lines:
+    while len(lines) < WITNESS_PROBES:
         p = [rng.randint(-3, 3) for _ in range(d)]
         q = [rng.randint(-3, 3) for _ in range(d)]
         if any(p[i] * q[j] != p[j] * q[i] for i, j in combinations(range(d), 2)):
@@ -230,7 +233,7 @@ def _sample_points(d, n_points, seed):
             yield p
 
 
-def sampled_probe(A, n_points=200, seed=0):
+def sampled_probe(A, n_points=SAMPLED_POINTS, seed=0):
     """Sampling probe for beyond-desk-scale inputs; never certifies.
 
     Returns constant=False with a witness when a drop is found, otherwise
@@ -246,10 +249,10 @@ def sampled_probe(A, n_points=200, seed=0):
     return RankCertificate(rank, None, METHOD_SAMPLED, sampled_points=n_points)
 
 
-def cross_validate(A, cert, n_points=200, seed=0):
+def cross_validate(A, cert, seed=0):
     """Check rank_at == generic_rank at seeded pseudo-random points."""
     return all(A.rank_at(p) == cert.generic_rank
-               for p in _sample_points(A.nvars, n_points, seed))
+               for p in _sample_points(A.nvars, SAMPLED_POINTS, seed))
 
 
 def check_bound(A, nondegenerate, cert=None):

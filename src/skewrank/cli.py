@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -42,7 +43,16 @@ def _load_ideal(path):
 
 
 def _emit(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    _print(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def _print(text):
+    """Print; a reader that stops early is not an error.  The exit code
+    stands, and stdout moves to the null device so the flush at exit passes."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _parse_csv_rationals(text):
@@ -152,7 +162,7 @@ def cmd_reproduce(args):
         seed=args.seed, budget=args.budget)
     if not rows:
         raise ValueError("no catalog entry matches the selection")
-    print(catalog.format_report(rows, as_table=args.table, seed=args.seed))
+    _print(catalog.format_report(rows, as_table=args.table, seed=args.seed))
     return EXIT_OK if all(r.ok for r in rows) else EXIT_REFUTED
 
 

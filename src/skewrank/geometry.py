@@ -24,13 +24,16 @@ from . import linalg
 from .certify import certify_constant_rank
 from .groebner import Ideal, WrongDimension, hilbert_profile
 from .pencil import KroneckerInvariants, pencil_invariants
-from .skew import SkewPolyMatrix, _integer_rows
+from .skew import SkewPolyMatrix
 
 Q = Fraction
 
 GRID_BOUND = 4                  # grid points for jumping-line candidates
 GENERIC_SAMPLES = 20            # random lines drawn for the generic splitting
 GENERIC_QUORUM = 15             # how many of them must agree
+CENTER_BUDGET = 200             # projection centers drawn per chain
+NEGATIVE_LINES = 50             # random lines that must not jump
+COVECTOR_RETRIES = 10           # covectors redrawn for a zero scheme
 
 
 class BudgetExhausted(RuntimeError):
@@ -104,7 +107,7 @@ def project(A, center, seed=0):
     return ProjectionStep(center, P, result, valid, cert_out)
 
 
-def find_valid_center(A, target_order, seed=0, budget=200):
+def find_valid_center(A, target_order, seed=0):
     """Chain of valid projection steps down to the target order.
 
     Sampling is deterministic under the seed; running out of candidates
@@ -131,7 +134,7 @@ def find_valid_center(A, target_order, seed=0, budget=200):
     attempts = 0
     while current.order > target_order:
         found = None
-        while attempts < budget:
+        while attempts < CENTER_BUDGET:
             attempts += 1
             cand = tuple(Q(rng.randint(-3, 3)) for _ in range(current.order))
             if not any(cand):
@@ -363,7 +366,7 @@ def jumping_scan(A, budget=200, seed=0):
     return ScanResult(generic, tuple(jumps), len(candidates), seed)
 
 
-def verify_jumping_set(A, lines, negatives=50, seed=0):
+def verify_jumping_set(A, lines, seed=0):
     """All given lines jump; seeded random other lines do not."""
     generic = generic_splitting(A, seed=seed)
     positives = {tuple(linalg.primitive_vector(l)) for l in lines}
@@ -372,7 +375,7 @@ def verify_jumping_set(A, lines, negatives=50, seed=0):
             return False
     rng = random.Random("negative-lines:%d" % seed)
     done = 0
-    while done < negatives:
+    while done < NEGATIVE_LINES:
         l = tuple(rng.randint(-9, 9) for _ in range(3))
         if not any(l) or linalg.primitive_int(l) in positives:
             continue
@@ -415,7 +418,7 @@ def _bordered_pfaffians(A, xi):
     runs on the integer Pfaffians of A_int with xi cleared of
     denominators.
     """
-    (xi,), den = _integer_rows([xi])
+    (xi,), _ = linalg.integer_rows([xi])
     gens = []
     for sub in combinations(range(A.order), certify_constant_rank(A).generic_rank + 1):
         acc = {}
@@ -442,7 +445,7 @@ def _draw_covector(rng, order):
             return xi
 
 
-def section_zero_scheme_degree(A, xi=None, seed=0, retries=10):
+def section_zero_scheme_degree(A, xi=None, seed=0):
     """Degree of the locus where the kernel plane sits inside ker(xi).
 
     On a plane of parameters (d = 3) the locus is finite and the degree is
@@ -460,7 +463,7 @@ def section_zero_scheme_degree(A, xi=None, seed=0, retries=10):
         raise ValueError("zero covector")
     tried = 0
     last_error = None
-    while tried <= retries:
+    while tried <= COVECTOR_RETRIES:
         tried += 1
         gens = _bordered_pfaffians(A, current)
         if gens:

@@ -27,9 +27,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .forms import Form, parse_form
+from .linalg import integer_rows
 
 Q = Fraction
 
@@ -101,12 +102,12 @@ def _pack_form(f, lay):
     """(p, den): the packed polynomial p == den * f with integer
     coefficients, den the lcm of the coefficient denominators."""
     B, degshift = lay[1], lay[2]
-    den = lcm(*(c.denominator for c in f._terms.values()))
+    (coeffs,), den = integer_rows([f._terms.values()])
     p = {}
-    for e, c in f._terms.items():
+    for e, c in zip(f._terms, coeffs):
         if sum(e) >> (B - 1):          # a field keeps its top bit as guard
             raise ValueError("degree %d out of packing range" % sum(e))
-        p[sum(x << (i * B) for i, x in enumerate(e)) | sum(e) << degshift] = int(c * den)
+        p[sum(x << (i * B) for i, x in enumerate(e)) | sum(e) << degshift] = c
     return _from_dict(p, lay), den
 
 

@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals and the integers.
 
-Small helper routines shared across the package.  Ranks, the integer
-reduced echelon form, kernels and canonical span bases of dense matrices
-(lists of lists) come from one routine, fraction-free (Bareiss) forward
-elimination of integer rows in column order (`echelon_int`); rational
-input is first scaled row by row to integers.  Determinants use the
-square Bareiss recurrence.  The one large sparse system, the orbit
+Small helper routines shared across the package.  `integer_rows` is the
+one place denominators are cleared: rows times the lcm m of all their
+denominators, and rows of ints as they are (m = 1, no Fraction built).
+One common positive scale changes no rank, kernel or row space, and a
+determinant only by m^n.  Ranks, the integer reduced echelon form,
+kernels and canonical span bases of dense matrices (lists of lists) come
+from one routine, fraction-free (Bareiss) forward elimination of integer
+rows in column order (`echelon_int`).  Determinants use the square
+Bareiss recurrence.  The one large sparse system, the orbit
 stabilizer system, is ranked by `sparse_rank` on dict rows instead: its
 rows hold at most 2n + d nonzeros out of n^2 + d^2 columns, and column
 order would fill them in.  The small Toeplitz and Pfaffian-coefficient
@@ -22,17 +25,15 @@ from math import gcd, lcm
 Q = Fraction
 
 
-def _to_int_rows(rows):
-    """Integer rows: a row of ints as it is, any other row scaled by the
-    lcm of its denominators.  Callers copy before they write."""
-    out = []
-    for row in rows:
-        if not all(type(x) is int for x in row):
-            row = [Q(x) for x in row]
-            m = lcm(*(x.denominator for x in row))
-            row = [x.numerator * (m // x.denominator) for x in row]
-        out.append(row)
-    return out
+def integer_rows(rows):
+    """(int_rows, m): the rows times m, the least positive integer that
+    makes every entry integral.  Rows of ints come back as they are with
+    m = 1, building no Fraction; callers copy before they write."""
+    if all(type(x) is int for row in rows for x in row):
+        return rows, 1
+    rows = [[x if isinstance(x, (int, Q)) else Q(x) for x in row] for row in rows]
+    m = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (m // x.denominator) for x in row] for row in rows], m
 
 
 def primitive_int(v):
@@ -158,11 +159,8 @@ def coefficient_rank(polys):
 
 def bareiss_rank(rows):
     """Rank of a matrix with integer or rational entries."""
-    m = _to_int_rows(rows)
-    if not m or not m[0]:
-        return 0
-    _, pivots = echelon_int(m, len(m[0]))
-    return len(pivots)
+    m = integer_rows(rows)[0]
+    return len(echelon_int(m, len(m[0]))[1]) if m and m[0] else 0
 
 
 def bareiss_det(rows):
@@ -195,11 +193,8 @@ def bareiss_det(rows):
 
 def det(rows):
     """Determinant over Q."""
-    rows = [[Q(x) for x in row] for row in rows]
-    scale = 1
-    for row in rows:
-        scale *= lcm(*(x.denominator for x in row))
-    return Q(bareiss_det(_to_int_rows(rows)), scale)
+    rows, m = integer_rows(rows)
+    return Q(bareiss_det(rows), m ** len(rows))
 
 
 def reduced_echelon_int(rows, ncols):
@@ -234,7 +229,7 @@ def nullspace(rows, ncols=None):
         if not rows:
             raise ValueError("cannot infer width of an empty matrix")
         ncols = len(rows[0])
-    red, pivots = reduced_echelon_int(_to_int_rows(rows), ncols)
+    red, pivots = reduced_echelon_int(integer_rows(rows)[0], ncols)
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -254,7 +249,7 @@ def nullspace(rows, ncols=None):
 
 def primitive_vector(v):
     """Scale a rational vector to integers with gcd 1, first nonzero > 0."""
-    return list(primitive_int(_to_int_rows([v])[0]))
+    return list(primitive_int(integer_rows([v])[0][0]))
 
 
 def rank(rows):
@@ -277,7 +272,5 @@ def transpose(a):
 def span_rref(vectors):
     """Canonical basis of the span of the given vectors: the rows of the
     integer reduced echelon form, each primitive with a positive pivot."""
-    rows = _to_int_rows(vectors)
-    if not rows:
-        return ()
-    return tuple(reduced_echelon_int(rows, len(rows[0]))[0])
+    rows = integer_rows(vectors)[0]
+    return tuple(reduced_echelon_int(rows, len(rows[0]))[0]) if rows else ()

@@ -3,17 +3,18 @@
 A matrix is stored once, as A = lam * sum(x_k * B_k): integer skew
 matrices B_k with coprime entries (`integer_basis`), one rational
 lam > 0 (1 for the zero space) and the index of nonzero upper positions
-that evaluation and Pfaffians read.  The public constructor scales the
-entry Forms' coefficients to integers; congruence, parameter change,
-line restriction, direct sum and padding compute integer combinations
-of the B_k; all of them store through one `_seed`.  Equality and
-hashing compare (order, vars, lam, basis).  The Pfaffians of
-sum(x_k * B_k) are expanded on integers into a memo keyed by principal
-index subsets, as dicts from `skewrank.groebner`'s packed monomial keys
-to integers that Groebner bases take as they are.  Forms are built only
-at the edges: an entry for text or JSON as lam times its integer one,
-and a Pfaffian of size 2k as lam^k times its integer one.  Values are
-immutable.
+that evaluation and Pfaffians read.  Every rational input (the entry
+Forms' coefficients, coefficient matrices, points, transforms) is
+cleared of denominators by `linalg.integer_rows`, which takes integer
+input as it is; congruence, parameter change, line restriction, direct
+sum and padding compute integer combinations of the B_k; all of them
+store through one `_seed`.  Equality and hashing compare (order, vars,
+lam, basis).  The Pfaffians of sum(x_k * B_k) are expanded on integers
+into a memo keyed by principal index subsets, as dicts from
+`skewrank.groebner`'s packed monomial keys to integers that Groebner
+bases take as they are.  Forms are built only at the edges: an entry
+for text or JSON as lam times its integer one, and a Pfaffian of size
+2k as lam^k times its integer one.  Values are immutable.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import linalg
 from .forms import Form, parse_form
@@ -53,10 +54,9 @@ class SkewPolyMatrix:
             if not f.is_homogeneous(1):
                 raise ValueError("entry (%d, %d) is not linear: %s" % (i, j, f))
             forms[(i, j)] = f
-        m = lcm(*(c.denominator for f in forms.values() for c in f._terms.values()))
-        self._seed(order, vars, {ij: sorted((e.index(1), c.numerator * (m // c.denominator))
-                                            for e, c in f._terms.items())
-                                 for ij, f in forms.items()}, Q(1, m))
+        ints, m = linalg.integer_rows([f._terms.values() for f in forms.values()])
+        self._seed(order, vars, {ij: sorted(zip((e.index(1) for e in f._terms), row))
+                                 for (ij, f), row in zip(forms.items(), ints)}, Q(1, m))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPolyMatrix is immutable")
@@ -77,19 +77,17 @@ class SkewPolyMatrix:
         if not matrices:
             raise ValueError("need at least one coefficient matrix")
         order = len(matrices[0])
-        for k, B in enumerate(matrices):
-            if len(B) != order or any(len(r) != order for r in B):
-                raise ValueError("coefficient matrices must share one order")
+        if any(len(B) != order or any(len(r) != order for r in B) for B in matrices):
+            raise ValueError("coefficient matrices must share one order")
+        ints, m = linalg.integer_rows([row for B in matrices for row in B])
+        mats = [ints[k:k + order] for k in range(0, len(ints), order)]
+        for k, B in enumerate(mats):
             for i in range(order):
                 if B[i][i]:
                     raise ValueError("nonzero diagonal in coefficient matrix")
-                for j in range(i + 1, order):
-                    if Q(B[i][j]) != -Q(B[j][i]):
-                        raise ValueError("coefficient matrix %d is not skew" % k)
-        ints, m = _integer_rows([row for B in matrices for row in B])
-        return cls._from_integer(tuple(str(v) for v in vars),
-                                 [ints[k:k + order] for k in range(0, len(ints), order)],
-                                 Q(1, m))
+                if any(B[i][j] != -B[j][i] for j in range(i + 1, order)):
+                    raise ValueError("coefficient matrix %d is not skew" % k)
+        return cls._from_integer(tuple(str(v) for v in vars), mats, Q(1, m))
 
     @classmethod
     def _from_integer(cls, vars, mats, scale):
@@ -168,7 +166,7 @@ class SkewPolyMatrix:
     def _substitute(self, vars, images):
         """Replace var_k by sum(images[l][k] * vars[l]): the space read on
         the span of the rational points images[l] of the old parameters."""
-        ints, m = _integer_rows(images)
+        ints, m = linalg.integer_rows(images)
         return SkewPolyMatrix._from_integer(
             vars, [self._combine(c) for c in ints], self._lam / m)
 
@@ -188,12 +186,11 @@ class SkewPolyMatrix:
 
     def _at(self, point):
         """(M, s) with A(point) = s * M for an integer matrix M."""
-        point = [Q(x) for x in point]
-        if len(point) != self.nvars:
+        (c,), m = linalg.integer_rows([point])
+        if len(c) != self.nvars:
             raise ValueError("point length does not match variable count")
-        if not any(point):
+        if not any(c):
             raise ValueError("zero parameter point")
-        (c,), m = _integer_rows([point])
         return self._combine(c), self._lam / m
 
     def evaluate_at(self, point):
@@ -214,7 +211,7 @@ class SkewPolyMatrix:
         n = self.order
         if len(P) != n or any(len(r) != n for r in P):
             raise ValueError("transform must be square of order %d" % n)
-        P, m = _integer_rows(P)
+        P, m = linalg.integer_rows(P)
         if linalg.bareiss_rank(P) < n:
             raise ValueError("singular congruence matrix")
         Pt = linalg.transpose(P)
@@ -236,10 +233,9 @@ class SkewPolyMatrix:
             raise ValueError("direct_sum needs a SkewPolyMatrix")
         if self.vars != other.vars:
             raise ValueError("variable mismatch: %r vs %r" % (self.vars, other.vars))
-        m = lcm(self._lam.denominator, other._lam.denominator)
+        (scales,), m = linalg.integer_rows([(self._lam, other._lam)])
         upper = {}
-        for A, s in ((self, 0), (other, self.order)):
-            c = int(A._lam * m)
+        for A, s, c in zip((self, other), (0, self.order), scales):
             upper.update({(i + s, j + s): [(k, c * x) for k, x in t]
                           for (i, j), t in A._entries.items()})
         return object.__new__(SkewPolyMatrix)._seed(
@@ -361,14 +357,6 @@ class SkewPolyMatrix:
         """Content digest of the canonical JSON encoding."""
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _integer_rows(rows):
-    """(integer rows, m): the rational rows times m, the lcm of all their
-    denominators."""
-    rows = [[Q(x) for x in row] for row in rows]
-    m = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (m // x.denominator) for x in row] for row in rows], m
 
 
 def pfaffian(rows):

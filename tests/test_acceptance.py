@@ -179,8 +179,7 @@ def test_criterion_5_projection_pipeline():
 def test_criterion_6_jumping_lines():
     failures = []
     dk = catalog.get("dk_steiner").matrix
-    if not geometry.verify_jumping_set(dk, catalog.DK_JUMPING_LINES,
-                                       negatives=50):
+    if not geometry.verify_jumping_set(dk, catalog.DK_JUMPING_LINES):
         failures.append("chosen-lines family: jumping set mismatch")
 
     sw = catalog.get("schwarzenberger").matrix

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,29 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def test_a_reader_that_stops_early_keeps_the_exit_code(tmp_path):
+    """`skewrank ... | head -c 1`: a closed standard output is not a usage
+    error, and nothing is reported on standard error."""
+    split = tmp_path / "split.json"
+    split.write_text(SkewPolyMatrix(4, ("a", "b"), {(0, 1): "a", (2, 3): "b"}).dumps())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    for argv, want in ((["canonical", "2,1"], 0),
+                       (["certify", str(split)], 3),
+                       (["certify", "--sampled", "5", write_matrix(tmp_path, "M8")], 4)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "skewrank.cli"] + argv,
+                                  stdout=write, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (want, ""), argv
 
 
 def test_certify_exit_codes(tmp_path, capsys):

@@ -293,8 +293,7 @@ def test_line_queries_on_uncertified_spaces_run_the_full_sequence(monkeypatch):
 
 def test_dk_jumping_lines():
     dk = catalog.get("dk_steiner").matrix
-    assert geometry.verify_jumping_set(dk, catalog.DK_JUMPING_LINES,
-                                       negatives=50)
+    assert geometry.verify_jumping_set(dk, catalog.DK_JUMPING_LINES)
 
 
 def test_dk_degenerate_parameters_rejected():

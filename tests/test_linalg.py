@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
 from tests.conftest import random_skew
 
 from skewrank import linalg
@@ -33,6 +34,25 @@ def test_span_rref_is_canonical(rng):
         vs = [[Q(rng.randint(-3, 3)) for _ in range(5)] for _ in range(3)]
         scaled = [[2 * x for x in v] for v in reversed(vs)]
         assert linalg.span_rref(vs) == linalg.span_rref(vs + scaled)
+
+
+int_rows = st.lists(st.lists(st.integers(-50, 50), max_size=5), max_size=5)
+rational_rows = st.lists(st.lists(st.one_of(
+    st.integers(-50, 50), st.fractions(-50, 50, max_denominator=10)),
+    max_size=5), max_size=5)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.one_of(int_rows, rational_rows))
+def test_integer_rows_clears_denominators_by_their_lcm(rows):
+    out, m = linalg.integer_rows(rows)
+    assert out == [[x * m for x in row] for row in rows]
+    assert all(type(x) is int for row in out for x in row)
+    # m is the least positive scale: every smaller one leaves a fraction
+    assert all(any((Q(x) * k).denominator != 1 for row in rows for x in row)
+               for k in range(1, m))
+    if all(type(x) is int for row in rows for x in row):
+        assert out is rows and m == 1
 
 
 def _minor_rank(rows):

@@ -42,6 +42,19 @@ def test_constructor_validation():
     assert A.entry(2, 2).is_zero()
 
 
+@pytest.mark.parametrize("matrices, message", [
+    ([[[0, 1], [1, 0]]], "coefficient matrix 0 is not skew"),
+    ([[[0, Q(1, 2)], [Q(1, 2), 0]]], "coefficient matrix 0 is not skew"),
+    ([[[1, 0], [0, 0]]], "nonzero diagonal in coefficient matrix"),
+    ([[[Q(1, 3), 0], [0, 0]]], "nonzero diagonal in coefficient matrix"),
+    ([[[0, 1], [-1, 0]], [[0, 2], [2, 0]]], "coefficient matrix 1 is not skew"),
+    ([[[0, "x"], ["x", 0]]], "Invalid literal for Fraction"),
+])
+def test_from_coefficient_basis_rejects_bad_matrices(matrices, message):
+    with pytest.raises(ValueError, match=message):
+        SkewPolyMatrix.from_coefficient_basis(AB[:len(matrices)], matrices)
+
+
 def test_pfaffian_base_case_and_sign():
     assert pfaffian([[0, 5], [-5, 0]]) == 5
     A = SkewPolyMatrix(2, AB, {(0, 1): "a"})
