@@ -132,24 +132,23 @@ def _divisors(n):
 
 
 def witness_candidates(d, seed=0):
-    """Deterministic probe points and lines; one parameter spans no line."""
+    """Deterministic integer probe points and lines; one parameter spans
+    no line."""
     if d == 1:
-        return [(Q(1),)], []
+        return [(1,)], []
     rng = random.Random(seed)
-    points = []
-    for i in range(d):
-        points.append(tuple(Q(1) if j == i else Q(0) for j in range(d)))
-    points.append(tuple(Q(1) for _ in range(d)))
+    points = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    points.append((1,) * d)
     while len(points) < WITNESS_PROBES:
-        p = tuple(Q(rng.randint(-3, 3)) for _ in range(d))
+        p = tuple(rng.randint(-3, 3) for _ in range(d))
         if any(p) and p not in points:
             points.append(p)
     lines = []
     while len(lines) < WITNESS_PROBES:
-        p = [rng.randint(-3, 3) for _ in range(d)]
-        q = [rng.randint(-3, 3) for _ in range(d)]
+        p = tuple(rng.randint(-3, 3) for _ in range(d))
+        q = tuple(rng.randint(-3, 3) for _ in range(d))
         if any(p[i] * q[j] != p[j] * q[i] for i, j in combinations(range(d), 2)):
-            lines.append((tuple(map(Q, p)), tuple(map(Q, q))))
+            lines.append((p, q))
     return points, lines
 
 

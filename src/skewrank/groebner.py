@@ -184,16 +184,16 @@ def _s_polynomial(f, g, lay):
 
 
 def _reduce(f, basis, lay):
-    """Full reduction of f modulo basis: (rem, mult) with rem the integer
-    remainder of the rational multiple mult * f.
+    """Full reduction of f modulo basis: (rem, num, den) with rem the
+    integer remainder of the rational multiple (num / den) * f.
 
     The divisor for each step is the first basis element (in list order)
     whose leading monomial divides the current leading monomial, so the
-    remainder is unique up to the scale that `mult` records.
+    remainder is unique up to the scale that num / den records.
     """
     work = f
     out = []
-    mult = Q(1)
+    num = den = 1
     steps = 0
     i = 0                              # work[:i] is already in out
     while i < len(work):
@@ -212,15 +212,15 @@ def _reduce(f, basis, lay):
         i = 0
         if cg != 1:
             out = [(ok, dk, c * cg) for ok, dk, c in out]
-            mult *= cg
+            num *= cg
         steps += 1
         if steps % 16 == 0 and work:
             g = gcd(_content(work), _content(out))
             if g > 1:
                 work = [(ok, dk, c // g) for ok, dk, c in work]
                 out = [(ok, dk, c // g) for ok, dk, c in out]
-                mult /= g
-    return out, mult
+                den *= g
+    return out, num, den
 
 
 def _reduce_primitive(f, basis, lay):
@@ -405,9 +405,11 @@ def normal_form(f, gb):
         raise ValueError("ring mismatch")
     if f.is_zero():
         return f
-    work, den = _pack_form(f, gb._lay)
-    rem, mult = _reduce(work, gb._kpolys, gb._lay)
-    return _as_form(((dk, c) for _, dk, c in rem), f.vars, 1 / (mult * den))
+    work, pack_den = _pack_form(f, gb._lay)
+    rem, num, den = _reduce(work, gb._kpolys, gb._lay)
+    # rem is the remainder of (num / den) * pack_den * f
+    return _as_form(((dk, c) for _, dk, c in rem), f.vars,
+                    Q(den, num * pack_den))
 
 
 def _as_gb(x):

@@ -24,15 +24,30 @@ Each row has at most 2n + d nonzeros out of n^2 + d^2 columns, so the
 rank is `linalg.sparse_rank`: Markowitz pivots (shortest row, rarest
 column) with primitive integer rows, exact, with no modular step.
 
-A pencil (d = 2) of constant rank is congruent to its Kronecker
+Congruence moves V along its orbit and a parameter change does not move
+V at all, so a space congruent to A's, in any basis, has the same orbit,
+order and d.  A pencil of constant rank is congruent to its Kronecker
 canonical form, the staircase blocks of its minimal indices padded by
-zero rows (Thompson, LAA 147, 1991), and `pencil.invariants_of` proves
-those indices from integer ranks.  Congruence moves V along its orbit
-and a parameter change does not move V at all, so both spaces have the
-same orbit, and the same order and d.  Such a pencil is therefore ranked
-on the system of `canonical_form(partition).matrix.pad_zero(padding)`,
-whose 0/+-1 rows stay sparse however dense the input is.  Every other
-space, a non-constant pencil included, ranks its own system.
+zero rows (Thompson, LAA 147, 1991), whose 0/+-1 rows stay sparse however
+dense the input is.  So when <B_1, B_2> has constant rank:
+- d = 2: `pencil.invariants_of` proves the indices from integer ranks,
+  and the system of `canonical_form(partition).matrix.pad_zero(padding)`
+  is ranked; no congruence is built.
+- d >= 3: `pencil.congruence_to_canonical(B_1, B_2)` gives an integer P
+  with P^T B_k P = m^2 C_k for the canonical pair C_1, C_2, and the
+  system of (C_1, C_2, P^T B_3 P, ..., P^T B_d P), each divided by its
+  content, is ranked.  That is a basis of P^T V P, since scaling a basis
+  matrix changes no span.  Any invertible P keeps the orbit, so of all
+  the properties of P only det P != 0 matters for exactness; the
+  canonical form only makes the rows sparse.  A non-constant
+  <B_1, B_2> gives None and the space ranks its own system.
+The route is read off the input.  By the count in `_system_nonzeros`,
+the system has (2(n - 1) + d) nonzeros per upper nonzero of the B_k.
+The canonical C_1 and C_2 have at most one nonzero per row and column,
+n // 2 upper ones each, and every other P^T B_k P is counted as dense;
+that bound depends on n and d alone.  A space whose own system has no
+more nonzeros than the bound ranks its own system, and a sparse pencil
+then skips `invariants_of` too.
 
 Reference: the same number is the rank of the Pluecker tangent rows.
 Each elementary matrix E gives one row, the derivative at t = 0 of the
@@ -47,7 +62,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 from . import linalg, pencil
 
@@ -242,6 +257,47 @@ def rank_exact(rows):
     return len(linalg.echelon_int(gram, m)[1])
 
 
+def _system_nonzeros(basis):
+    """Nonzeros of stabilizer_rows(basis), without building it.  Row
+    (k, i, j) holds one per nonzero in column j and in row i of B_k and
+    one per B_l nonzero at (i, j); summed over i < j, that is n - 1 per
+    nonzero of B_k and d per upper nonzero of the B_l."""
+    n, d = len(basis[0]), len(basis)
+    upper = sum(1 for B in basis for i in range(n) for x in B[i][i + 1:] if x)
+    return (2 * (n - 1) + d) * upper
+
+
+def _canonical_bound(n, d):
+    """An upper bound on _system_nonzeros for every space of order n and
+    dimension d whose first two coefficient matrices have at most one
+    nonzero per row and column."""
+    return (2 * (n - 1) + d) * (2 * (n // 2) + (d - 2) * comb(n, 2))
+
+
+def _canonical_pair(inv):
+    return list(pencil.canonical_form(inv.partition).matrix
+                .pad_zero(inv.padding).integer_basis())
+
+
+def _congruent_basis(A, basis):
+    """A basis of a space congruent to A's, with <B_1, B_2> in canonical
+    form when that pencil has constant rank; `basis` itself otherwise."""
+    if len(basis) == 2:
+        inv = pencil.invariants_of(A)
+        return _canonical_pair(inv) if inv.constant else basis
+    found = pencil.congruence_to_canonical(*basis[:2])
+    if found is None:
+        return basis
+    inv, P, _ = found
+    Pt = linalg.transpose(P)
+    out = _canonical_pair(inv)
+    for B in basis[2:]:
+        M = linalg.mat_mul(Pt, linalg.mat_mul(B, P))
+        g = gcd(*(x for row in M for x in row))
+        out.append([[x // g for x in row] for row in M])
+    return out
+
+
 def orbit_dimension(A, seed=0):
     """Orbit dimension report for the space spanned by A's coefficients.
 
@@ -252,11 +308,8 @@ def orbit_dimension(A, seed=0):
     d = A.nvars
     basis = A.integer_basis()
     _require_independent(basis)
-    if d == 2:
-        inv = pencil.invariants_of(A)
-        if inv.constant:
-            basis = pencil.canonical_form(inv.partition).matrix \
-                .pad_zero(inv.padding).integer_basis()
+    if d >= 2 and _system_nonzeros(basis) > _canonical_bound(n, d):
+        basis = _congruent_basis(A, basis)
     rank = linalg.sparse_rank(stabilizer_rows(basis))
     orbit_dim = rank - d * d
     return OrbitReport(

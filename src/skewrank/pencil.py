@@ -30,6 +30,28 @@ decides the splitting: one constant kernel vector gives (3) with
 padding 1, none gives (2, 1).  A claimed rank that no indices can meet
 raises ValueError; one that is wrong but consistent gives wrong indices,
 so only a proven rank may be passed.
+
+`congruence_to_canonical` also exhibits the congruence, in integers
+(Thompson, LAA 147, 1991, made explicit):
+1. A minimal basis of the kernel from the integer kernels of the T_delta:
+   at each delta, the vectors that complement the shifts of the lower
+   ones.  Their count, k_delta minus the shifts, gives the indices.
+2. For a vector c_0..c_eps of index eps, y_s = (-1)^s c_(eps-s) for
+   s = 0..eps; the y's of all blocks span an isotropic space W.
+3. For block i and t < eps_i, x_(i,t) pairs with the y's as the
+   staircase does: B1(x, y_(j,s)) = [i = j][s = t] and
+   B2(x, y_(j,s)) = [i = j][s = t + 1], one echelon form for every
+   right-hand side.  Each x is fixed modulo W.
+4. Adding elements of W makes the x's isotropic: B_k(x, x') = 0 is one
+   linear system in which every equation sets a difference of two
+   coefficients and every coefficient is in at most two equations, so it
+   is solved along chains.
+5. P = [x's | y's of positive blocks | constant kernel vectors].
+Step 3 gives X = m x in integers, m the lcm of the echelon pivots, and
+step 4 corrects m X by integer multiples of the y's, since B_k(X, X') is
+an integer; so P is integral with P^T B_k P = m^2 C_k, C_k the
+coefficient matrices of canonical_form(partition).matrix.pad_zero(padding).
+Both products and det P != 0 are checked before P is returned.
 """
 
 from __future__ import annotations
@@ -37,6 +59,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import lcm
 
 from . import linalg
 from .skew import SkewPolyMatrix
@@ -67,8 +91,8 @@ class CanonicalPencil:
     matrix: SkewPolyMatrix
 
 
-def _toeplitz_rank(B1, B2, n, delta):
-    """Rank of T_delta: in the unknowns c_0..c_delta of
+def _toeplitz_rows(B1, B2, n, delta):
+    """Nonzero rows of T_delta: in the unknowns c_0..c_delta of
     v = sum c_e * a^(delta-e) b^e, the coefficient of a^(delta+1-e) b^e
     in (a*B1 + b*B2) v is B1 c_e + B2 c_(e-1)."""
     zero = [0] * n
@@ -80,7 +104,13 @@ def _toeplitz_rank(B1, B2, n, delta):
             row = [x for B in blocks for x in (zero if B is None else B[i])]
             if any(row):
                 rows.append(row)
-    return len(linalg.echelon_int(rows, (delta + 1) * n)[1])
+    return rows
+
+
+def _toeplitz_rank(B1, B2, n, delta):
+    """Rank of T_delta."""
+    return len(linalg.echelon_int(_toeplitz_rows(B1, B2, n, delta),
+                                  (delta + 1) * n)[1])
 
 
 def _forced_indices(m, r, delta):
@@ -145,6 +175,21 @@ def minimal_indices(A):
     return inv
 
 
+def _staircase(partition, order):
+    """Integer coefficient matrices [B_a, B_b] of the canonical pencil of
+    a valid partition, padded by zero rows and columns to `order`."""
+    r = sum(partition)
+    Ba, Bb = ([[0] * order for _ in range(order)] for _ in range(2))
+    row, col = 0, r
+    for ri in partition:
+        for t in range(ri):
+            for B, j in ((Ba, col + t), (Bb, col + t + 1)):
+                B[row + t][j], B[j][row + t] = 1, -1
+        row += ri
+        col += ri + 1
+    return [Ba, Bb]
+
+
 def canonical_form(partition):
     """Canonical pencil for a partition (r_1 >= ... >= r_h >= 1).
 
@@ -160,18 +205,113 @@ def canonical_form(partition):
     if list(partition) != sorted(partition, reverse=True):
         raise ValueError("partition must be non-increasing")
     r = sum(partition)
-    h = len(partition)
-    order = 2 * r + h
-    Ba, Bb = ([[0] * order for _ in range(order)] for _ in range(2))
-    row, col = 0, r
-    for ri in partition:
-        for t in range(ri):
-            for B, j in ((Ba, col + t), (Bb, col + t + 1)):
-                B[row + t][j], B[j][row + t] = 1, -1
-        row += ri
-        col += ri + 1
-    matrix = SkewPolyMatrix.from_coefficient_basis(("a", "b"), [Ba, Bb])
+    matrix = SkewPolyMatrix.from_coefficient_basis(
+        ("a", "b"), _staircase(partition, 2 * r + len(partition)))
     return CanonicalPencil(KroneckerInvariants(2 * r, partition, 0), matrix)
+
+
+def _minimal_basis(B1, B2):
+    """A minimal polynomial basis of the kernel of the nonzero pencil
+    a*B1 + b*B2, by increasing degree, each vector as its coefficient
+    vectors c_0..c_eps.
+
+    The kernel of T_delta holds the shifts a^o b^(delta-eps-o) v of the
+    vectors v found below delta, and the vectors of degree delta are a
+    complement of them.  Each kernel vector of `linalg.nullspace` is zero
+    on every free column but its own, which is its last nonzero entry; so
+    a complement is the kernel vectors of the free columns left over once
+    the shifts, read on the free columns, are in echelon form."""
+    n = len(B1)
+    basis = []
+    delta = 0
+    while n - sum(2 * len(cs) - 1 for cs in basis) >= 2 * delta + 1:
+        kernel = linalg.nullspace(_toeplitz_rows(B1, B2, n, delta),
+                                  (delta + 1) * n)
+        free = [max(i for i, x in enumerate(v) if x) for v in kernel]
+        shifts = [[cs[f // n - o][f % n] if 0 <= f // n - o < len(cs) else 0
+                   for f in free]
+                  for cs in basis for o in range(delta + 2 - len(cs))]
+        covered = set(linalg.echelon_int(shifts, len(free))[1])
+        basis += [[v[e * n:(e + 1) * n] for e in range(delta + 1)]
+                  for j, v in enumerate(kernel) if j not in covered]
+        delta += 1
+    if len(basis) == n:
+        raise ValueError("zero pencil has no Kronecker invariants")
+    return basis
+
+
+def congruence_to_canonical(B1, B2):
+    """(invariants, P, m) for a constant-rank integer pencil a*B1 + b*B2:
+    integers P (n x n, det P != 0) and m > 0 with P^T B_k P = m^2 C_k,
+    where C_1, C_2 are the coefficient matrices of
+    canonical_form(partition).matrix.pad_zero(padding); None when the
+    rank is not constant.  Steps 1 to 5 of the module docstring."""
+    n = len(B1)
+    basis = _minimal_basis(B1, B2)
+    degrees = [len(cs) - 1 for cs in basis]
+    partition = tuple(sorted((e for e in degrees if e), reverse=True))
+    inv = KroneckerInvariants(n - len(basis), partition, degrees.count(0))
+    if not inv.constant:
+        return None
+    # y_s = (-1)^s c_(eps-s), block by block in the order of the partition;
+    # x number p pairs with y number yof[p] under B1 and yof[p] + 1 under B2
+    blocks = sorted((cs for cs in basis if len(cs) > 1), key=len, reverse=True)
+    ys, yof = [], []
+    for cs in blocks:
+        yof += range(len(ys), len(ys) + len(cs) - 1)
+        ys += [[(-1) ** s * x for x in cs[-1 - s]] for s in range(len(cs))]
+    r = len(yof)
+    # X, with free coordinates 0: B1(X_p, y_q) = m [q = yof[p]] and
+    # B2(X_p, y_q) = m [q = yof[p] + 1], one echelon form for all p
+    rows = []
+    for q, y in enumerate(ys):
+        for B, s in ((B1, 0), (B2, 1)):
+            rows.append(linalg.mat_vec(B, y) + [int(q == t + s) for t in yof])
+    red, pivots = linalg.reduced_echelon_int(rows, n + r)
+    if pivots and pivots[-1] >= n:
+        raise ArithmeticError("no dual vectors for the minimal basis")
+    m = lcm(*(row[c] for row, c in zip(red, pivots)))
+    X = [[0] * n for _ in range(r)]
+    for row, c in zip(red, pivots):
+        for p in range(r):
+            X[p][c] = row[n + p] * (m // row[c])
+    # x_p = m X_p + sum_q alpha[p, q] y_q is isotropic when, for p < p2,
+    # alpha[p2, yof[p] + s] - alpha[p, yof[p2] + s] = -B(X_p, X_p2), with
+    # s = 0 for B1 and s = 1 for B2.  Each unknown is in at most two of
+    # these equations, so they solve along chains from a value 0.
+    links = {}
+    for s, B in enumerate((B1, B2)):
+        BX = [linalg.mat_vec(B, x) for x in X]
+        for p, p2 in combinations(range(r), 2):
+            c = -sum(a * b for a, b in zip(X[p], BX[p2]))
+            u, v = (p2, yof[p] + s), (p, yof[p2] + s)
+            links.setdefault(u, []).append((v, c))
+            links.setdefault(v, []).append((u, -c))
+    alpha = {}
+    for start in links:
+        if start in alpha:
+            continue
+        alpha[start] = 0
+        todo = [start]
+        while todo:
+            u = todo.pop()
+            for v, c in links[u]:
+                if v not in alpha:
+                    alpha[v] = alpha[u] - c
+                    todo.append(v)
+    cols = [[m * x for x in X[p]] for p in range(r)]
+    for (p, q), a in alpha.items():
+        if a:
+            cols[p] = [x + a * y for x, y in zip(cols[p], ys[q])]
+    cols += ys + [cs[0] for cs in basis if len(cs) == 1]
+    P = linalg.transpose(cols)
+    for B, C in zip((B1, B2), _staircase(partition, n)):
+        if linalg.mat_mul(cols, linalg.mat_mul(B, P)) != \
+                [[m * m * x for x in row] for row in C]:
+            raise ArithmeticError("congruence check failed")
+    if not linalg.bareiss_det(P):
+        raise ArithmeticError("singular congruence")
+    return inv, P, m
 
 
 def equivalent(A, B):

@@ -23,6 +23,32 @@ def random_invertible(rng, n, lo=-3, hi=3):
             return M
 
 
+def rational_invertible(rng, n):
+    """Seeded invertible matrix with entries p/q, |p| <= 3, q in {1, 2}."""
+    while True:
+        M = [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(n)]
+        if linalg.det(M) != 0:
+            return M
+
+
+def moved(rng, A):
+    """A moved by the congruence P = a signed permutation times A.order
+    rational transvections, then by a rational parameter change."""
+    n = A.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    P = [[Q(rng.choice((-1, 1))) if perm[i] == j else Q(0) for j in range(n)]
+         for i in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = Q(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+        for row in P:
+            row[j] += c * row[i]
+    return A.congruence_transform(P).parameter_change(
+        rational_invertible(rng, A.nvars))
+
+
 def random_skew(rng, n, lo=-5, hi=5):
     M = [[Q(0)] * n for _ in range(n)]
     for i in range(n):

@@ -167,7 +167,7 @@ def test_witness_lines_by_integer_minors():
         blob = json.dumps([[list(map(str, p)) for p in points],
                            [[list(map(str, p)), list(map(str, q))] for p, q in lines]])
         assert hashlib.sha256(blob.encode()).hexdigest() == want
-        assert all(type(x) is Q for p, q in lines for x in p + q)
+        assert all(type(x) is int for p, q in lines for x in p + q)
 
 
 def test_witness_candidates_of_one_parameter_return():

@@ -63,6 +63,17 @@ def test_normal_form_is_q_linear_and_idempotent():
         assert normal_form(Q(5, 3) * f, gb) == Q(5, 3) * h
 
 
+def test_normal_form_keeps_its_scale_through_long_reductions():
+    # a^20 reduces in 20 steps by 2a - 3b, so its integer remainder is
+    # rescaled and divided by its content on the way: the normal form
+    # must still be (3/2)^20 b^20
+    a, b = variables(AB)
+    gb = buchberger(Ideal(AB, [2 * a - 3 * b]))
+    assert normal_form(a ** 20, gb) == Q(3, 2) ** 20 * b ** 20
+    assert normal_form(a ** 20 + Q(1, 7) * b ** 20, gb) == \
+        (Q(3, 2) ** 20 + Q(1, 7)) * b ** 20
+
+
 def test_s_polynomials_of_basis_reduce_to_zero():
     for gens in (["a^2 - b^2", "a*b - b^2"],
                  ["a*b + b^2", "a^2"],

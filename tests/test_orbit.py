@@ -1,18 +1,17 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
-from tests.conftest import partitions, random_invertible
+from tests.conftest import (moved, partitions, random_invertible,
+                            rational_invertible)
 
 from skewrank import catalog, linalg, pencil
+from skewrank import orbit
 from skewrank.orbit import (orbit_dimension, rank_exact, stabilizer_rows,
                             tangent_rows)
 from skewrank.pencil import canonical_form
 from skewrank.skew import SkewPolyMatrix
-
-Q = Fraction
 
 # orbit_dim of every catalog entry: the 14 recorded in the catalog, and
 # for the others the value the tangent-row rank gives.
@@ -24,14 +23,6 @@ ORBIT_DIMS = {
     "rowblock4": 3, "schwarzenberger": 52, "split6": 26, "steiner6": 26,
     "tquot7": 34, "triangle3": 0, "westwick": 98,
 }
-
-
-def _rational_invertible(rng, n):
-    while True:
-        M = [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
-             for _ in range(n)]
-        if linalg.det(M) != 0:
-            return M
 
 
 def test_pencil_orbit_dimensions():
@@ -70,9 +61,9 @@ def test_stabilizer_agrees_with_tangent_rows():
     for name in ("M8", "pi5", "dk_steiner"):
         A = catalog.get(name).matrix
         for k in range(2):
-            B = A.congruence_transform(_rational_invertible(rng, A.order))
+            B = A.congruence_transform(rational_invertible(rng, A.order))
             cases.append(("%s/%d" % (name, k),
-                          B.parameter_change(_rational_invertible(rng, A.nvars))))
+                          B.parameter_change(rational_invertible(rng, A.nvars))))
     for name, A in cases:
         assert orbit_dimension(A).tangent_rank == \
             rank_exact(tangent_rows(A)), name
@@ -137,31 +128,14 @@ def _own_orbit_dim(A):
     return linalg.sparse_rank(stabilizer_rows(A.integer_basis())) - A.nvars ** 2
 
 
-def _moved(rng, A):
-    """A moved by the congruence P = a signed permutation times A.order
-    rational transvections, then by a rational parameter change."""
-    n = A.order
-    perm = list(range(n))
-    rng.shuffle(perm)
-    P = [[Q(rng.choice((-1, 1))) if perm[i] == j else Q(0) for j in range(n)]
-         for i in range(n)]
-    for _ in range(n):
-        i, j = rng.sample(range(n), 2)
-        c = Q(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
-        for row in P:
-            row[j] += c * row[i]
-    return A.congruence_transform(P).parameter_change(
-        _rational_invertible(rng, A.nvars))
-
-
 def test_sparse_rank_matches_echelon_int_on_stabilizer_systems():
     rng = random.Random("stabilizer-gate")
     spaces = [catalog.get(name).matrix for name in catalog.names()]
     for name in catalog.names():
         A = catalog.get(name).matrix
         if catalog.get(name).expected.orbit_dim is not None:
-            B = A.congruence_transform(_rational_invertible(rng, A.order))
-            spaces.append(B.parameter_change(_rational_invertible(rng, A.nvars)))
+            B = A.congruence_transform(rational_invertible(rng, A.order))
+            spaces.append(B.parameter_change(rational_invertible(rng, A.nvars)))
     assert len(spaces) == 27 + 14
     for A in spaces:
         ncols = A.order ** 2 + A.nvars ** 2
@@ -188,7 +162,7 @@ def test_constant_pencils_rank_their_canonical_form():
         for partition in partitions(r):
             for padding in range(4):
                 A = canonical_form(partition).matrix.pad_zero(padding)
-                B = _moved(rng, A)
+                B = moved(rng, A)
                 assert pencil.invariants_of(B).constant
                 got = orbit_dimension(B).orbit_dim
                 assert got == _own_orbit_dim(B), (partition, padding)
@@ -206,7 +180,7 @@ def test_other_spaces_rank_their_own_system(monkeypatch):
     cases = []
     for partition in ((1,), (2, 1), (3,)):
         A = canonical_form(partition).matrix.direct_sum(block)
-        cases += [A, _moved(rng, A)]
+        cases += [A, moved(rng, A)]
     cases += [catalog.get(name).matrix for name in ("pi6", "westwick")]
 
     def refuse(partition):
@@ -224,9 +198,96 @@ def test_other_spaces_rank_their_own_system(monkeypatch):
 
 
 def test_dense_sum_of_two_planes():
-    # a scale pin: this dense order-16 system ranks in 1.7 s with
-    # sparse_rank, against 9 s in column order (2-core x86_64, Python 3.11)
+    # a scale pin: this dense order-16 net ranks in 0.1 s on its canonical
+    # sub-pencil, against 1.2 s for sparse_rank of its own system and 9 s
+    # in column order (2-core x86_64, Python 3.11)
     A = catalog.get("pi6").matrix
     A = A.direct_sum(A)
     P = random_invertible(random.Random("pi6+pi6"), 16, -2, 2)
     assert orbit_dimension(A.congruence_transform(P)).orbit_dim == 251
+
+
+def _signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def test_system_nonzeros_count_the_stabilizer_rows():
+    rng = random.Random("stabilizer-nonzeros")
+    for name in catalog.names():
+        A = catalog.get(name).matrix
+        for B in (A, moved(rng, A)):
+            basis = B.integer_basis()
+            assert orbit._system_nonzeros(basis) == \
+                sum(map(len, stabilizer_rows(basis))), name
+    for partition in ((1,), (2, 1), (3, 1, 1)):
+        for padding in range(3):
+            A = canonical_form(partition).matrix.pad_zero(padding)
+            for d in (2, 3, 4):
+                # the canonical pair, then d - 2 full skew matrices
+                n = A.order
+                dense = [[0 if i == j else 1 if i < j else -1 for j in range(n)]
+                         for i in range(n)]
+                basis = list(A.integer_basis()) + [dense] * (d - 2)
+                assert orbit._system_nonzeros(basis) <= \
+                    orbit._canonical_bound(n, d)
+                assert orbit._system_nonzeros(basis) == \
+                    sum(map(len, stabilizer_rows(basis)))
+
+
+def test_sparse_inputs_build_no_congruence(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("canonical route taken")
+
+    monkeypatch.setattr(pencil, "congruence_to_canonical", refuse)
+    monkeypatch.setattr(pencil, "invariants_of", refuse)
+    rng = random.Random("sparse-orbit")
+    for name, want in ORBIT_DIMS.items():
+        A = catalog.get(name).matrix
+        B = A.congruence_transform(_signed_permutation(rng, A.order)) \
+            .parameter_change(_signed_permutation(rng, A.nvars))
+        assert orbit_dimension(A).orbit_dim == want, name
+        assert orbit_dimension(B).orbit_dim == want, name
+
+
+def test_dense_nets_rank_their_canonical_sub_pencil(monkeypatch):
+    rng = random.Random("net-route")
+    found = []
+    real = pencil.congruence_to_canonical
+    monkeypatch.setattr(pencil, "congruence_to_canonical",
+                        lambda B1, B2: found.append(real(B1, B2)) or found[-1])
+    for name, want in ORBIT_DIMS.items():
+        A = catalog.get(name).matrix
+        if A.nvars < 3:
+            continue
+        dense = A.congruence_transform(random_invertible(rng, A.order, -2, 2)) \
+            .parameter_change(random_invertible(rng, A.nvars, -2, 2))
+        for B in (moved(rng, A), dense):
+            del found[:]
+            assert orbit_dimension(B).orbit_dim == want == _own_orbit_dim(B)
+            basis = B.integer_basis()
+            routed = orbit._system_nonzeros(basis) > \
+                orbit._canonical_bound(B.order, B.nvars)
+            assert len(found) == routed and (B is not dense or routed), name
+            # every catalog net has a constant first pencil
+            assert None not in found, name
+    # nets whose first pencil has a regular block fall back to their own
+    # system: (2, 1) plus a block with Pfaffian a^2 + b^2, and any c
+    block = SkewPolyMatrix(4, ("a", "b"), {(0, 1): "a", (2, 3): "a",
+                                           (0, 2): "b", (1, 3): "-b"})
+    pair = canonical_form((2, 1)).matrix.direct_sum(block).integer_basis()
+    n = len(pair[0])
+    for k in range(3):
+        C = [[0] * n for _ in range(n)]
+        for _ in range(6):
+            i, j = sorted(rng.sample(range(n), 2))
+            C[i][j] += rng.choice((-2, -1, 1, 2))
+            C[j][i] = -C[i][j]
+        A = SkewPolyMatrix.from_coefficient_basis(("a", "b", "c"),
+                                                  list(pair) + [C])
+        B = A.congruence_transform(random_invertible(rng, n, -2, 2))
+        del found[:]
+        assert orbit_dimension(B).orbit_dim == _own_orbit_dim(B)
+        assert found == [None]

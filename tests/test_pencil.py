@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
-from tests.conftest import partitions, random_invertible
+from tests.conftest import moved, partitions, random_invertible
 
-from skewrank import catalog
+from skewrank import catalog, linalg
 from skewrank.certify import certify_constant_rank
-from skewrank.pencil import (KroneckerInvariants, canonical_form, equivalent,
+from skewrank.pencil import (KroneckerInvariants, canonical_form,
+                             congruence_to_canonical, equivalent,
                              minimal_indices, pencil_invariants)
 from skewrank.skew import SkewPolyMatrix
 
@@ -188,3 +190,70 @@ def test_catalog_runs_each_pencil_sequence_once(monkeypatch):
     rows = catalog.reproduce_all(names_filter=names)
     assert rows and all(row.ok for row in rows)
     assert len(calls) == 9
+
+
+def _assert_congruence(B1, B2):
+    """congruence_to_canonical(B1, B2) multiplies out and reports the
+    invariants of pencil_invariants."""
+    inv, P, m = congruence_to_canonical(B1, B2)
+    assert inv == pencil_invariants(B1, B2)
+    assert m > 0 and all(type(x) is int for row in P for x in row)
+    C = canonical_form(inv.partition).matrix.pad_zero(inv.padding)
+    Pt = linalg.transpose(P)
+    for B, Ck in zip((B1, B2), C.integer_basis()):
+        assert linalg.mat_mul(Pt, linalg.mat_mul(B, P)) == \
+            [[m * m * x for x in row] for row in Ck]
+    assert linalg.bareiss_det(P) != 0
+    return inv
+
+
+def test_congruence_to_canonical_on_moved_canonical_pencils():
+    rng = random.Random("pencil-route")
+    count = 0
+    for r in range(1, 7):
+        for partition in partitions(r):
+            for padding in range(4):
+                A = canonical_form(partition).matrix.pad_zero(padding)
+                inv = _assert_congruence(*moved(rng, A).integer_basis())
+                assert (inv.partition, inv.padding) == (partition, padding)
+                count += 1
+    assert count == 116
+
+
+def test_congruence_to_canonical_on_catalog_pencils_and_planes(rng):
+    pencils = [catalog.get(name).matrix for name in catalog.names()
+               if catalog.get(name).matrix.nvars == 2]
+    assert len(pencils) == 9
+    for A in pencils:
+        _assert_congruence(*A.integer_basis())
+        B = A.congruence_transform(random_invertible(rng, A.order, -2, 2))
+        _assert_congruence(*B.parameter_change(
+            random_invertible(rng, 2, -2, 2)).integer_basis())
+    planes = [catalog.get(name).matrix for name in catalog.names()
+              if catalog.get(name).matrix.order == 8
+              and catalog.get(name).matrix.nvars == 3
+              and catalog.get(name).expected.orbit_dim is not None]
+    assert len(planes) == 8
+    for A in planes:
+        for B in (A, A.congruence_transform(random_invertible(rng, 8, -2, 2))
+                  .parameter_change(random_invertible(rng, 3, -2, 2))):
+            B1, B2 = B.integer_basis()[:2]
+            assert _assert_congruence(B1, B2).rank == 6
+
+
+def test_congruence_to_canonical_refuses_regular_blocks(rng):
+    # a regular block: Pfaffian a^2 + b^2 (4x4), or a + b (2x2)
+    blocks = [SkewPolyMatrix(4, AB, {(0, 1): "a", (2, 3): "a",
+                                     (0, 2): "b", (1, 3): "-b"}),
+              SkewPolyMatrix(2, AB, {(0, 1): "a + b"})]
+    for block in blocks:
+        for partition in ((1,), (2, 1), (3,)):
+            A = canonical_form(partition).matrix.direct_sum(block)
+            for B in (A, moved(rng, A)):
+                B1, B2 = B.integer_basis()
+                assert not pencil_invariants(B1, B2).constant
+                assert congruence_to_canonical(B1, B2) is None
+    split = SkewPolyMatrix(5, AB, {(0, 1): "a", (2, 3): "b"})
+    assert congruence_to_canonical(*split.integer_basis()) is None
+    with pytest.raises(ValueError):
+        congruence_to_canonical(*SkewPolyMatrix.zero(3, AB).integer_basis())
