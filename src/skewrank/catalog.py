@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import linalg
-from .certify import certify_constant_rank
+from .certify import certify_constant_rank, verdict
 from .forms import Form
 from .skew import SkewPolyMatrix
 
@@ -102,6 +102,9 @@ def dk_steiner(lam, mu, nu):
 DK_DEFAULT_PARAMS = ((1, 1, 1), (1, 2, 3), (1, 4, 9))
 
 DK_JUMPING_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 4, 9))
+
+NONE_SCAN_LINES = 200    # grid lines that must not jump for "none"
+CONIC_SCAN_LINES = 300   # grid lines scanned for the jumping lines of "conic"
 
 
 def _build_entries():
@@ -360,7 +363,7 @@ class ReportRow:
     ok: bool
 
 
-def _observed_invariants(entry, seed=0, budget=200):
+def _observed_invariants(entry, seed=0):
     """Recompute every expected field of one entry.  Imports stay local so
     the data tables above remain importable on their own."""
     from . import geometry, orbit, pencil
@@ -371,7 +374,7 @@ def _observed_invariants(entry, seed=0, budget=200):
     need_cert = any(k in ("generic_rank", "constant", "method", "c2",
                           "curve_degree", "gauss_span_dim", "jumping")
                     for k, _ in e.items())
-    cert = certify_constant_rank(A, seed=seed) if need_cert else None
+    cert = verdict(A) if need_cert else None
     if e.generic_rank is not None:
         out["generic_rank"] = cert.generic_rank
     if e.constant is not None:
@@ -395,22 +398,22 @@ def _observed_invariants(entry, seed=0, budget=200):
     if e.gauss_span_dim is not None:
         out["gauss_span_dim"] = geometry.gauss_span_dim(A)
     if e.jumping is not None:
-        out["jumping"] = _observed_jumping(A, e.jumping, seed, budget)
+        out["jumping"] = _observed_jumping(A, e.jumping, seed)
     return out
 
 
-def _observed_jumping(A, kind, seed, budget):
+def _observed_jumping(A, kind, seed):
     from . import geometry
 
     if kind == "none":
-        scan = geometry.jumping_scan(A, budget=budget, seed=seed)
+        scan = geometry.jumping_scan(A, budget=NONE_SCAN_LINES, seed=seed)
         return "none" if not scan.jumping_lines else \
             "jumps:%d" % len(scan.jumping_lines)
     if kind == "dk-lines":
         ok = geometry.verify_jumping_set(A, DK_JUMPING_LINES, seed=seed)
         return "dk-lines" if ok else "mismatch"
     if kind == "conic":
-        scan = geometry.jumping_scan(A, budget=max(budget, 300), seed=seed)
+        scan = geometry.jumping_scan(A, budget=CONIC_SCAN_LINES, seed=seed)
         if len(scan.jumping_lines) < 6:
             return "too-few:%d" % len(scan.jumping_lines)
         lines = [l for l, _ in scan.jumping_lines]
@@ -423,16 +426,13 @@ def _observed_jumping(A, kind, seed, budget):
     raise ValueError("unknown jumping expectation %r" % kind)
 
 
-def reproduce_all(names_filter=None, sections=None, seed=0, budget=200,
-                  table=None):
+def reproduce_all(names_filter=None, sections=None, seed=0, table=None):
     """Run the toolchain over the catalog and compare against expectations.
 
     Returns report rows ordered by entry name; failures are rows, never
     exceptions.  `table` overrides the entry table (used for harness
     self-tests).
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1, got %r" % budget)
     table = entries() if table is None else table
     rows = []
     for name in sorted(table):
@@ -442,7 +442,7 @@ def reproduce_all(names_filter=None, sections=None, seed=0, budget=200,
         if sections is not None and entry.section not in sections:
             continue
         try:
-            observed = _observed_invariants(entry, seed=seed, budget=budget)
+            observed = _observed_invariants(entry, seed=seed)
         except Exception as exc:          # a crash is a failing row
             rows.append(ReportRow(name, "error", "no exception",
                                   "%s: %s" % (type(exc).__name__, exc), False))

@@ -3,9 +3,7 @@
 A pencil (two variables) is decided by its Kronecker rank sequence
 (`pencil.pencil_invariants`), method ``kronecker``: integer
 block-Toeplitz ranks give the normal rank and prove it constant exactly
-when there is no regular part.  Only a refutation expands the
-sub-Pfaffians of that size, whose binary GCD locates a rational witness
-where the rank drops.  Any other number of variables d takes the
+when there is no regular part.  Any other number of variables d takes the
 symbolic generic rank 2r (largest size with a principal sub-Pfaffian
 that is not the zero polynomial); the rank is constant exactly when the
 ideal of the size-2r sub-Pfaffians, forms of degree r, has no
@@ -19,10 +17,11 @@ Pfaffians in subset order:
 - method ``groebner``: otherwise, projective emptiness of a Buchberger
   basis decides either way.  Every refutation takes this branch.
 
-On a refutation a deterministic search over probe points and lines
-tries to exhibit a rational witness.  The verdict never depends on
-finding one: it is computed once per matrix content, and only that
-search once per seed.
+`verdict` (generic rank, constancy, method) is cached once per matrix
+and never looks for a witness.  `certify_constant_rank` adds one to each
+refutation it returns, from `_witness`: a pencil's first rational drop,
+read off the integer GCD of its packed sub-Pfaffians, else a seeded
+search over probe points and line pencils.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from itertools import combinations
 from math import comb, isqrt
 
 from . import linalg
-from .forms import binary_gcd
-from .groebner import Ideal, is_projectively_empty
+from .forms import dehomogenised, integer_binary_gcd
+from .groebner import Ideal, _make_layout, _unpack, is_projectively_empty
 from .pencil import invariants_of
 
 Q = Fraction
@@ -94,35 +93,30 @@ def restrict_line(A, p, q):
     return A._substitute(("s", "t"), [p, q])
 
 
-def _binary_rational_roots(g):
-    """Rational projective roots of a binary form, deterministic order.
+def _binary_rational_roots(coeffs, val):
+    """Rational projective roots (a, b) of b^(val + deg) * F(a/b), with
+    F(t) = sum(coeffs[i] * t^i) of degree deg, in a deterministic order.
 
     A factor of the first variable yields (0, 1), a factor of the second
     yields (1, 0); the root of a linear remainder is read off, and longer
-    ones go through the rational-root theorem on the dehomogenisation,
-    skipped when an end coefficient exceeds ROOT_SEARCH_BOUND.
+    ones go through the rational-root theorem on F, skipped when an end
+    coefficient exceeds ROOT_SEARCH_BOUND.
     """
     roots = []
-    d = g.degree()
-    coeff = {ea: c for (ea, _), c in g._terms.items()}
-    min_a = min(coeff)
-    max_a = max(coeff)
-    if min_a > 0:                      # first variable divides
+    if not coeffs[0]:                  # first variable divides
         roots.append((Q(0), Q(1)))
-    if max_a < d:                      # second variable divides
+    if val:                            # second variable divides
         roots.append((Q(1), Q(0)))
-    # dehomogenise: F(t) = sum coeff[ea] * t^(ea - min_a)
-    (cs,), _ = linalg.integer_rows([coeff.values()])
-    ints = {ea - min_a: c for ea, c in zip(coeff, cs)}
-    deg = max(ints)
-    lead, const = ints[deg], ints[0]
+    ints = coeffs[next(i for i, c in enumerate(coeffs) if c):]
+    deg = len(ints) - 1
+    lead, const = ints[-1], ints[0]
     if deg == 1:
         roots.append((Q(-const, lead), Q(1)))
     elif deg > 1 and max(abs(const), abs(lead)) <= ROOT_SEARCH_BOUND:
         tries = dict.fromkeys(Q(s * p, q) for p in _divisors(abs(const))
                               for q in _divisors(abs(lead)) for s in (1, -1))
         roots += [(t, Q(1)) for t in tries
-                  if sum(c * t ** e for e, c in ints.items()) == 0]
+                  if sum(c * t ** e for e, c in enumerate(ints)) == 0]
     return roots
 
 
@@ -157,10 +151,13 @@ def _first_drop(pencil, rank):
     the first rational root of the GCD of its nonzero rank-size
     sub-Pfaffians, (1, 0) when all of them vanish (the rank drops
     everywhere), None when the GCD has no rational root."""
-    pfs = [f for f in pencil.sub_pfaffians(rank) if not f.is_zero()]
-    if not pfs:
+    lay = _make_layout(2)
+    g, val = integer_binary_gcd(
+        dehomogenised(((_unpack(k, lay)[0], c) for k, c in p.items()), rank // 2)
+        for p in map(pencil._pf, combinations(range(pencil.order), rank)) if p)
+    if g is None:
         return Q(1), Q(0)
-    roots = _binary_rational_roots(binary_gcd(pfs))
+    roots = _binary_rational_roots(g, val)
     return roots[0] if roots else None
 
 
@@ -177,16 +174,22 @@ def _search_witness(A, rank, seed):
     return None
 
 
+def _witness(A, rank, seed):
+    """A rational point where A has rank below `rank`, or None: a pencil's
+    first drop, else the seeded search over probe points and lines."""
+    if A.nvars == 2:
+        return _first_drop(A, rank)
+    return _search_witness(A, rank, seed)
+
+
 @lru_cache(maxsize=512)
-def _certify_cached(A):
-    """The certificate without its seeded part, once per matrix content:
-    the rank and verdict, and a pencil's seed-free witness."""
+def verdict(A):
+    """The certificate of A without a witness, seed-free and computed
+    once per matrix content: its generic rank, whether that rank is
+    constant, and how that was decided."""
     if A.nvars == 2:
         inv = invariants_of(A)
-        if inv.constant:
-            return RankCertificate(inv.rank, True, METHOD_KRONECKER)
-        return RankCertificate(inv.rank, False, METHOD_KRONECKER,
-                               witness=_first_drop(A, inv.rank))
+        return RankCertificate(inv.rank, inv.constant, METHOD_KRONECKER)
     rank = generic_rank(A)
     return RankCertificate(rank, *_pfaffian_ideal_empty(A, rank))
 
@@ -202,22 +205,14 @@ def _pfaffian_ideal_empty(A, rank):
     return is_projectively_empty(Ideal._from_packed(A.vars, pfs)), METHOD_GROEBNER
 
 
-@lru_cache(maxsize=512)
-def _witnessed(A, seed):
-    """A refutation with the witness that the search seeded by `seed`
-    finds, if any."""
-    cert = _certify_cached(A)
-    return replace(cert, witness=_search_witness(A, cert.generic_rank, seed))
-
-
 def certify_constant_rank(A, seed=0):
     """Certificate that A has constant rank on the whole projective
     parameter space, or a refutation (with a rational witness point where
     one was found).  Only the witness search of a refuted space with more
     than two parameters depends on the seed."""
-    cert = _certify_cached(A)
-    if cert.constant is False and A.nvars != 2:
-        return _witnessed(A, seed)
+    cert = verdict(A)
+    if cert.constant is False:
+        return replace(cert, witness=_witness(A, cert.generic_rank, seed))
     return cert
 
 
@@ -263,7 +258,7 @@ def check_bound(A, nondegenerate, cert=None):
     if A.nvars != 2:
         raise ValueError("order bound applies to pencils only (d = 2)")
     if cert is None:
-        cert = certify_constant_rank(A)
+        cert = verdict(A)
     if cert.constant is not True:
         raise ValueError("order bound needs a constant-rank certificate")
     if not nondegenerate:

@@ -159,7 +159,7 @@ def cmd_reproduce(args):
     rows = catalog.reproduce_all(
         names_filter=set(args.name) if args.name else None,
         sections=set(args.section) if args.section else None,
-        seed=args.seed, budget=args.budget)
+        seed=args.seed)
     if not rows:
         raise ValueError("no catalog entry matches the selection")
     _print(catalog.format_report(rows, as_table=args.table, seed=args.seed))
@@ -241,7 +241,6 @@ def build_parser():
     p.add_argument("--name", action="append", help="restrict to entries")
     p.add_argument("--section", action="append", type=int,
                    help="restrict to catalog sections")
-    p.add_argument("--budget", type=positive_int, default=200)
     p.add_argument("--table", action="store_true", help="plain-text table")
     p.set_defaults(fn=cmd_reproduce)
 

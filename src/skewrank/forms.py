@@ -13,6 +13,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
+
+from .linalg import integer_rows
 
 Q = Fraction
 
@@ -324,7 +327,7 @@ def parse_form(text, vars):
         tokens.append(m)
         pos = m.end()
 
-    terms = []
+    terms = {}
     sign = 1
     coef = None
     exps = None
@@ -335,8 +338,10 @@ def parse_form(text, vars):
             if coef is None:
                 return
             exps = [0] * len(vars)
-        c = Q(1) if coef is None else coef
-        terms.append((tuple(exps), sign * c))
+        e = tuple(exps)
+        terms[e] = terms.get(e, 0) + sign * (Q(1) if coef is None else coef)
+        if not terms[e]:
+            del terms[e]
         coef, exps, sign = None, None, 1
 
     expect_exp = False
@@ -381,46 +386,58 @@ def parse_form(text, vars):
     if expect_exp:
         raise ValueError("dangling '^' in %r" % text)
     flush()
-    if not terms:
-        return Form.zero(vars)
-    return Form(vars, terms)
+    names = tuple(str(v) for v in vars)
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names: %r" % (names,))
+    return Form._from_clean(names, terms)
 
 
-# -- univariate helpers for the binary GCD ------------------------------
+# -- the binary GCD ------------------------------------------------------
 
 
-def _uni_trim(u):
-    while u and not u[-1]:
-        u.pop()
-    return u
+def _primitive(u):
+    """Nonzero integer list u over its content, last entry positive."""
+    g = gcd(*u) if u[-1] > 0 else -gcd(*u)
+    return [c // g for c in u]
 
 
-def _uni_mod(u, v):
-    """Remainder of u by v; dense little-endian Fraction lists."""
-    u = list(u)
-    dv = len(v) - 1
-    lv = v[-1]
-    while len(u) - 1 >= dv and _uni_trim(u):
-        du = len(u) - 1
-        if du < dv:
+def _prem(u, v):
+    """Primitive pseudo-remainder of u by v, little-endian integer lists
+    with nonzero last entries; [] when v divides u."""
+    while len(u) >= len(v):
+        g = gcd(v[-1], u[-1])
+        x, y, shift = v[-1] // g, u[-1] // g, len(u) - len(v)
+        u = [x * c for c in u]
+        for i, c in enumerate(v, shift):
+            u[i] -= y * c
+        while u and not u[-1]:
+            u.pop()
+    return _primitive(u) if u else u
+
+
+def dehomogenised(terms, degree):
+    """(coeffs, val) of the nonzero binary form sum(c * a^i * b^(degree - i))
+    over the pairs (i, c) of `terms`: coeffs[i] = c up to the top power of
+    a, and val = degree - top, the power of b that divides the form."""
+    terms = dict(terms)
+    top = max(terms)
+    return [terms.get(i, 0) for i in range(top + 1)], degree - top
+
+
+def integer_binary_gcd(polys):
+    """GCD of nonzero binary forms given as integer (coeffs, val) pairs
+    (see `dehomogenised`), in the same shape: coeffs primitive with a
+    positive last entry, val the least val.  Euclid on primitive
+    pseudo-remainders; (None, None) for no input."""
+    g = val = None
+    for u, v in polys:
+        val = v if val is None else min(val, v)
+        g, u = _primitive(u), g
+        while u:
+            g, u = u, _prem(g, u)
+        if val == 0 and len(g) == 1:
             break
-        q = u[-1] / lv
-        shift = du - dv
-        for i, c in enumerate(v):
-            u[i + shift] -= q * c
-        u.pop()
-        _uni_trim(u)
-    return u
-
-
-def _uni_gcd(u, v):
-    u, v = _uni_trim(list(u)), _uni_trim(list(v))
-    while v:
-        u, v = v, _uni_mod(u, v)
-    if u:
-        lead = u[-1]
-        u = [c / lead for c in u]
-    return u
+    return g, val
 
 
 def binary_gcd(forms):
@@ -445,25 +462,11 @@ def binary_gcd(forms):
     nonzero = [f for f in forms if not f.is_zero()]
     if not nonzero:
         raise ValueError("gcd of all-zero input")
-
-    # f = b^(val) * hom(F) with F(t) = f(t, 1); gcd splits accordingly.
-    val = None
-    g = None
+    polys = []
     for f in nonzero:
-        d = f.degree()
-        uni = [Q(0)] * (d + 1)
-        for (ea, eb), c in f._terms.items():
-            uni[ea] += c
-        _uni_trim(uni)
-        v = d - (len(uni) - 1)
-        val = v if val is None else min(val, v)
-        g = uni if g is None else _uni_gcd(g, uni)
-        if val == 0 and len(g) == 1:
-            break
-
-    degg = len(g) - 1
-    terms = {}
-    for ea, c in enumerate(g):
-        if c:
-            terms[(ea, val + degg - ea)] = c
-    return Form(ring, terms)
+        (cs,), _ = integer_rows([f._terms.values()])
+        polys.append(dehomogenised(zip((ea for ea, _ in f._terms), cs), f.degree()))
+    g, val = integer_binary_gcd(polys)
+    top = len(g) - 1
+    return Form._from_clean(ring, {(i, val + top - i): Q(c, g[-1])
+                                   for i, c in enumerate(g) if c})

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import gcd
 
 from . import linalg
-from .certify import certify_constant_rank
+from .certify import certify_constant_rank, verdict
 from .groebner import Ideal, WrongDimension, hilbert_profile
 from .pencil import KroneckerInvariants, pencil_invariants
 from .skew import SkewPolyMatrix
@@ -98,9 +98,10 @@ def project(A, center, seed=0):
         raise ValueError("center must have one coordinate per matrix row")
     P, center = _projection_basis_change(center)
     moved = A.congruence_transform(P)
-    result = SkewPolyMatrix.from_coefficient_basis(
-        A.vars, [[row[:-1] for row in B[:-1]] for B in moved.coefficient_basis()])
-    cert_in = certify_constant_rank(A, seed=seed)
+    result = SkewPolyMatrix._from_integer(
+        A.vars, [[row[:-1] for row in B[:-1]] for B in moved.integer_basis()],
+        moved._lam)
+    cert_in = verdict(A)
     cert_out = certify_constant_rank(result, seed=seed)
     valid = (cert_out.constant is True
              and cert_out.generic_rank == cert_in.generic_rank)
@@ -115,7 +116,7 @@ def find_valid_center(A, target_order, seed=0):
     rejected up front; the coarser guarantee for existence is order
     2r + d, which the error message reports as well.
     """
-    cert = certify_constant_rank(A, seed=seed)
+    cert = verdict(A)
     if cert.constant is not True:
         raise ValueError("projection chains need a constant-rank input")
     two_r = cert.generic_rank
@@ -156,7 +157,7 @@ def find_valid_center(A, target_order, seed=0):
 
 
 def _check_corank2(A, cert):
-    cert = cert or certify_constant_rank(A)
+    cert = cert or verdict(A)
     if A.order % 2:
         raise ValueError("kernel 2-plane map needs even order")
     if cert.constant is not True:
@@ -253,7 +254,7 @@ def splitting_on_line(A, p, q):
     q = linalg.primitive_vector(q)
     if linalg.rank([p, q]) != 2:
         raise ValueError("line needs two independent points")
-    cert = certify_constant_rank(A)
+    cert = verdict(A)
     proven = cert.generic_rank if cert.constant is True else None
     inv = pencil_invariants(A._combine(p), A._combine(q), proven)
     if not (inv.constant and inv.rank == cert.generic_rank):
@@ -420,7 +421,7 @@ def _bordered_pfaffians(A, xi):
     """
     (xi,), _ = linalg.integer_rows([xi])
     gens = []
-    for sub in combinations(range(A.order), certify_constant_rank(A).generic_rank + 1):
+    for sub in combinations(range(A.order), verdict(A).generic_rank + 1):
         acc = {}
         for t, i in enumerate(sub):
             if xi[i]:
@@ -519,7 +520,6 @@ def bundle_fingerprint(A, seed=0, budget=200):
     """
     if budget < 1:
         raise ValueError("budget must be at least 1, got %r" % budget)
-    cert = certify_constant_rank(A, seed=seed)
     rng = random.Random("fingerprint-covectors:%d" % seed)
     degrees = [section_zero_scheme_degree(A, seed=seed)]
     for _ in range(2):
@@ -542,7 +542,7 @@ def bundle_fingerprint(A, seed=0, budget=200):
         generic_padding=generic.padding,
         jumping_lines=jumps,
         c2=degrees[0],
-        gauss_span_dim=gauss_span_dim(A, cert),
+        gauss_span_dim=gauss_span_dim(A),
         scanned=scanned,
         seed=seed,
     )

@@ -13,7 +13,7 @@ import pytest
 from tests.conftest import random_invertible, random_skew
 
 from skewrank import catalog, geometry, linalg
-from skewrank.certify import _certify_cached, certify_constant_rank
+from skewrank.certify import certify_constant_rank, verdict
 from skewrank.forms import Form, binary_gcd, variables
 from skewrank.groebner import Ideal, buchberger, normal_form
 from skewrank.orbit import orbit_dimension, rank_exact, tangent_rows
@@ -31,7 +31,7 @@ def _verdict(n, label, failures):
 
 
 def test_criterion_1_certification():
-    _certify_cached.cache_clear()
+    verdict.cache_clear()
     failures = []
     pencil_names = ("M7", "M8", "M9")
     plane_names = ("pi1", "pi2", "pi3", "pi4", "pi5", "pi6",

@@ -287,20 +287,34 @@ def _symbolic_reference(A):
     g = binary_gcd([f for f in A.sub_pfaffians(rank) if not f.is_zero()])
     if g.degree() == 0:
         return rank, True, None
-    roots = _binary_rational_roots(g)
+    coeff = {ea: c for (ea, _), c in g._terms.items()}
+    (ints,), _ = linalg.integer_rows([[coeff.get(i, 0) for i in range(max(coeff) + 1)]])
+    roots = _binary_rational_roots(ints, g.degree() - max(coeff))
     return rank, False, roots[0] if roots else None
 
 
-def test_kronecker_route_matches_symbolic_reference():
-    from skewrank.pencil import canonical_form, minimal_indices
+# regular blocks: rank 2 dropping at (-2, 1); rank 4 with Pfaffian
+# a^2 + b^2, dropping at no rational point; then rank 2 dropping at
+# (1, 0); rank 4 with Pfaffian (a - b)(2a + 3b); rank 6 with Pfaffian
+# -(a^3 - 2b^3), whose only real root is irrational
+REGULAR_BLOCKS = [
+    SkewPolyMatrix(2, AB, {(0, 1): "a + 2*b"}),
+    SkewPolyMatrix(4, AB, {(0, 1): "a", (2, 3): "a", (0, 2): "b", (1, 3): "-b"}),
+    SkewPolyMatrix(2, AB, {(0, 1): "3*b"}),
+    SkewPolyMatrix(4, AB, {(0, 1): "a - b", (2, 3): "2*a + 3*b"}),
+    SkewPolyMatrix(6, AB, {(0, 3): "a", (0, 5): "-2*b", (1, 3): "-b",
+                           (1, 4): "a", (2, 4): "-b", (2, 5): "a"}),
+]
+
+
+def _pencil_cases(regular):
+    """(matrix, classification or None) over the catalog pencils, canonical
+    pencils and direct sums of canonical pencils with the regular blocks,
+    each also moved by seeded congruences."""
+    from skewrank.pencil import canonical_form
 
     rng = random.Random(16)
-    # regular blocks: rank 2 dropping at (-2, 1); rank 4 with Pfaffian
-    # a^2 + b^2, dropping at no rational point
-    regular = [SkewPolyMatrix(2, AB, {(0, 1): "a + 2*b"}),
-               SkewPolyMatrix(4, AB, {(0, 1): "a", (2, 3): "a",
-                                      (0, 2): "b", (1, 3): "-b"})]
-    cases = []                       # (matrix, classification or None)
+    cases = []
     for name in catalog.names():
         entry = catalog.get(name)
         if entry.matrix.nvars != 2:
@@ -332,6 +346,13 @@ def test_kronecker_route_matches_symbolic_reference():
                     L = random_invertible(rng, 2)
                     cases.append((B.parameter_change(L), None))
     cases += [(block.pad_zero(1), None) for block in regular]
+    return cases
+
+
+def test_kronecker_route_matches_symbolic_reference():
+    from skewrank.pencil import minimal_indices
+
+    cases = _pencil_cases(REGULAR_BLOCKS[:2])
     assert (len(cases), sum(want is None for _, want in cases)) == (110, 26)
     for A, want in cases:
         c = certify_constant_rank(A)
@@ -360,3 +381,124 @@ def test_witness_roots_are_bounded():
                                   (0, 2): "b", (1, 3): "-%d*b" % big})
     c = certify_constant_rank(quad)
     assert (c.generic_rank, c.constant, c.witness) == (4, False, None)
+
+
+def _fraction_gcd(forms):
+    """(g, val): the monic GCD of nonzero binary forms by Euclid over Q,
+    g little-endian in the first variable, val the power of the second
+    that divides every form; the reference for the integer route."""
+    def rem(u, v):
+        u = list(u)
+        while len(u) >= len(v):
+            q = u[-1] / v[-1]
+            for i, c in enumerate(v, len(u) - len(v)):
+                u[i] -= q * c
+            while u and not u[-1]:
+                u.pop()
+        return u
+
+    g, val = None, None
+    for f in forms:
+        u = [Q(0)] * (f.degree() + 1)
+        for (i, _), c in f._terms.items():
+            u[i] = c
+        while not u[-1]:
+            u.pop()
+        v = f.degree() + 1 - len(u)
+        val = v if val is None else min(val, v)
+        while g:
+            u, g = g, rem(u, g)
+        g = u
+    return [c / g[-1] for c in g], val
+
+
+def _gate_pencils():
+    """The non-constant pencils of _pencil_cases over all five regular
+    blocks, then the 25 witness lines of a refuted net."""
+    pencils = [A for A, want in _pencil_cases(REGULAR_BLOCKS) if want is None]
+    net = SkewPolyMatrix(7, ("a", "b", "c"), {
+        (0, 1): "a", (2, 3): "a", (0, 2): "b", (1, 3): "-c", (4, 5): "a - b + 2*c"})
+    net = net.congruence_transform(random_invertible(random.Random(5), 7))
+    lines = [restrict_line(net, p, q) for p, q in witness_candidates(3, 0)[1]]
+    return pencils, lines
+
+
+def test_integer_first_drop_matches_fraction_euclid():
+    from skewrank.certify import _first_drop, verdict
+
+    pencils, lines = _gate_pencils()
+    assert (len(pencils), len(lines)) == (65, 25)
+    witnesses = []
+    for A in pencils + lines:
+        rank = verdict(A).generic_rank
+        got = _first_drop(A, rank)
+        pfs = [f for f in A.sub_pfaffians(rank) if not f.is_zero()]
+        if pfs:
+            g, val = _fraction_gcd(pfs)
+            (ints,), _ = linalg.integer_rows([g])
+            roots = _binary_rational_roots(ints, val)
+            assert got == (roots[0] if roots else None)
+        else:
+            assert got == (Q(1), Q(0))
+        if got is not None:
+            assert A.rank_at(got) < rank
+        witnesses.append(got)
+    # every root branch is taken: (0, 1), (1, 0), a linear root, a root
+    # found by trial division, and no rational root at all
+    kinds = {w if w in ((0, 1), (1, 0), None) else "root" for w in witnesses}
+    assert kinds == {(0, 1), (1, 0), None, "root"}
+    assert (Q(2, 3), 1) in witnesses and (Q(-3, 2), 1) in witnesses
+    blob = json.dumps([w and [str(x) for x in w] for w in witnesses])
+    assert hashlib.sha256(blob.encode()).hexdigest() == GATE_WITNESSES
+
+
+# the witnesses of the Fraction-Euclid route on sub-Pfaffian Forms that
+# the integer route replaced, recorded before it was deleted
+GATE_WITNESSES = "c622d4d8003c6eae5131a8166e70c8d7c2ab5e7d3185827e3e3a5e8aabd4bb4f"
+
+
+def _with_canonical(block):
+    from skewrank.pencil import canonical_form
+
+    return canonical_form((1,)).matrix.direct_sum(block)
+
+
+def test_verdict_only_callers_compute_no_witness(monkeypatch):
+    from skewrank import certify, geometry
+    from skewrank.catalog import CatalogEntry, Expected
+
+    def refuse(*args):
+        raise AssertionError("a witness was computed for a verdict")
+
+    monkeypatch.setattr(certify, "_first_drop", refuse)
+    monkeypatch.setattr(certify, "_search_witness", refuse)
+    certify.verdict.cache_clear()
+    pencil = _with_canonical(REGULAR_BLOCKS[0]).pad_zero(1)
+    net = SkewPolyMatrix(4, ("a", "b", "c"),
+                         {(0, 1): "a + b + c", (2, 3): "a + 2*b + 3*c"})
+    for A in (pencil, net):
+        with pytest.raises(ValueError, match="constant-rank certificate"):
+            geometry.gauss_span_dim(A)
+    with pytest.raises(ValueError, match="rank 4 at every point"):
+        geometry.splitting_on_line(net, (1, 0, 0), (0, 1, 0))
+    with pytest.raises(ValueError, match="constant-rank certificate"):
+        check_bound(pencil, True)
+    table = {"pencil": CatalogEntry("pencil", 1, "refuted pencil", pencil,
+                                    Expected(generic_rank=4, constant=False,
+                                             method="kronecker")),
+             "net": CatalogEntry("net", 2, "refuted net", net,
+                                 Expected(generic_rank=4, constant=False,
+                                          method="groebner"))}
+    rows = catalog.reproduce_all(table=table)
+    assert len(rows) == 6 and all(row.ok for row in rows)
+
+
+def test_pencil_refutation_builds_no_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Form was built")
+
+    A = _with_canonical(REGULAR_BLOCKS[3])
+    A = A.congruence_transform(random_invertible(random.Random(7), A.order))
+    monkeypatch.setattr(SkewPolyMatrix, "_form", refuse)
+    c = certify_constant_rank(A)
+    assert (c.generic_rank, c.constant, c.witness) == (6, False, (1, 1))

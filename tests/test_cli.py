@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from skewrank import catalog, geometry
-from skewrank.certify import _certify_cached, sampled_probe
+from skewrank.certify import sampled_probe, verdict
 from skewrank.cli import main
 from skewrank.skew import SkewPolyMatrix
 
@@ -74,7 +74,7 @@ def test_certify_reads_a_huge_linear_witness_at_once(tmp_path, capsys):
     p = tmp_path / "far.json"
     p.write_text(SkewPolyMatrix(2, ("a", "b"),
                                 {(0, 1): "a - 1000000000000000000000007*b"}).dumps())
-    _certify_cached.cache_clear()
+    verdict.cache_clear()
     t0 = time.perf_counter()
     code, out = run(capsys, ["certify", str(p)])
     assert time.perf_counter() - t0 < 1.0
@@ -261,8 +261,8 @@ def test_malformed_matrix_json_is_a_usage_error(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("argv", [
-    ["reproduce", "--name", "pi1", "--budget", "0"],
-    ["reproduce", "--section", "4", "--budget", "0"],
+    ["fingerprint", "--budget", "0", "MATRIX"],
+    ["certify", "--sampled=-1", "MATRIX"],
     ["fingerprint", "--budget", "-3", "MATRIX"],
     ["certify", "--sampled", "-5", "MATRIX"],
     ["certify", "--sampled", "0", "MATRIX"],
@@ -280,7 +280,6 @@ def test_library_budgets_below_one_are_rejected_up_front():
     pi1, m8 = catalog.get("pi1").matrix, catalog.get("M8").matrix
     for call in (lambda: geometry.jumping_scan(pi1, budget=0),
                  lambda: geometry.bundle_fingerprint(m8, budget=0),
-                 lambda: catalog.reproduce_all(names_filter={"pi1"}, budget=-3),
                  lambda: sampled_probe(m8, n_points=0)):
         with pytest.raises(ValueError, match="at least 1"):
             call()

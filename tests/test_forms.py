@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewrank.forms import Form, binary_gcd, parse_form, variables
+from skewrank.forms import (Form, binary_gcd, integer_binary_gcd, parse_form,
+                            variables)
 
 Q = Fraction
 
@@ -75,6 +78,48 @@ def test_binary_gcd_examples():
     # independent oracle: factor both quadratics over Q by rational roots;
     # t^2 - 1 = (t - 1)(t + 1), t^2 + 2t + 1 = (t + 1)^2, shared factor t + 1
     assert binary_gcd([a ** 2 - b ** 2, a ** 2 + 2 * a * b + b ** 2]) == a + b
+    # one nonzero input is normalised too
+    assert binary_gcd([Form.zero(AB), -6 * a ** 2 * b + 3 * b ** 3]) == \
+        a ** 2 * b - Q(1, 2) * b ** 3
+
+
+def _times(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return out
+
+
+def test_integer_binary_gcd_recovers_a_common_factor():
+    # f and g are coprime by construction: products of linear factors
+    # (p*t - q) with distinct roots q/p, g possibly times t^2 + k (k > 0,
+    # no real root); then gcd(f*h, g*h) is h, made primitive with a
+    # positive leading coefficient, and the valuation is the least one
+    rng = random.Random("integer-gcd")
+    for _ in range(200):
+        roots = set()
+        while len(roots) < 6:
+            roots.add(Q(rng.randint(-9, 9), rng.randint(1, 5)))
+        roots = list(roots)
+        f, g = [1], [1]
+        for k, r in enumerate(roots[:rng.randint(2, 6)]):
+            factor = [-r.numerator, r.denominator]
+            if k % 2:
+                f = _times(f, factor)
+            else:
+                g = _times(g, factor)
+        if rng.random() < 0.5:
+            g = _times(g, [rng.randint(1, 9), 0, 1])
+        h = [rng.randint(-20, 20) for _ in range(rng.randint(1, 5))] + [rng.choice((-3, -1, 2, 5))]
+        scale = rng.choice((1, -1, 6, -35))
+        fh, gh = [scale * c for c in _times(f, h)], [2 * c for c in _times(g, h)]
+        content = gcd(*h) if h[-1] > 0 else -gcd(*h)
+        vf, vg = rng.randint(0, 3), rng.randint(0, 3)
+        got = integer_binary_gcd([(fh, vf), (gh, vg)])
+        assert got == ([c // content for c in h], min(vf, vg))
+    assert integer_binary_gcd([]) == (None, None)
+    assert integer_binary_gcd([([0, 4, -6], 2)]) == ([0, -2, 3], 2)
 
 
 def test_binary_gcd_errors():

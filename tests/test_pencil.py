@@ -185,7 +185,7 @@ def test_catalog_runs_each_pencil_sequence_once(monkeypatch):
     for module in (certify, geometry, pencil):      # every alias callers hold
         if hasattr(module, "pencil_invariants"):
             monkeypatch.setattr(module, "pencil_invariants", counting)
-    certify._certify_cached.cache_clear()
+    certify.verdict.cache_clear()
     pencil.invariants_of.cache_clear()
     rows = catalog.reproduce_all(names_filter=names)
     assert rows and all(row.ok for row in rows)
