@@ -1,14 +1,14 @@
 """Constant-rank certification over the whole parameter space.
 
-A pencil (two variables) is decided by its Kronecker rank sequence
-(`pencil.pencil_invariants`), method ``kronecker``: integer
-block-Toeplitz ranks give the normal rank and prove it constant exactly
-when there is no regular part.  Any other number of variables d takes the
-symbolic generic rank 2r (largest size with a principal sub-Pfaffian
-that is not the zero polynomial); the rank is constant exactly when the
-ideal of the size-2r sub-Pfaffians, forms of degree r, has no
-projective zero.  Two proofs decide that, both on the packed integer
-Pfaffians in subset order:
+A pencil (two variables) is decided by its Kronecker minimal indices
+(`pencil.pencil_invariants`), method ``kronecker``: the integer
+kernels of one chain recursion in Q^n give the normal rank and prove it
+constant exactly when there is no regular part.  Any other number of
+variables d takes the symbolic generic rank 2r (largest size with a
+principal sub-Pfaffian that is not the zero polynomial); the rank is
+constant exactly when the ideal of the size-2r sub-Pfaffians, forms of
+degree r, has no projective zero.  Two proofs decide that, both on the
+packed integer Pfaffians in subset order:
 
 - method ``macaulay``: their integer coefficient rows have rank
   C(r + d - 1, d - 1), so they span every form of degree r; the ideal

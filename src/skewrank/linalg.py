@@ -11,9 +11,10 @@ rows in column order (`echelon_int`).  Determinants use the square
 Bareiss recurrence.  The one large sparse system, the orbit
 stabilizer system, is ranked by `sparse_rank` on dict rows instead: its
 rows hold at most 2n + d nonzeros out of n^2 + d^2 columns, and column
-order would fill them in.  The small Toeplitz and Pfaffian-coefficient
-systems stay on `echelon_int`, which is cheaper there; `coefficient_rank`
-ranks the coefficient rows of packed polynomials with it.
+order would fill them in.  The pencil chain kernels, n x (k + n) each,
+and the Pfaffian-coefficient systems stay on `echelon_int`, which is
+cheaper there; `coefficient_rank` ranks the coefficient rows of packed
+polynomials with it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import mul
 
 Q = Fraction
 
@@ -258,11 +260,11 @@ def rank(rows):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def transpose(a):

@@ -7,11 +7,31 @@ count constant kernel vectors (padding, the degenerate part split off by
 zero rows and columns).  These invariants are complete for congruence, so
 equivalence is decided by comparing them.
 
-They come from integer ranks alone (Van Dooren, LAA 27, 1979).  The
-kernel vectors of degree delta in (a, b) solve a block-Toeplitz system
-T_delta whose kernel has dimension k_delta = sum over indices eps <= delta
-of (delta - eps + 1), so k_delta - 2 k_(delta-1) + k_(delta-2) indices
-equal delta.  A skew pencil is congruent to a sum of blocks, one of 2eps + 1
+They come from integer kernels in Q^n alone, by one chain recursion
+(a Wong sequence: Berger, Ilchmann and Trenn, SIAM J. Matrix Anal. Appl.
+33, 2012) that reproduces Van Dooren's counts (LAA 27, 1979).  A kernel
+vector sum c_e a^(delta-e) b^e of degree delta has B1 c_0 = 0,
+B1 c_e + B2 c_(e-1) = 0 for 0 < e <= delta, and B2 c_delta = 0: the
+kernel of a block-Toeplitz system T_delta, of dimension k_delta = sum
+over indices eps <= delta of (delta - eps + 1), so
+k_delta - 2 k_(delta-1) + k_(delta-2) indices equal delta.  Call
+c_0..c_delta a chain when it meets all but the last condition, and let
+E_delta be the space of chain ends c_delta: E_0 = ker B1 and
+E_(delta+1) = {c : B1 c in B2 E_delta}.  Block elimination on the last
+block column of T_delta, which meets only its last two block rows, gives
+the counts: v -> c_delta maps ker T_delta onto E_delta cap ker B2, and
+its kernel, the chains ending in c_delta = 0, is ker T_(delta-1) with a
+zero block appended.  So k_delta - k_(delta-1) = g_delta, the dimension
+of E_delta cap ker B2, and g_delta - g_(delta-1) indices equal delta.
+Step 0 is g_0 = n - rank [B1; B2], with no kernel built; step
+delta >= 1 is g_delta = dim E_delta - rank(B2 E_delta).  Moving from
+E_delta to E_(delta+1) takes one integer kernel, of the n x (k + n)
+matrix [B2 E_delta | B1] with k = dim E_delta: each kernel vector (y, c)
+with c != 0 ends a chain one longer, through E_delta y.  So E_0 = ker B1
+is built only when step 1 is needed, and each later step costs one
+kernel and one rank.
+
+A skew pencil is congruent to a sum of blocks, one of 2eps + 1
 rows for each index eps, and a regular part of size R; so the sequence
 stops once the rows left over cannot hold a block of index delta.  The
 normal rank is n minus the number of indices, 2*sum(eps) + R, and the
@@ -21,21 +41,25 @@ indices sum to half the normal rank: the constancy proof of `certify`.
 A caller that has already proved rank 2r at every point (a line in a
 certified constant-rank space) passes it as `constant_rank`, and the
 sequence stops as soon as that proof forces the rest.  With R = 0 the
-m = n - 2r indices sum to r.  Before T_delta, the indices found are
+m = n - 2r indices sum to r.  Before step delta, the indices found are
 exactly those below delta, so the m' still missing are all >= delta and
 sum to r' = r - (sum found).  When m' <= 1, or r' - m' * delta = e <= 1,
 there is one way to do that: the single index r', or e indices
-delta + 1 and m' - e indices delta.  On an 8x8 rank-6 plane T_0 alone
-decides the splitting: one constant kernel vector gives (3) with
+delta + 1 and m' - e indices delta.  On an 8x8 rank-6 plane step 0
+alone decides the splitting: one constant kernel vector gives (3) with
 padding 1, none gives (2, 1).  A claimed rank that no indices can meet
 raises ValueError; one that is wrong but consistent gives wrong indices,
 so only a proven rank may be passed.
 
 `congruence_to_canonical` also exhibits the congruence, in integers
 (Thompson, LAA 147, 1991, made explicit):
-1. A minimal basis of the kernel from the integer kernels of the T_delta:
-   at each delta, the vectors that complement the shifts of the lower
-   ones.  Their count, k_delta minus the shifts, gives the indices.
+1. A minimal basis of the kernel from the same steps, each of which
+   gives kernel chains whose ends are a basis of E_delta cap ker B2.
+   A lower vector's shifts into degree delta end in 0 (times a power of
+   a) or in its own last coefficient (times b^(delta - eps)), and the
+   kernel chains that end in 0 are shifts, so the vectors of degree
+   delta are the kernel chains whose ends complement the lower vectors'
+   ends: an n-wide echelon test.  Their count is g_delta - g_(delta-1).
 2. For a vector c_0..c_eps of index eps, y_s = (-1)^s c_(eps-s) for
    s = 0..eps; the y's of all blocks span an isotropic space W.
 3. For block i and t < eps_i, x_(i,t) pairs with the y's as the
@@ -60,7 +84,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .skew import SkewPolyMatrix
@@ -91,26 +115,40 @@ class CanonicalPencil:
     matrix: SkewPolyMatrix
 
 
-def _toeplitz_rows(B1, B2, n, delta):
-    """Nonzero rows of T_delta: in the unknowns c_0..c_delta of
-    v = sum c_e * a^(delta-e) b^e, the coefficient of a^(delta+1-e) b^e
-    in (a*B1 + b*B2) v is B1 c_e + B2 c_(e-1)."""
-    zero = [0] * n
-    rows = []
-    for e in range(delta + 2):
-        blocks = [B1 if k == e else B2 if k == e - 1 else None
-                  for k in range(delta + 1)]
-        for i in range(n):
-            row = [x for B in blocks for x in (zero if B is None else B[i])]
-            if any(row):
-                rows.append(row)
-    return rows
+def _chain_steps(B1, B2):
+    """The chain recursion, one step per delta = 0, 1, ...: yields
+    (E, B2E, Y), E a basis of E_delta, B2E the products B2 e, and Y[j]
+    the y of E[j] below.
+
+    E_delta holds the last coefficients c_delta of the chains c_0..c_delta
+    with B1 c_0 = 0 and B1 c_e + B2 c_(e-1) = 0.  Moving on takes one
+    integer kernel of [B2 E | B1]: a kernel vector (y, c) has
+    B1 c + B2 (E y) = 0, so c ends a chain one longer through E y.
+    Kernel vectors are read off the reduced echelon form, each zero past
+    its free column, so the c != 0 are independent and span E_(delta+1);
+    the rest, c = 0, only repeat the kernel of B2 E."""
+    n = len(B1)
+    E, Y = linalg.nullspace(B1, n), []
+    while True:
+        B2E = [linalg.mat_vec(B2, e) for e in E]
+        yield E, B2E, Y
+        k = len(E)
+        rows = [[u[i] for u in B2E] + list(B1[i]) for i in range(n)]
+        kernel = [v for v in linalg.nullspace(rows, k + n) if any(v[k:])]
+        Y, E = [v[:k] for v in kernel], [v[k:] for v in kernel]
 
 
-def _toeplitz_rank(B1, B2, n, delta):
-    """Rank of T_delta."""
-    return len(linalg.echelon_int(_toeplitz_rows(B1, B2, n, delta),
-                                  (delta + 1) * n)[1])
+def _kernel_growth(B1, B2):
+    """g_delta = k_delta - k_(delta-1) for delta = 0, 1, ..., computed
+    one step at a time as the caller asks: g_0 is n minus the rank of
+    [B1; B2], and g_delta = dim E_delta - rank(B2 E_delta)."""
+    n = len(B1)
+    yield n - len(linalg.echelon_int(
+        [row for row in (*B1, *B2) if any(row)], n)[1])
+    steps = _chain_steps(B1, B2)
+    next(steps)
+    for E, B2E, _ in steps:
+        yield len(E) - len(linalg.echelon_int(B2E, n)[1])
 
 
 def _forced_indices(m, r, delta):
@@ -133,7 +171,8 @@ def pencil_invariants(B1, B2, constant_rank=None):
     at every point.  `constant_rank`, when given, must be a proven rank
     at every point; the sequence then stops once it forces the indices."""
     n = len(B1)
-    k = [0, 0]                       # k_(delta-2), k_(delta-1), ...
+    growth = _kernel_growth(B1, B2)
+    g = 0                            # g_(delta-1)
     indices = []
     delta = 0
     while n - 2 * sum(indices) - len(indices) >= 2 * delta + 1:
@@ -143,8 +182,8 @@ def pencil_invariants(B1, B2, constant_rank=None):
             if forced is not None:
                 indices += forced
                 break
-        k.append((delta + 1) * n - _toeplitz_rank(B1, B2, n, delta))
-        indices += [delta] * (k[-1] - 2 * k[-2] + k[-3])
+        last, g = g, next(growth)
+        indices += [delta] * (g - last)
         delta += 1
     if len(indices) == n:
         raise ValueError("zero pencil has no Kronecker invariants")
@@ -213,27 +252,39 @@ def canonical_form(partition):
 def _minimal_basis(B1, B2):
     """A minimal polynomial basis of the kernel of the nonzero pencil
     a*B1 + b*B2, by increasing degree, each vector as its coefficient
-    vectors c_0..c_eps.
+    vectors c_0..c_eps, primitive.
 
-    The kernel of T_delta holds the shifts a^o b^(delta-eps-o) v of the
-    vectors v found below delta, and the vectors of degree delta are a
-    complement of them.  Each kernel vector of `linalg.nullspace` is zero
-    on every free column but its own, which is its last nonzero entry; so
-    a complement is the kernel vectors of the free columns left over once
-    the shifts, read on the free columns, are in echelon form."""
+    At each delta the kernel K of B2 E gives E K, a basis of
+    E_delta cap ker B2: the last coefficients of ker T_delta.  The shifts
+    of a vector found below end in 0 (times a) or in its own last
+    coefficient (a pure power of b), and the kernel chains ending in 0
+    are shifts, so the vectors of degree delta are the kernel chains
+    whose ends complement the lower vectors' ends: the pivot columns
+    past those, in column order.  Each is walked back through the
+    steps' Y to its whole chain."""
     n = len(B1)
     basis = []
+    Ets, Yts = [], []                 # each step's E and Y, transposed
+    steps = _chain_steps(B1, B2)
     delta = 0
     while n - sum(2 * len(cs) - 1 for cs in basis) >= 2 * delta + 1:
-        kernel = linalg.nullspace(_toeplitz_rows(B1, B2, n, delta),
-                                  (delta + 1) * n)
-        free = [max(i for i, x in enumerate(v) if x) for v in kernel]
-        shifts = [[cs[f // n - o][f % n] if 0 <= f // n - o < len(cs) else 0
-                   for f in free]
-                  for cs in basis for o in range(delta + 2 - len(cs))]
-        covered = set(linalg.echelon_int(shifts, len(free))[1])
-        basis += [[v[e * n:(e + 1) * n] for e in range(delta + 1)]
-                  for j, v in enumerate(kernel) if j not in covered]
+        E, B2E, Y = next(steps)
+        K = linalg.nullspace(linalg.transpose(B2E), len(E)) if E else []
+        Ets.append(linalg.transpose(E))
+        Yts.append(linalg.transpose(Y))
+        low = len(basis)
+        ends = [cs[-1] for cs in basis] + [linalg.mat_vec(Ets[-1], y)
+                                           for y in K]
+        # the lower ends are independent: they are the first low pivots
+        pivots = linalg.echelon_int(linalg.transpose(ends), len(ends))[1]
+        for p in pivots[low:]:
+            y = K[p - low]
+            cs = [ends[p]]
+            for t in range(delta, 0, -1):
+                y = linalg.mat_vec(Yts[t], y)
+                cs.append(linalg.mat_vec(Ets[t - 1], y))
+            g = gcd(*(x for c in cs for x in c))
+            basis.append([[x // g for x in c] for c in reversed(cs)])
         delta += 1
     if len(basis) == n:
         raise ValueError("zero pencil has no Kronecker invariants")

@@ -6,6 +6,7 @@ import pytest
 
 from skewrank import geometry, linalg
 from skewrank.certify import certify_constant_rank
+from skewrank.pencil import KroneckerInvariants, _forced_indices
 
 Q = Fraction
 
@@ -76,3 +77,76 @@ def bordered_forms(A, xi):
     r = certify_constant_rank(A).generic_rank // 2
     den = lcm(*(Q(x).denominator for x in xi))
     return [A._form(p, r, den) for p in geometry._bordered_pfaffians(A, xi)]
+
+
+def toeplitz_rows(B1, B2, delta):
+    """Nonzero rows of the block-Toeplitz system T_delta of a*B1 + b*B2:
+    in the unknowns c_0..c_delta of v = sum c_e * a^(delta-e) b^e, the
+    coefficient of a^(delta+1-e) b^e in (a*B1 + b*B2) v is
+    B1 c_e + B2 c_(e-1)."""
+    n = len(B1)
+    zero = [0] * n
+    rows = []
+    for e in range(delta + 2):
+        blocks = [B1 if k == e else B2 if k == e - 1 else None
+                  for k in range(delta + 1)]
+        for i in range(n):
+            row = [x for B in blocks for x in (zero if B is None else B[i])]
+            if any(row):
+                rows.append(row)
+    return rows
+
+
+def toeplitz_invariants(B1, B2, constant_rank=None):
+    """Reference for pencil.pencil_invariants: Van Dooren's count, with
+    k_delta = dim ker T_delta and k_delta - 2 k_(delta-1) + k_(delta-2)
+    indices equal to delta, stopped as pencil_invariants stops."""
+    n = len(B1)
+    k = [0, 0]
+    indices = []
+    delta = 0
+    while n - 2 * sum(indices) - len(indices) >= 2 * delta + 1:
+        if constant_rank is not None:
+            forced = _forced_indices(n - constant_rank - len(indices),
+                                     constant_rank // 2 - sum(indices), delta)
+            if forced is not None:
+                indices += forced
+                break
+        rank = len(linalg.echelon_int(toeplitz_rows(B1, B2, delta),
+                                      (delta + 1) * n)[1])
+        k.append((delta + 1) * n - rank)
+        indices += [delta] * (k[-1] - 2 * k[-2] + k[-3])
+        delta += 1
+    if len(indices) == n:
+        raise ValueError("zero pencil has no Kronecker invariants")
+    partition = tuple(sorted((d for d in indices if d), reverse=True))
+    inv = KroneckerInvariants(n - len(indices), partition, indices.count(0))
+    if constant_rank is not None and not (inv.constant
+                                          and inv.rank == constant_rank):
+        raise ValueError("the claimed constant rank does not fit the "
+                         "pencil's Kronecker indices")
+    return inv
+
+
+def toeplitz_minimal_basis(B1, B2):
+    """Reference minimal polynomial basis of the kernel of a*B1 + b*B2,
+    each vector as its coefficient vectors c_0..c_eps: at each delta, the
+    integer kernel vectors of T_delta that complement the shifts of the
+    vectors found below delta, read on the kernel's free columns."""
+    n = len(B1)
+    basis = []
+    delta = 0
+    while n - sum(2 * len(cs) - 1 for cs in basis) >= 2 * delta + 1:
+        kernel = linalg.nullspace(toeplitz_rows(B1, B2, delta),
+                                  (delta + 1) * n)
+        free = [max(i for i, x in enumerate(v) if x) for v in kernel]
+        shifts = [[cs[f // n - o][f % n] if 0 <= f // n - o < len(cs) else 0
+                   for f in free]
+                  for cs in basis for o in range(delta + 2 - len(cs))]
+        covered = set(linalg.echelon_int(shifts, len(free))[1])
+        basis += [[v[e * n:(e + 1) * n] for e in range(delta + 1)]
+                  for j, v in enumerate(kernel) if j not in covered]
+        delta += 1
+    if len(basis) == n:
+        raise ValueError("zero pencil has no Kronecker invariants")
+    return basis

@@ -251,7 +251,7 @@ def test_forced_splitting_matches_the_full_sequence(rng):
         assert [pencil_invariants(moved._combine(p), moved._combine(q), rank)
                 for p, q in grid] == full
     assert seen == {KroneckerInvariants(6, (2, 1), 0), _SPLIT_03}
-    # the known jumping lines, forced to (0, 3) by T_0 alone
+    # the known jumping lines, forced to (0, 3) by step 0 alone
     pi3_pencil = [(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, -2), (0, 3, 4)]
     for name, lines in [("dk_steiner", catalog.DK_JUMPING_LINES),
                         ("pi4", [(0, 0, 1)]), ("pi5", [(1, 0, 0)]),

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from tests.conftest import moved, partitions, random_invertible
+from tests.conftest import (moved, partitions, random_invertible,
+                            toeplitz_invariants, toeplitz_minimal_basis,
+                            toeplitz_rows)
 
-from skewrank import catalog, linalg
+from skewrank import catalog, linalg, pencil
 from skewrank.certify import certify_constant_rank
 from skewrank.pencil import (KroneckerInvariants, canonical_form,
                              congruence_to_canonical, equivalent,
@@ -133,11 +135,15 @@ def test_pencil_invariants_report_the_normal_rank():
 
 
 def test_forced_indices_match_the_full_sequence(rng, monkeypatch):
-    from skewrank import pencil
-    degrees = []
-    real = pencil._toeplitz_rank
-    monkeypatch.setattr(pencil, "_toeplitz_rank",
-                        lambda *args: degrees.append(args[3]) or real(*args))
+    steps = []                      # one entry per step the caller drew
+    real = pencil._kernel_growth
+
+    def counting(B1, B2):
+        for delta, g in enumerate(real(B1, B2)):
+            steps.append(delta)
+            yield g
+
+    monkeypatch.setattr(pencil, "_kernel_growth", counting)
     forced_ranks = {}
     for r in range(1, 5):
         for partition in partitions(r):
@@ -146,15 +152,16 @@ def test_forced_indices_match_the_full_sequence(rng, monkeypatch):
                 B = A.congruence_transform(random_invertible(rng, A.order))
                 want = KroneckerInvariants(2 * r, partition, pad)
                 assert pencil_invariants(*B.integer_basis()) == want
-                full = len(degrees)
-                degrees.clear()
+                full = len(steps)
+                steps.clear()
                 assert pencil_invariants(*B.integer_basis(), 2 * r) == want
-                assert len(degrees) <= full
-                forced_ranks[partition, pad] = len(degrees)
-                degrees.clear()
-    # one index left (m' = 1) before any rank; the rest equal at
-    # delta = 1 (e = 0) or one of them one higher (e = 1) after T_0;
-    # (3) with padding 1 has one index left once T_0 finds the zero
+                assert len(steps) <= full
+                forced_ranks[partition, pad] = len(steps)
+                steps.clear()
+    # one index left (m' = 1) before any step; the rest equal at
+    # delta = 1 (e = 0) or one of them one higher (e = 1) after step 0,
+    # the rank of [B1; B2]; (3) with padding 1 has one index left once
+    # step 0 finds the zero
     assert forced_ranks[(1,), 0] == forced_ranks[(3,), 0] == 0
     assert forced_ranks[(1, 1), 0] == forced_ranks[(1, 1, 1), 0] == 1
     assert forced_ranks[(2, 1), 0] == forced_ranks[(2, 1, 1), 0] == 1
@@ -164,7 +171,7 @@ def test_forced_indices_match_the_full_sequence(rng, monkeypatch):
 def test_inconsistent_constant_rank_raises():
     B1, B2 = catalog.get("M8").matrix.integer_basis()
     assert pencil_invariants(B1, B2, 6) == pencil_invariants(B1, B2)
-    # rank 4 leaves four indices summing to 2, all >= 1 after T_0;
+    # rank 4 leaves four indices summing to 2, all >= 1 after step 0;
     # rank 8 leaves none to carry r = 4; rank 10 exceeds the order
     for rank in (4, 8, 10, 5):
         with pytest.raises(ValueError):
@@ -207,6 +214,33 @@ def _assert_congruence(B1, B2):
     return inv
 
 
+def _assert_matches_toeplitz(B1, B2, kernels=False):
+    """pencil_invariants, with and without a proven constant rank, equals
+    the block-Toeplitz reference; the minimal basis solves the T_delta,
+    has those indices as degrees and independent last coefficients, and
+    a constant pencil's congruence multiplies out.  `kernels` also
+    compares the degrees with the reference's own minimal basis."""
+    want = toeplitz_invariants(B1, B2)
+    assert pencil_invariants(B1, B2) == want
+    basis = pencil._minimal_basis(B1, B2)
+    degrees = sorted(len(cs) - 1 for cs in basis)
+    assert degrees == sorted(want.partition + (0,) * want.padding)
+    if kernels:
+        assert degrees == sorted(len(cs) - 1
+                                 for cs in toeplitz_minimal_basis(B1, B2))
+    for cs in basis:
+        rows = toeplitz_rows(B1, B2, len(cs) - 1)
+        assert not any(linalg.mat_vec(rows, [x for c in cs for x in c]))
+    assert linalg.bareiss_rank([cs[-1] for cs in basis]) == len(basis)
+    if want.constant:
+        assert pencil_invariants(B1, B2, want.rank) == want
+        assert toeplitz_invariants(B1, B2, want.rank) == want
+        assert _assert_congruence(B1, B2) == want
+    else:
+        assert congruence_to_canonical(B1, B2) is None
+    return want
+
+
 def test_congruence_to_canonical_on_moved_canonical_pencils():
     rng = random.Random("pencil-route")
     count = 0
@@ -214,7 +248,7 @@ def test_congruence_to_canonical_on_moved_canonical_pencils():
         for partition in partitions(r):
             for padding in range(4):
                 A = canonical_form(partition).matrix.pad_zero(padding)
-                inv = _assert_congruence(*moved(rng, A).integer_basis())
+                inv = _assert_matches_toeplitz(*moved(rng, A).integer_basis())
                 assert (inv.partition, inv.padding) == (partition, padding)
                 count += 1
     assert count == 116
@@ -225,20 +259,29 @@ def test_congruence_to_canonical_on_catalog_pencils_and_planes(rng):
                if catalog.get(name).matrix.nvars == 2]
     assert len(pencils) == 9
     for A in pencils:
-        _assert_congruence(*A.integer_basis())
+        _assert_matches_toeplitz(*A.integer_basis(), kernels=True)
         B = A.congruence_transform(random_invertible(rng, A.order, -2, 2))
-        _assert_congruence(*B.parameter_change(
-            random_invertible(rng, 2, -2, 2)).integer_basis())
+        _assert_matches_toeplitz(*B.parameter_change(
+            random_invertible(rng, 2, -2, 2)).integer_basis(), kernels=True)
     planes = [catalog.get(name).matrix for name in catalog.names()
               if catalog.get(name).matrix.order == 8
               and catalog.get(name).matrix.nvars == 3
               and catalog.get(name).expected.orbit_dim is not None]
     assert len(planes) == 8
+    lines = random.Random("plane-lines")
     for A in planes:
         for B in (A, A.congruence_transform(random_invertible(rng, 8, -2, 2))
                   .parameter_change(random_invertible(rng, 3, -2, 2))):
             B1, B2 = B.integer_basis()[:2]
-            assert _assert_congruence(B1, B2).rank == 6
+            assert _assert_matches_toeplitz(B1, B2).rank == 6
+        pairs = []
+        while len(pairs) < 20:
+            p, q = ([lines.randint(-3, 3) for _ in range(3)] for _ in range(2))
+            if linalg.rank([p, q]) == 2:
+                pairs.append((p, q))
+        for p, q in pairs:
+            B1, B2 = A._combine(p), A._combine(q)
+            assert _assert_matches_toeplitz(B1, B2).rank == 6
 
 
 def test_congruence_to_canonical_refuses_regular_blocks(rng):
@@ -257,3 +300,44 @@ def test_congruence_to_canonical_refuses_regular_blocks(rng):
     assert congruence_to_canonical(*split.integer_basis()) is None
     with pytest.raises(ValueError):
         congruence_to_canonical(*SkewPolyMatrix.zero(3, AB).integer_basis())
+
+
+def test_chain_recursion_matches_toeplitz_on_non_constant_pencils():
+    from tests.test_certify import REGULAR_BLOCKS, _pencil_cases
+
+    pencils = [A for A, want in _pencil_cases(REGULAR_BLOCKS[:2])
+               if want is None]
+    assert len(pencils) == 26
+    for A in pencils:
+        assert not _assert_matches_toeplitz(*A.integer_basis()).constant
+
+
+def test_chain_recursion_matches_toeplitz_on_random_integer_pencils():
+    rng = random.Random("chain-gate-random")
+    seen = set()
+    for n in range(2, 11):
+        for density in (0.2, 0.4, 0.7, 1.0):
+            for _ in range(3):
+                B1, B2 = ([[0] * n for _ in range(n)] for _ in range(2))
+                for B in (B1, B2):
+                    for i in range(n):
+                        for j in range(i + 1, n):
+                            if rng.random() < density:
+                                B[i][j] = rng.randint(-3, 3)
+                                B[j][i] = -B[i][j]
+                if not any(map(any, B1 + B2)):
+                    with pytest.raises(ValueError):
+                        toeplitz_invariants(B1, B2)
+                    with pytest.raises(ValueError):
+                        pencil_invariants(B1, B2)
+                    continue
+                inv = _assert_matches_toeplitz(B1, B2)
+                seen.add(inv.constant)
+    assert seen == {True, False}
+    for n in (1, 3, 6):
+        zero = [[0] * n for _ in range(n)]
+        for route in (toeplitz_invariants, pencil_invariants):
+            with pytest.raises(ValueError):
+                route(zero, zero)
+        with pytest.raises(ValueError):
+            pencil._minimal_basis(zero, zero)
