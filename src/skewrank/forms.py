@@ -305,8 +305,74 @@ def variables(names):
 
 
 # -- string grammar ----------------------------------------------------
+#
+# Terms joined by ``+`` and ``-``; a term is an optional coefficient (``3``,
+# ``3/2``) and factors ``var`` or ``var^exp``, ``*`` optional between tokens.
+# All reading state lives in one term: each sign starts a fresh one, so a
+# ``^`` raises a variable of its own term only.  Coefficients stay ``int``
+# unless written ``p/q``, and become Fractions only when a Form is built.
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\^)|(\*)|(\+)|(-))")
+_TOKEN = re.compile(r"\s*(?:(\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z0-9_]*)|([-+^*]))")
+
+
+def _parse_terms(text, vars):
+    """{exponent tuple: nonzero int or Fraction} of the polynomial text in
+    the variable names vars.  A malformed text raises ValueError, a
+    character outside the grammar before any other fault."""
+    index = {v: i for i, v in enumerate(vars)}
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ValueError("cannot parse %r at position %d" % (text, pos))
+            break
+        tokens.append(m.groups())
+        pos = m.end()
+    terms = {}
+    sign, coef, exps, last, caret = 1, None, None, None, False
+    for num, den, name, op in tokens + [(None,) * 4]:
+        if num is not None:
+            value = int(num)
+            if den is not None:
+                if not int(den):
+                    raise ValueError("zero denominator in %r" % text)
+                value = Q(value, int(den))
+            if caret:
+                if value.denominator != 1:
+                    raise ValueError("bad exponent in %r" % text)
+                exps[last] += int(value) - 1
+                last, caret = None, False
+            elif exps is not None or coef is not None:
+                raise ValueError("unexpected number in %r" % text)
+            else:
+                coef = value
+        elif name is not None:
+            if caret:
+                raise ValueError("expected exponent in %r" % text)
+            if name not in index:
+                raise ValueError("unknown variable %r (ring %r)" % (name, vars))
+            if exps is None:
+                exps = [0] * len(vars)
+            last = index[name]
+            exps[last] += 1
+        elif op == "^":
+            if last is None:
+                raise ValueError("misplaced '^' in %r" % text)
+            caret = True
+        elif op != "*":                 # a sign, or None: the term ends
+            if caret:
+                raise ValueError(("expected exponent in %r" if op
+                                  else "dangling '^' in %r") % text)
+            if exps is not None or coef is not None:
+                e = (0,) * len(vars) if exps is None else tuple(exps)
+                c = terms.get(e, 0) + sign * (1 if coef is None else coef)
+                if c:
+                    terms[e] = c
+                else:
+                    terms.pop(e, None)
+            sign, coef, exps, last = -1 if op == "-" else 1, None, None, None
+    return terms
 
 
 def parse_form(text, vars):
@@ -315,81 +381,11 @@ def parse_form(text, vars):
     Examples: ``"a"``, ``"c-b"``, ``"2*a^2*b - 3/2*c"``, ``"0"``.
     """
     vars = tuple(vars)
-    index = {v: i for i, v in enumerate(vars)}
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError("cannot parse %r at position %d" % (text, pos))
-            break
-        tokens.append(m)
-        pos = m.end()
-
-    terms = {}
-    sign = 1
-    coef = None
-    exps = None
-
-    def flush():
-        nonlocal coef, exps, sign
-        if exps is None:
-            if coef is None:
-                return
-            exps = [0] * len(vars)
-        e = tuple(exps)
-        terms[e] = terms.get(e, 0) + sign * (Q(1) if coef is None else coef)
-        if not terms[e]:
-            del terms[e]
-        coef, exps, sign = None, None, 1
-
-    expect_exp = False
-    last_var = None
-    for m in tokens:
-        num, name, caret, star, plus, minus = m.groups()
-        if num is not None:
-            try:
-                value = Q(int(num.split("/")[0]), int(num.split("/")[1])) if "/" in num else Q(int(num))
-            except ZeroDivisionError:
-                raise ValueError("zero denominator in %r" % text) from None
-            if expect_exp:
-                if last_var is None or value.denominator != 1:
-                    raise ValueError("bad exponent in %r" % text)
-                exps[last_var] += int(value) - 1
-                expect_exp = False
-                last_var = None
-            else:
-                if exps is not None or coef is not None:
-                    raise ValueError("unexpected number in %r" % text)
-                coef = value
-        elif name is not None:
-            if expect_exp:
-                raise ValueError("expected exponent in %r" % text)
-            if name not in index:
-                raise ValueError("unknown variable %r (ring %r)" % (name, vars))
-            if exps is None:
-                exps = [0] * len(vars)
-            exps[index[name]] += 1
-            last_var = index[name]
-        elif caret is not None:
-            if last_var is None:
-                raise ValueError("misplaced '^' in %r" % text)
-            expect_exp = True
-        elif star is not None:
-            continue
-        else:
-            if expect_exp:
-                raise ValueError("expected exponent in %r" % text)
-            flush()
-            sign = -1 if minus is not None else 1
-    if expect_exp:
-        raise ValueError("dangling '^' in %r" % text)
-    flush()
+    terms = _parse_terms(text, vars)
     names = tuple(str(v) for v in vars)
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names: %r" % (names,))
-    return Form._from_clean(names, terms)
+    return Form._from_clean(names, {e: Q(c) for e, c in terms.items()})
 
 
 # -- the binary GCD ------------------------------------------------------

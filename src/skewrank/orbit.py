@@ -31,8 +31,8 @@ canonical form, the staircase blocks of its minimal indices padded by
 zero rows (Thompson, LAA 147, 1991), whose 0/+-1 rows stay sparse however
 dense the input is.  So when <B_1, B_2> has constant rank:
 - d = 2: `pencil.invariants_of` proves the indices from integer ranks,
-  and the system of `canonical_form(partition).matrix.pad_zero(padding)`
-  is ranked; no congruence is built.
+  and the system of the staircase pair of the partition, padded to order
+  n (`pencil._staircase`), is ranked; no congruence is built.
 - d >= 3: `pencil.congruence_to_canonical(B_1, B_2)` gives an integer P
   with P^T B_k P = m^2 C_k for the canonical pair C_1, C_2, and the
   system of (C_1, C_2, P^T B_3 P, ..., P^T B_d P), each divided by its
@@ -274,23 +274,18 @@ def _canonical_bound(n, d):
     return (2 * (n - 1) + d) * (2 * (n // 2) + (d - 2) * comb(n, 2))
 
 
-def _canonical_pair(inv):
-    return list(pencil.canonical_form(inv.partition).matrix
-                .pad_zero(inv.padding).integer_basis())
-
-
 def _congruent_basis(A, basis):
     """A basis of a space congruent to A's, with <B_1, B_2> in canonical
     form when that pencil has constant rank; `basis` itself otherwise."""
     if len(basis) == 2:
         inv = pencil.invariants_of(A)
-        return _canonical_pair(inv) if inv.constant else basis
+        return pencil._staircase(inv.partition, A.order) if inv.constant else basis
     found = pencil.congruence_to_canonical(*basis[:2])
     if found is None:
         return basis
     inv, P, _ = found
     Pt = linalg.transpose(P)
-    out = _canonical_pair(inv)
+    out = pencil._staircase(inv.partition, A.order)
     for B in basis[2:]:
         M = linalg.mat_mul(Pt, linalg.mat_mul(B, P))
         g = gcd(*(x for row in M for x in row))

@@ -3,18 +3,20 @@
 A matrix is stored once, as A = lam * sum(x_k * B_k): integer skew
 matrices B_k with coprime entries (`integer_basis`), one rational
 lam > 0 (1 for the zero space) and the index of nonzero upper positions
-that evaluation and Pfaffians read.  Every rational input (the entry
-Forms' coefficients, coefficient matrices, points, transforms) is
-cleared of denominators by `linalg.integer_rows`, which takes integer
-input as it is; congruence, parameter change, line restriction, direct
-sum and padding compute integer combinations of the B_k; all of them
-store through one `_seed`.  Equality and hashing compare (order, vars,
+that evaluation and Pfaffians read.  A text entry is read by
+`forms._parse_terms` straight to its coefficients, ints unless written
+p/q, with no Form.  Every rational input (those coefficients or an entry
+Form's, coefficient matrices, points, transforms) is cleared of
+denominators by `linalg.integer_rows`, which takes integer input as it
+is; congruence, parameter change, line restriction, direct sum and
+padding compute integer combinations of the B_k; all of them store
+through one `_seed`.  Equality and hashing compare (order, vars,
 lam, basis).  The Pfaffians of sum(x_k * B_k) are expanded on integers
 into a memo keyed by principal index subsets, as dicts from
 `skewrank.groebner`'s packed monomial keys to integers that Groebner
 bases take as they are.  Forms are built only at the edges: an entry
-for text or JSON as lam times its integer one, and a Pfaffian of size
-2k as lam^k times its integer one.  Values are immutable.
+printed for text or JSON as lam times its integer one, and a Pfaffian
+of size 2k as lam^k times its integer one.  Values are immutable.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .forms import Form, parse_form
+from .forms import Form, _parse_terms, parse_form
 from .groebner import _as_form, _make_layout
 
 Q = Fraction
@@ -37,26 +39,31 @@ class SkewPolyMatrix:
     def __init__(self, order, vars, upper):
         order = int(order)
         vars = tuple(str(v) for v in vars)
-        forms = {}
+        distinct = len(set(vars)) == len(vars)
+        terms = {}
         items = upper.items() if isinstance(upper, dict) else upper
         for (i, j), f in items:
             i, j = int(i), int(j)
             if not (0 <= i < j < order):
                 raise ValueError("bad upper-triangle position (%d, %d)" % (i, j))
-            if (i, j) in forms:
+            if (i, j) in terms:
                 raise ValueError("upper-triangle position (%d, %d) given twice" % (i, j))
             if isinstance(f, str):
-                f = parse_form(f, vars)
+                t = _parse_terms(f, vars)
+                if distinct and all(sum(e) == 1 for e in t):
+                    terms[(i, j)] = t
+                    continue
+                f = parse_form(f, vars)    # to word the error below
             if not isinstance(f, Form):
                 raise ValueError("entries must be Forms")
             if f.vars != vars:
                 raise ValueError("entry ring %r does not match %r" % (f.vars, vars))
             if not f.is_homogeneous(1):
                 raise ValueError("entry (%d, %d) is not linear: %s" % (i, j, f))
-            forms[(i, j)] = f
-        ints, m = linalg.integer_rows([f._terms.values() for f in forms.values()])
-        self._seed(order, vars, {ij: sorted(zip((e.index(1) for e in f._terms), row))
-                                 for (ij, f), row in zip(forms.items(), ints)}, Q(1, m))
+            terms[(i, j)] = f._terms
+        ints, m = linalg.integer_rows([t.values() for t in terms.values()])
+        self._seed(order, vars, {ij: sorted(zip((e.index(1) for e in t), row))
+                                 for (ij, t), row in zip(terms.items(), ints)}, Q(1, m))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPolyMatrix is immutable")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -6,6 +7,7 @@ import pytest
 
 from skewrank import geometry, linalg
 from skewrank.certify import certify_constant_rank
+from skewrank.forms import Form
 from skewrank.pencil import KroneckerInvariants, _forced_indices
 
 Q = Fraction
@@ -150,3 +152,94 @@ def toeplitz_minimal_basis(B1, B2):
     if len(basis) == n:
         raise ValueError("zero pencil has no Kronecker invariants")
     return basis
+
+
+# parse_form's token alphabet, plus an unknown variable and characters
+# outside it
+FORM_TOKENS = ["a", "b", "c", "x", "0", "1", "2", "10", "3/2", "1/0", "0/0",
+               "^", "*", "+", "-", " ", "/", "."]
+
+
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\^)|(\*)|(\+)|(-))")
+
+
+def reference_parse_form(text, vars):
+    """The token state machine that `forms.parse_form` replaced, kept as
+    the reference for the term reader.  Its last variable survives a sign,
+    so a '^' after one reads an earlier term's variable."""
+    vars = tuple(vars)
+    index = {v: i for i, v in enumerate(vars)}
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise ValueError("cannot parse %r at position %d" % (text, pos))
+            break
+        tokens.append(m)
+        pos = m.end()
+
+    terms = {}
+    sign = 1
+    coef = None
+    exps = None
+
+    def flush():
+        nonlocal coef, exps, sign
+        if exps is None:
+            if coef is None:
+                return
+            exps = [0] * len(vars)
+        e = tuple(exps)
+        terms[e] = terms.get(e, 0) + sign * (Q(1) if coef is None else coef)
+        if not terms[e]:
+            del terms[e]
+        coef, exps, sign = None, None, 1
+
+    expect_exp = False
+    last_var = None
+    for m in tokens:
+        num, name, caret, star, plus, minus = m.groups()
+        if num is not None:
+            try:
+                value = Q(int(num.split("/")[0]), int(num.split("/")[1])) if "/" in num else Q(int(num))
+            except ZeroDivisionError:
+                raise ValueError("zero denominator in %r" % text) from None
+            if expect_exp:
+                if last_var is None or value.denominator != 1:
+                    raise ValueError("bad exponent in %r" % text)
+                exps[last_var] += int(value) - 1
+                expect_exp = False
+                last_var = None
+            else:
+                if exps is not None or coef is not None:
+                    raise ValueError("unexpected number in %r" % text)
+                coef = value
+        elif name is not None:
+            if expect_exp:
+                raise ValueError("expected exponent in %r" % text)
+            if name not in index:
+                raise ValueError("unknown variable %r (ring %r)" % (name, vars))
+            if exps is None:
+                exps = [0] * len(vars)
+            exps[index[name]] += 1
+            last_var = index[name]
+        elif caret is not None:
+            if last_var is None:
+                raise ValueError("misplaced '^' in %r" % text)
+            expect_exp = True
+        elif star is not None:
+            continue
+        else:
+            if expect_exp:
+                raise ValueError("expected exponent in %r" % text)
+            flush()
+            sign = -1 if minus is not None else 1
+    if expect_exp:
+        raise ValueError("dangling '^' in %r" % text)
+    flush()
+    names = tuple(str(v) for v in vars)
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names: %r" % (names,))
+    return Form._from_clean(names, terms)

@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from tests.conftest import FORM_TOKENS
 
 from skewrank import catalog, geometry
 from skewrank.certify import sampled_probe, verdict
@@ -251,6 +255,7 @@ def test_usage_errors(tmp_path, capsys):
     '[1, 2]',
     '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a"}, '
     '{"i": 0, "j": 1, "form": "b"}]}',
+    '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a+^2"}]}',
 ])
 def test_malformed_matrix_json_is_a_usage_error(tmp_path, capsys, text):
     p = tmp_path / "bad.json"
@@ -258,6 +263,60 @@ def test_malformed_matrix_json_is_a_usage_error(tmp_path, capsys, text):
     assert main(["certify", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_caret_after_a_sign_in_an_ideal_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "ideal.json"
+    p.write_text(json.dumps({"vars": ["a", "b"], "generators": ["a-^2"]}))
+    assert main(["ideal-empty", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: misplaced '^' in 'a-^2'\n"
+
+
+# Whole linear forms, so that some inputs get past the parse, and strings
+# over the parser's alphabet; ring lists may be empty or repeat a name.
+entry_texts = st.one_of(
+    st.sampled_from(["a", "b", "c", "0", "a + b", "2*a - 3/2*c", "a*b", "b^2"]),
+    st.lists(st.sampled_from(FORM_TOKENS), max_size=6).map("".join))
+ring_names = st.one_of(st.sampled_from([["a", "b"], ["a", "b", "c"]]),
+                       st.lists(st.sampled_from(["a", "b", "c"]), max_size=3))
+
+
+@st.composite
+def matrix_json(draw):
+    """Matrix JSON of order 1-6 whose positions are mostly, not always, in
+    range.  The order stays small: building a matrix allocates order^2
+    cells per variable before any check can refuse it, and no work budget
+    bounds the order yet, so an order like 10^6 would exhaust memory
+    rather than exit."""
+    order = draw(st.integers(1, 6))
+    upper = []
+    for _ in range(draw(st.integers(0, 8))):
+        i = draw(st.integers(-1, order - 1))
+        upper.append({"i": i, "j": draw(st.integers(i, order)),
+                      "form": draw(entry_texts)})
+    return {"order": order, "vars": draw(ring_names), "upper": upper}
+
+
+ideal_json = st.fixed_dictionaries({
+    "vars": ring_names, "generators": st.lists(entry_texts, max_size=3)})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(["certify", "classify", "orbit-dim", "gauss"]),
+              matrix_json()),
+    st.tuples(st.sampled_from(["ideal-empty", "ideal-degree"]), ideal_json)))
+def test_json_inputs_end_in_a_documented_exit_code(case):
+    command, obj = case
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(obj))
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([command, "-"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3, 4)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,14 @@
+import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from tests.conftest import FORM_TOKENS, reference_parse_form
 
+from skewrank import catalog
 from skewrank.forms import (Form, binary_gcd, integer_binary_gcd, parse_form,
                             variables)
 
@@ -155,11 +159,7 @@ def test_evaluate_is_a_homomorphism(f, g, p):
     assert (f + g).evaluate(p) == f.evaluate(p) + g.evaluate(p)
 
 
-# strings over parse_form's token alphabet, plus an unknown variable and
-# characters outside it
-form_texts = st.lists(st.sampled_from(
-    ["a", "b", "c", "x", "0", "1", "2", "10", "3/2", "1/0", "0/0",
-     "^", "*", "+", "-", " ", "/", "."]), max_size=10).map("".join)
+form_texts = st.lists(st.sampled_from(FORM_TOKENS), max_size=10).map("".join)
 
 
 @settings(max_examples=300, derandomize=True)
@@ -170,6 +170,63 @@ def test_parse_form_returns_a_form_or_raises_value_error(text):
     except ValueError:
         return
     assert isinstance(f, Form)
+
+
+def _parsed(parse, text, vars):
+    """The Form, its text and its coefficient types, or the error message."""
+    try:
+        f = parse(text, vars)
+    except (ValueError, TypeError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return f, str(f), {type(c) for c in f._terms.values()} - {Fraction}
+
+
+def _caret_after_sign(text):
+    """True when some '^' has no variable in its own term but a variable
+    in an earlier one: the reference then reads that earlier variable."""
+    earlier = here = False
+    for _, name, op in re.findall(r"(\d+)|([A-Za-z_]\w*)|([-+^])", text):
+        if name:
+            here = True
+        elif op == "^" and earlier and not here:
+            return True
+        elif op in ("+", "-"):
+            earlier, here = earlier or here, False
+    return False
+
+
+def _entry_texts():
+    """Every entry string to_json prints for the catalog and for a seeded
+    dense congruence U^T A U of each entry, U unit upper triangular."""
+    texts = set()
+    for name in catalog.names():
+        A = catalog.get(name).matrix
+        r = random.Random(name)
+        U = [[r.randint(-2, 2) if i < j else int(i == j) for j in range(A.order)]
+             for i in range(A.order)]
+        for M in (A, A.congruence_transform(U)):
+            texts.update((e["form"], M.vars) for e in M.to_json()["upper"])
+    return sorted(texts)
+
+
+def test_term_reader_matches_the_reference_parser():
+    r = random.Random(28)
+    short = {"".join(p) for k in range(5)
+             for p in itertools.product(FORM_TOKENS, repeat=k)}
+    alphabet = FORM_TOKENS + ["4/2", "ab", "_q"]
+    rand = {"".join(r.choices(alphabet, k=r.randint(1, 12))) for _ in range(20000)}
+    cases = [(t, ABC) for t in sorted(short | rand)] + _entry_texts()
+    family = 0
+    for text, vars in cases:
+        got, want = _parsed(parse_form, text, vars), _parsed(reference_parse_form, text, vars)
+        if got != want:
+            assert _caret_after_sign(text), text
+            assert got == "ValueError: misplaced '^' in %r" % text, (text, got, want)
+            family += 1
+    assert family > 100
+    # the reference raised TypeError here
+    assert _parsed(parse_form, "a+^2", ABC) == "ValueError: misplaced '^' in 'a+^2'"
+    assert _parsed(parse_form, "a-2^3", ABC) == "ValueError: misplaced '^' in 'a-2^3'"
 
 
 def test_substitution_composition_law(rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from tests.conftest import bordered_forms, random_invertible, random_skew
 
-from skewrank import catalog, geometry, linalg
+from skewrank import catalog, forms, geometry, linalg
 from skewrank.certify import restrict_line
 from skewrank.forms import Form
 from skewrank.pencil import minimal_indices
@@ -40,6 +40,27 @@ def test_constructor_validation():
     A = SkewPolyMatrix(3, AB, {(0, 1): "a"})
     assert A.entry(1, 0) == -Form.variable(AB, "a")
     assert A.entry(2, 2).is_zero()
+
+
+def test_text_entries_build_no_form_and_integer_ones_no_fraction(monkeypatch):
+    objs = [catalog.get(n).matrix.to_json() for n in catalog.names()]
+    objs = [o for o in objs if not any("/" in e["form"] for e in o["upper"])]
+    assert len(objs) > 20
+
+    def refuse(*args):
+        raise AssertionError("built a Form or a Fraction")
+    for owner, name, value in ((Form, "__init__", refuse),
+                               (Form, "_from_clean", classmethod(refuse)),
+                               (forms, "Q", refuse), (linalg, "Q", refuse)):
+        monkeypatch.setattr(owner, name, value)
+    read = [SkewPolyMatrix.from_json(o) for o in objs]
+    monkeypatch.undo()
+    assert [A.to_json() for A in read] == objs
+    # a Form words the error of a non-linear entry
+    with pytest.raises(ValueError, match=r"^entry \(0, 1\) is not linear: a\^2 \+ b$"):
+        SkewPolyMatrix(2, AB, {(0, 1): "b + a^2"})
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        SkewPolyMatrix(2, ("a", "a"), {(0, 1): "a"})
 
 
 @pytest.mark.parametrize("matrices, message", [
