@@ -183,9 +183,12 @@ def test_other_spaces_rank_their_own_system(monkeypatch):
         cases += [A, moved(rng, A)]
     cases += [catalog.get(name).matrix for name in ("pi6", "westwick")]
 
-    def refuse(partition):
-        raise AssertionError("canonical form built for %r" % (partition,))
+    def refuse(partition, *order):
+        raise AssertionError("canonical pair built for %r" % (partition,))
 
+    # the canonical pair is read off pencil._staircase; canonical_form is
+    # refused too, so no other route to a canonical pair goes unseen
+    monkeypatch.setattr(pencil, "_staircase", refuse)
     monkeypatch.setattr(pencil, "canonical_form", refuse)
     for A in cases:
         if A.nvars == 2:
