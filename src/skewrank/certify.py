@@ -26,7 +26,6 @@ search over probe points and line pencils.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -68,9 +67,6 @@ class RankCertificate:
             [str(x) for x in self.witness],
             "sampled_points": self.sampled_points,
         }
-
-    def dumps(self):
-        return json.dumps(self.to_json(), indent=2)
 
 
 def generic_rank(A):
@@ -249,7 +245,7 @@ def cross_validate(A, cert, seed=0):
                for p in _sample_points(A.nvars, SAMPLED_POINTS, seed))
 
 
-def check_bound(A, nondegenerate, cert=None):
+def check_bound(A, nondegenerate):
     """Order bound 2r <= N <= 3r-1 for nondegenerate constant-rank pencils.
 
     Vacuously true when the space is degenerate (the bound only constrains
@@ -257,8 +253,7 @@ def check_bound(A, nondegenerate, cert=None):
     """
     if A.nvars != 2:
         raise ValueError("order bound applies to pencils only (d = 2)")
-    if cert is None:
-        cert = verdict(A)
+    cert = verdict(A)
     if cert.constant is not True:
         raise ValueError("order bound needs a constant-rank certificate")
     if not nondegenerate:

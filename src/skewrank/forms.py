@@ -307,7 +307,8 @@ def variables(names):
 # -- string grammar ----------------------------------------------------
 #
 # Terms joined by ``+`` and ``-``; a term is an optional coefficient (``3``,
-# ``3/2``) and factors ``var`` or ``var^exp``, ``*`` optional between tokens.
+# ``3/2``) and factors ``var`` or ``var^exp``, ``exp`` a plain integer and
+# the next token after its ``^``; ``*`` is optional between other tokens.
 # All reading state lives in one term: each sign starts a fresh one, so a
 # ``^`` raises a variable of its own term only.  Coefficients stay ``int``
 # unless written ``p/q``, and become Fractions only when a Form is built.
@@ -333,20 +334,17 @@ def _parse_terms(text, vars):
     sign, coef, exps, last, caret = 1, None, None, None, False
     for num, den, name, op in tokens + [(None,) * 4]:
         if num is not None:
-            value = int(num)
-            if den is not None:
-                if not int(den):
-                    raise ValueError("zero denominator in %r" % text)
-                value = Q(value, int(den))
+            if den is not None and not int(den):
+                raise ValueError("zero denominator in %r" % text)
             if caret:
-                if value.denominator != 1:
+                if den is not None:
                     raise ValueError("bad exponent in %r" % text)
-                exps[last] += int(value) - 1
+                exps[last] += int(num) - 1
                 last, caret = None, False
             elif exps is not None or coef is not None:
                 raise ValueError("unexpected number in %r" % text)
             else:
-                coef = value
+                coef = int(num) if den is None else Q(int(num), int(den))
         elif name is not None:
             if caret:
                 raise ValueError("expected exponent in %r" % text)
@@ -356,14 +354,14 @@ def _parse_terms(text, vars):
                 exps = [0] * len(vars)
             last = index[name]
             exps[last] += 1
+        elif caret:                     # an operator or the end, not an exponent
+            raise ValueError(("expected exponent in %r" if op
+                              else "dangling '^' in %r") % text)
         elif op == "^":
             if last is None:
                 raise ValueError("misplaced '^' in %r" % text)
             caret = True
         elif op != "*":                 # a sign, or None: the term ends
-            if caret:
-                raise ValueError(("expected exponent in %r" if op
-                                  else "dangling '^' in %r") % text)
             if exps is not None or coef is not None:
                 e = (0,) * len(vars) if exps is None else tuple(exps)
                 c = terms.get(e, 0) + sign * (1 if coef is None else coef)

@@ -12,7 +12,6 @@ randomness is always drawn from a caller-supplied seed.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,8 +155,8 @@ def find_valid_center(A, target_order, seed=0):
 # -- kernel 2-plane map --------------------------------------------------
 
 
-def _check_corank2(A, cert):
-    cert = cert or verdict(A)
+def _check_corank2(A):
+    cert = verdict(A)
     if A.order % 2:
         raise ValueError("kernel 2-plane map needs even order")
     if cert.constant is not True:
@@ -166,10 +165,10 @@ def _check_corank2(A, cert):
         raise ValueError("kernel 2-plane map needs corank exactly 2")
 
 
-def kernel_plucker(A, cert=None):
+def kernel_plucker(A):
     """Coordinates of the kernel 2-plane: entry (i, j) is
     (-1)^(i+j) times the Pfaffian with rows and columns i, j removed."""
-    _check_corank2(A, cert)
+    _check_corank2(A)
     n = A.order
     out = {}
     for i, j in combinations(range(n), 2):
@@ -203,11 +202,11 @@ def kernel_plane_at(A, point):
     return linalg.span_rref(basis)
 
 
-def gauss_span_dim(A, cert=None):
+def gauss_span_dim(A):
     """Dimension of the rational span of the kernel-map coordinates: the
     rank of the integer coefficient rows of the complementary Pfaffians,
     of which the coordinates are nonzero constant multiples."""
-    _check_corank2(A, cert)
+    _check_corank2(A)
     return linalg.coefficient_rank(
         [A._pf(idx) for idx in combinations(range(A.order), A.order - 2)])
 
@@ -506,9 +505,6 @@ class BundleFingerprint:
             "scanned": self.scanned,
             "seed": self.seed,
         }
-
-    def dumps(self):
-        return json.dumps(self.to_json(), indent=2)
 
 
 def bundle_fingerprint(A, seed=0, budget=200):

@@ -11,25 +11,27 @@ monomial is a single integer, its ``dkey``: one B-bit field per variable
 plus the total degree in the top field (`_make_layout`), so keys add
 under multiplication and divisibility is a guard-bit test.  Its ``okey``
 orders monomials graded reverse lexicographically as plain integers.
-Callers hold polynomials as dicts {dkey: nonzero integer}: the Pfaffian
-memo of `skewrank.skew` is keyed this way, and `Ideal._from_packed`
-takes such dicts with no Form in between.  Inside, a polynomial is a
-list of ``(okey, dkey, coeff)`` triples, descending in okey.  Forms are
-built only where a caller reads them: the generators of a packed ideal
-and the monic basis of a `GroebnerBasis` on first access; emptiness and
-Hilbert profiles read leading exponents only.
+Polynomials are held as dicts {dkey: nonzero integer}: the Pfaffian
+memo of `skewrank.skew` is keyed this way, and an `Ideal` stores its
+generators this way only.  `Ideal._from_packed` takes such dicts as they
+are; text generators are read by `forms._parse_terms` and packed by
+`_pack_terms`, with no Form in between, and Form generators are packed
+from their terms.  Inside, a polynomial is a list of
+``(okey, dkey, coeff)`` triples, descending in okey.  Forms are built
+only where a caller reads them: an ideal's `generators` and the monic
+basis of a `GroebnerBasis`; emptiness and Hilbert profiles read leading
+exponents only.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .forms import Form, parse_form
+from .forms import Form, _parse_terms, parse_form
 from .linalg import integer_rows
 
 Q = Fraction
@@ -98,17 +100,18 @@ def _as_form(terms, vars, scale=1):
     return Form._from_clean(vars, {_unpack(dk, lay): scale * Q(c) for dk, c in terms})
 
 
-def _pack_form(f, lay):
-    """(p, den): the packed polynomial p == den * f with integer
-    coefficients, den the lcm of the coefficient denominators."""
+def _pack_terms(terms, lay):
+    """(p, den): the dict {dkey: integer} p == den * terms of a dict
+    {exponent tuple: nonzero rational}, den the lcm of the coefficient
+    denominators (1 for integer terms, with no Fraction built)."""
     B, degshift = lay[1], lay[2]
-    (coeffs,), den = integer_rows([f._terms.values()])
+    (coeffs,), den = integer_rows([terms.values()])
     p = {}
-    for e, c in zip(f._terms, coeffs):
+    for e, c in zip(terms, coeffs):
         if sum(e) >> (B - 1):          # a field keeps its top bit as guard
             raise ValueError("degree %d out of packing range" % sum(e))
         p[sum(x << (i * B) for i, x in enumerate(e)) | sum(e) << degshift] = c
-    return _from_dict(p, lay), den
+    return p, den
 
 
 def _content(p):
@@ -233,60 +236,63 @@ def _reduce_primitive(f, basis, lay):
 
 class Ideal:
     """A homogeneous ideal: the names of its ring's variables and its
-    generators, Forms or strings parsed in that ring.  `_from_packed`
-    builds one from packed integer polynomials; `generators` then makes
-    their Forms on first access."""
+    nonzero, distinct generators, stored once as packed integer dicts
+    {dkey: integer}.  A generator given as text is read by
+    `forms._parse_terms`, one given as a Form by its terms; either is
+    kept as a positive integer multiple.  `_from_packed` takes packed
+    dicts as they are; `generators` builds Forms when read."""
 
-    __slots__ = ("vars", "_generators", "_polys")
+    __slots__ = ("vars", "_polys")
 
     def __init__(self, vars, generators):
-        self.vars = vars = tuple(vars)
-        self._generators = tuple(parse_form(g, vars) if isinstance(g, str) else g
-                                 for g in generators)
-        if not all(isinstance(g, Form) and g.vars == vars for g in self._generators):
-            raise ValueError("generator ring mismatch")
-        self._polys = None
+        vars = tuple(vars)
+        polys = []
+        for g in generators:
+            if isinstance(g, str):
+                terms = _parse_terms(g, vars)
+            elif isinstance(g, Form) and g.vars == vars:
+                terms = g._terms
+            else:
+                raise ValueError("generator ring mismatch")
+            if len({sum(e) for e in terms}) > 1:
+                raise ValueError("non-homogeneous generator %s"
+                                 % (parse_form(g, vars) if isinstance(g, str) else g))
+            if terms:
+                polys.append(_pack_terms(terms, _make_layout(len(vars)))[0])
+        self._store(vars, polys)
 
     @classmethod
     def _from_packed(cls, vars, polys):
         """The ideal of nonzero homogeneous dicts {dkey: integer} in the
-        layout of len(vars) variables, duplicates dropped."""
-        ideal = cls(vars, ())
-        ideal._generators = None
-        ideal._polys = list({frozenset(p.items()): p for p in polys}.values())
+        layout of len(vars) variables."""
+        ideal = object.__new__(cls)
+        ideal._store(tuple(vars), polys)
         return ideal
+
+    def _store(self, vars, polys):
+        """Keep the ring and the polys, exact repeats dropped."""
+        if len(set(vars)) != len(vars):
+            raise ValueError("duplicate variable names: %r" % (vars,))
+        self.vars = vars
+        self._polys = tuple({frozenset(p.items()): p for p in polys}.values())
 
     @property
     def generators(self):
-        if self._generators is None:
-            self._generators = tuple(_as_form(p.items(), self.vars) for p in self._polys)
-        return self._generators
+        return tuple(_as_form(p.items(), self.vars) for p in self._polys)
 
     def _packed(self, lay):
-        """The nonzero generators as packed polynomials."""
-        if self._polys is not None:
-            return [_from_dict(p, lay) for p in self._polys]
-        for g in self._generators:
-            if not g.is_homogeneous():
-                raise ValueError("non-homogeneous generator %s" % g)
-        return [_pack_form(g, lay)[0] for g in self._generators if not g.is_zero()]
-
-    def to_json(self):
-        return {"vars": list(self.vars),
-                "generators": [str(g) for g in self.generators]}
+        """The generators as packed polynomials."""
+        return [_from_dict(p, lay) for p in self._polys]
 
     @classmethod
     def from_json(cls, obj):
-        """Inverse of to_json; a malformed object raises ValueError."""
+        """The ideal of {"vars": [str], "generators": [str]}; a malformed
+        object raises ValueError."""
         if not (isinstance(obj, dict) and all(
                 isinstance(obj.get(k), list) and all(isinstance(x, str) for x in obj[k])
                 for k in ("vars", "generators"))):
             raise ValueError('ideal JSON must be {"vars": [str], "generators": [str]}')
         return cls(tuple(obj["vars"]), obj["generators"])
-
-    @classmethod
-    def loads(cls, s):
-        return cls.from_json(json.loads(s))
 
 
 class GroebnerBasis:
@@ -361,8 +367,6 @@ def buchberger(ideal):
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         dki, dkj = G[i][0][1], G[j][0][1]
         lcm = _lcm(dki, dkj, lay)
@@ -405,8 +409,8 @@ def normal_form(f, gb):
         raise ValueError("ring mismatch")
     if f.is_zero():
         return f
-    work, pack_den = _pack_form(f, gb._lay)
-    rem, num, den = _reduce(work, gb._kpolys, gb._lay)
+    work, pack_den = _pack_terms(f._terms, gb._lay)
+    rem, num, den = _reduce(_from_dict(work, gb._lay), gb._kpolys, gb._lay)
     # rem is the remainder of (num / den) * pack_den * f
     return _as_form(((dk, c) for _, dk, c in rem), f.vars,
                     Q(den, num * pack_den))

@@ -220,17 +220,13 @@ def reduced_echelon_int(rows, ncols):
     return [row for row, _ in reversed(done)], pivots
 
 
-def nullspace(rows, ncols=None):
+def nullspace(rows, ncols):
     """Basis of the right kernel over Q, one vector per free column.
 
     Read off the integer reduced echelon form.  Vectors are normalised to
     primitive integers with positive first nonzero entry and ordered by
     free column index.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("cannot infer width of an empty matrix")
-        ncols = len(rows[0])
     red, pivots = reduced_echelon_int(integer_rows(rows)[0], ncols)
     pivot_set = set(pivots)
     basis = []

@@ -60,7 +60,6 @@ orbit_dimension does not use this path; the tests compare the two.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -83,9 +82,6 @@ class OrbitReport:
             "stabilizer_dim": self.stabilizer_dim,
             "seed": self.seed,
         }
-
-    def dumps(self):
-        return json.dumps(self.to_json(), indent=2)
 
 
 def _pair_index(n):

@@ -80,7 +80,6 @@ Both products and det P != 0 are checked before P is returned.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -104,9 +103,6 @@ class KroneckerInvariants:
     def to_json(self):
         return {"rank": self.rank, "partition": list(self.partition),
                 "padding": self.padding}
-
-    def dumps(self):
-        return json.dumps(self.to_json())
 
 
 @dataclass(frozen=True)

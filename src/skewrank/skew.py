@@ -306,10 +306,10 @@ class SkewPolyMatrix:
         out = memo[idx] = {m: c for m, c in out.items() if c}
         return out
 
-    def _form(self, poly, degree, den=1):
-        """The Form lam^degree / den * poly of a packed integer polynomial
-        of the given degree, such as a Pfaffian of size 2 * degree."""
-        return _as_form(poly.items(), self.vars, self._lam ** degree / den)
+    def _form(self, poly, degree):
+        """The Form lam^degree * poly of a packed integer polynomial of the
+        given degree, such as a Pfaffian of size 2 * degree."""
+        return _as_form(poly.items(), self.vars, self._lam ** degree)
 
     def pfaffian_symbolic(self):
         """Pfaffian of the whole matrix; requires even order."""

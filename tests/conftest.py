@@ -78,7 +78,7 @@ def bordered_forms(A, xi):
     integer ones of geometry._bordered_pfaffians times lam^r / den."""
     r = certify_constant_rank(A).generic_rank // 2
     den = lcm(*(Q(x).denominator for x in xi))
-    return [A._form(p, r, den) for p in geometry._bordered_pfaffians(A, xi)]
+    return [A._form(p, r) * Q(1, den) for p in geometry._bordered_pfaffians(A, xi)]
 
 
 def toeplitz_rows(B1, B2, delta):

@@ -203,6 +203,24 @@ def test_witness_drops_rank():
     assert split.rank_at(c.witness) < c.generic_rank
 
 
+def test_witness_search_falls_back_to_a_line(monkeypatch):
+    # the rank drops at none of the seed-0 probe points; the first
+    # witness line meets the plane 101a + 103b - 107c = 0
+    from skewrank import certify
+    net = SkewPolyMatrix(2, ("a", "b", "c"), {(0, 1): "101*a + 103*b - 107*c"})
+    points, lines = witness_candidates(3, 0)
+    assert all(net.rank_at(p) == 2 for p in points)
+    restricted = []
+    real = certify.restrict_line
+    monkeypatch.setattr(certify, "restrict_line",
+                        lambda A, p, q: restricted.append((p, q)) or real(A, p, q))
+    c = certify_constant_rank(net, seed=0)
+    assert (c.generic_rank, c.constant) == (2, False)
+    a, b, cc = c.witness
+    assert any(c.witness) and 101 * a + 103 * b - 107 * cc == 0
+    assert restricted == lines[:1]
+
+
 def test_certificate_invariance(rng):
     for name in ("M7", "pi3"):
         A = catalog.get(name).matrix

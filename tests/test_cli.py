@@ -256,6 +256,11 @@ def test_usage_errors(tmp_path, capsys):
     '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a"}, '
     '{"i": 0, "j": 1, "form": "b"}]}',
     '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a+^2"}]}',
+    '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a^^2"}]}',
+    '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a^*2"}]}',
+    '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a^4/2"}]}',
+    # once read as the linear a + b
+    '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a^3/3 + b"}]}',
 ])
 def test_malformed_matrix_json_is_a_usage_error(tmp_path, capsys, text):
     p = tmp_path / "bad.json"
@@ -272,6 +277,15 @@ def test_a_caret_after_a_sign_in_an_ideal_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: misplaced '^' in 'a-^2'\n"
+
+
+def test_a_malformed_exponent_in_an_ideal_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "ideal.json"
+    p.write_text(json.dumps({"vars": ["a", "b"], "generators": ["b^2", "a^^2"]}))
+    assert main(["ideal-empty", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected exponent in 'a^^2'\n"
 
 
 # Whole linear forms, so that some inputs get past the parse, and strings

@@ -195,6 +195,13 @@ def _caret_after_sign(text):
     return False
 
 
+def _malformed_exponent(text):
+    """True when a '^' or a '*' follows a '^', or an exponent is written
+    p/q: the reference skips the former and reads the latter as a
+    reduced fraction."""
+    return re.search(r"\^\s*(?:[*^]|\d+/\d+)", text) is not None
+
+
 def _entry_texts():
     """Every entry string to_json prints for the catalog and for a seeded
     dense congruence U^T A U of each entry, U unit upper triangular."""
@@ -216,17 +223,27 @@ def test_term_reader_matches_the_reference_parser():
     alphabet = FORM_TOKENS + ["4/2", "ab", "_q"]
     rand = {"".join(r.choices(alphabet, k=r.randint(1, 12))) for _ in range(20000)}
     cases = [(t, ABC) for t in sorted(short | rand)] + _entry_texts()
-    family = 0
+    family = exponents = 0
     for text, vars in cases:
         got, want = _parsed(parse_form, text, vars), _parsed(reference_parse_form, text, vars)
-        if got != want:
-            assert _caret_after_sign(text), text
-            assert got == "ValueError: misplaced '^' in %r" % text, (text, got, want)
+        if got == want:
+            continue
+        if _caret_after_sign(text) and got == "ValueError: misplaced '^' in %r" % text:
             family += 1
-    assert family > 100
+        else:
+            assert _malformed_exponent(text), (text, got, want)
+            assert got in ("ValueError: expected exponent in %r" % text,
+                           "ValueError: bad exponent in %r" % text), (text, got, want)
+            exponents += 1
+    assert family > 100 and exponents > 100
     # the reference raised TypeError here
     assert _parsed(parse_form, "a+^2", ABC) == "ValueError: misplaced '^' in 'a+^2'"
     assert _parsed(parse_form, "a-2^3", ABC) == "ValueError: misplaced '^' in 'a-2^3'"
+    # the reference read each of these as a^2
+    for text, fault in (("a^^2", "expected exponent"), ("a^*2", "expected exponent"),
+                        ("a^4/2", "bad exponent")):
+        assert str(reference_parse_form(text, ABC)) == "a^2"
+        assert _parsed(parse_form, text, ABC) == "ValueError: %s in %r" % (fault, text)
 
 
 def test_substitution_composition_law(rng):

@@ -349,6 +349,27 @@ def test_zero_scheme_westwick_curve_degree():
     assert geometry.section_zero_scheme_degree(w) == 6
 
 
+def test_zero_scheme_redraws_a_degenerate_covector(monkeypatch):
+    # e_0 makes schwarzenberger's bordered section vanish and pi6's zero
+    # scheme a curve; each redraws from the seed and keeps its degree
+    drawn = []
+    real = geometry._bordered_pfaffians
+    monkeypatch.setattr(geometry, "_bordered_pfaffians",
+                        lambda A, xi: drawn.append(xi) or real(A, xi))
+    for name, want in (("schwarzenberger", 6), ("pi6", 3)):
+        A = catalog.get(name).matrix
+        e0 = tuple(Q(int(i == 0)) for i in range(A.order))
+        gens = real(A, e0)
+        if name == "schwarzenberger":
+            assert gens == []
+        else:
+            profile = groebner.hilbert_profile(groebner.Ideal._from_packed(A.vars, gens))
+            assert profile.dimension == 1
+        del drawn[:]
+        assert geometry.section_zero_scheme_degree(A, xi=e0) == want
+        assert drawn[0] == e0 and len(drawn) > 1
+
+
 def test_zero_scheme_builds_one_basis_per_covector(monkeypatch):
     A = catalog.get("pi2").matrix
     certify_constant_rank(A)                   # cached; not counted below
@@ -412,6 +433,12 @@ def test_fingerprint_bundle():
     assert fp.gauss_span_dim == 10
     data = fp.to_json()
     assert data["c2"] == 2 and data["scanned"] == 40
+
+
+def test_fingerprint_of_a_four_parameter_space():
+    fp = geometry.bundle_fingerprint(catalog.get("westwick").matrix)
+    assert (fp.generic_splitting, fp.generic_padding, fp.c2, fp.gauss_span_dim,
+            fp.scanned, fp.jumping_lines) == ((2, 2), 0, 6, 35, 0, ())
 
 
 # values recorded with the Fraction-nullspace classifier and the

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 from tests.conftest import bordered_forms, random_invertible
 
-from skewrank import catalog
+from skewrank import catalog, forms, linalg
 from skewrank.certify import certify_constant_rank
 from skewrank.cli import main
 from skewrank.forms import Form, variables
@@ -302,6 +302,61 @@ def test_ideal_degree_names_the_real_dimension(tmp_path, capsys):
     assert main(["ideal-degree", "--proj-dim", "1", str(p)]) == 4
     captured = capsys.readouterr()
     assert captured.out == "" and "dimension 2" in captured.err
+
+
+def test_text_ideals_build_no_form_and_integer_ones_no_fraction(tmp_path, capsys,
+                                                                monkeypatch):
+    cases = [(["ideal-empty"], ["a", "b", "c"], {"empty": True}),
+             (["ideal-empty"], ["a^2 - b*c", "b^2 - a*c"], {"empty": False}),
+             (["ideal-degree"], ["a^2 - b*c", "b^2 - a*c"], {"degree": 4, "proj_dim": 0}),
+             (["ideal-degree"], ["a^3 - b^2*c", "b^3 - 2*c^2*a"], {"degree": 9, "proj_dim": 0}),
+             (["ideal-degree", "--proj-dim", "1"], ["a*c - b^2"],
+              {"degree": 2, "proj_dim": 1})]
+
+    def refuse(*args):
+        raise AssertionError("built a Form or a Fraction")
+    for owner, name, value in ((Form, "__init__", refuse),
+                               (Form, "_from_clean", classmethod(refuse)),
+                               (forms, "Q", refuse), (linalg, "Q", refuse)):
+        monkeypatch.setattr(owner, name, value)
+    for i, (argv, gens, want) in enumerate(cases):
+        p = tmp_path / ("ideal%d.json" % i)
+        p.write_text(json.dumps({"vars": list(ABC), "generators": gens}))
+        assert main(argv + [str(p)]) == 0
+        assert json.loads(capsys.readouterr().out) == want
+    monkeypatch.undo()
+    # a Form words the error of a non-homogeneous generator
+    with pytest.raises(ValueError, match=r"^non-homogeneous generator a\^2 \+ b$"):
+        Ideal(ABC, ["b + a^2"])
+
+
+def test_generators_are_integer_multiples_with_zeros_and_repeats_dropped():
+    a, b, c = variables(ABC)
+    ideal = Ideal(ABC, ["1/2*a - 1/3*b", "0", a - b, "a - b", 3 * a - 3 * b,
+                        Form.zero(ABC), "-c", Q(1, 2) * a - Q(1, 3) * b])
+    assert [str(g) for g in ideal.generators] == ["3*a - 2*b", "a - b", "3*a - 3*b", "-c"]
+    assert buchberger(ideal).basis == buchberger(Ideal(ABC, ["a", "b", "c"])).basis
+    # a packed ideal reads its generators off the same dicts
+    A = catalog.get("pi6").matrix
+    pfs = [p for p in map(A._pf, combinations(range(A.order), 6)) if p]
+    gens = Ideal._from_packed(A.vars, pfs + pfs[::-1]).generators
+    assert len(pfs) == 21 and len(gens) == 14
+    assert gens == tuple(dict.fromkeys(f for f in A.sub_pfaffians(6) if f))
+    assert Ideal(A.vars, [str(g) for g in gens]).generators == gens
+
+
+def test_a_ring_with_repeated_names_is_refused(tmp_path, capsys):
+    for gens in ([], ["a"]):
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            Ideal(("a", "a"), gens)
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        Ideal._from_packed(("a", "b", "a"), [])
+    p = tmp_path / "ideal.json"
+    p.write_text(json.dumps({"vars": ["a", "b", "a"], "generators": []}))
+    assert main(["ideal-empty", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate variable names: ('a', 'b', 'a')\n"
 
 
 def test_hilbert_numerator_counts_standard_monomials(rng):
