@@ -22,6 +22,9 @@ and never looks for a witness.  `certify_constant_rank` adds one to each
 refutation it returns, from `_witness`: a pencil's first rational drop,
 read off the integer GCD of its packed sub-Pfaffians, else a seeded
 search over probe points and line pencils.
+
+Every certificate is a proof: `constant` is True or False, decided by
+its method, and a refutation stands whether or not a witness was found.
 """
 
 from __future__ import annotations
@@ -43,20 +46,17 @@ Q = Fraction
 METHOD_GROEBNER = "groebner"
 METHOD_KRONECKER = "kronecker"
 METHOD_MACAULAY = "macaulay"
-METHOD_SAMPLED = "sampled"
 
 ROOT_SEARCH_BOUND = 10 ** 6   # largest end coefficient trial-divided for roots
 WITNESS_PROBES = 25           # points, and lines, tried by the witness search
-SAMPLED_POINTS = 200          # points of a sampling probe or cross-check
 
 
 @dataclass(frozen=True)
 class RankCertificate:
     generic_rank: int
-    constant: object            # True / False / None (None: not certified)
+    constant: bool
     method: str
     witness: tuple = None
-    sampled_points: int = None
 
     def to_json(self):
         return {
@@ -65,7 +65,6 @@ class RankCertificate:
             "method": self.method,
             "witness": None if self.witness is None else
             [str(x) for x in self.witness],
-            "sampled_points": self.sampled_points,
         }
 
 
@@ -210,54 +209,3 @@ def certify_constant_rank(A, seed=0):
     if cert.constant is False:
         return replace(cert, witness=_witness(A, cert.generic_rank, seed))
     return cert
-
-
-def _sample_points(d, n_points, seed):
-    """n_points seeded nonzero points with coordinates in [-9, 9]."""
-    rng = random.Random(seed)
-    done = 0
-    while done < n_points:
-        p = tuple(Q(rng.randint(-9, 9)) for _ in range(d))
-        if any(p):
-            done += 1
-            yield p
-
-
-def sampled_probe(A, n_points=SAMPLED_POINTS, seed=0):
-    """Sampling probe for beyond-desk-scale inputs; never certifies.
-
-    Returns constant=False with a witness when a drop is found, otherwise
-    constant=None (unknown).
-    """
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1, got %r" % n_points)
-    rank = generic_rank(A)
-    for tried, p in enumerate(_sample_points(A.nvars, n_points, seed), 1):
-        if A.rank_at(p) < rank:
-            return RankCertificate(rank, False, METHOD_SAMPLED, witness=p,
-                                   sampled_points=tried)
-    return RankCertificate(rank, None, METHOD_SAMPLED, sampled_points=n_points)
-
-
-def cross_validate(A, cert, seed=0):
-    """Check rank_at == generic_rank at seeded pseudo-random points."""
-    return all(A.rank_at(p) == cert.generic_rank
-               for p in _sample_points(A.nvars, SAMPLED_POINTS, seed))
-
-
-def check_bound(A, nondegenerate):
-    """Order bound 2r <= N <= 3r-1 for nondegenerate constant-rank pencils.
-
-    Vacuously true when the space is degenerate (the bound only constrains
-    the nondegenerate core).
-    """
-    if A.nvars != 2:
-        raise ValueError("order bound applies to pencils only (d = 2)")
-    cert = verdict(A)
-    if cert.constant is not True:
-        raise ValueError("order bound needs a constant-rank certificate")
-    if not nondegenerate:
-        return True
-    r = cert.generic_rank // 2
-    N = A.order - 1
-    return 2 * r <= N <= 3 * r - 1

@@ -2,8 +2,8 @@
 
 Subcommands speak the JSON formats of the library types (matrices,
 ideals, certificates, reports).  Exit codes: 0 success, 2 usage error,
-3 a checked property was refuted, 4 a sampling budget was exhausted or
-the answer is unknown.
+3 a checked property was refuted, 4 a work budget was exhausted or the
+answer is unknown (never from `certify`, whose certificates are proofs).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, geometry, orbit, pencil
-from .certify import certify_constant_rank, sampled_probe
+from .certify import certify_constant_rank
 from .groebner import Ideal, WrongDimension, is_projectively_empty, projective_degree
 from .skew import SkewPolyMatrix
 
@@ -71,19 +71,11 @@ def positive_int(text):
 
 
 def cmd_certify(args):
-    A = _load_matrix(args.matrix)
-    if args.sampled:
-        cert = sampled_probe(A, n_points=args.sampled, seed=args.seed)
-    else:
-        cert = certify_constant_rank(A, seed=args.seed)
+    cert = certify_constant_rank(_load_matrix(args.matrix), seed=args.seed)
     out = cert.to_json()
     out["seed"] = args.seed
     _emit(out)
-    if cert.constant is True:
-        return EXIT_OK
-    if cert.constant is False:
-        return EXIT_REFUTED
-    return EXIT_UNKNOWN
+    return EXIT_OK if cert.constant else EXIT_REFUTED
 
 
 def cmd_classify(args):
@@ -197,9 +189,6 @@ def build_parser():
 
     p = sub.add_parser("certify", help="constant-rank certificate")
     p.add_argument("matrix")
-    p.add_argument("--sampled", type=positive_int, metavar="N",
-                   help="probe N random points instead of certifying "
-                        "(never certifies; for beyond-desk-scale inputs)")
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("classify", help="Kronecker invariants of a pencil")

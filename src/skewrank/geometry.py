@@ -450,12 +450,17 @@ def section_zero_scheme_degree(A, xi=None, seed=0):
 
     On a plane of parameters (d = 3) the locus is finite and the degree is
     the second Chern class of the dual kernel bundle; for d = 4 the locus
-    is a curve and its degree is returned.  Degenerate covectors are
-    redrawn deterministically from the seed.
+    is a curve and its degree is returned.  A must have certified
+    constant rank, and xi one coordinate per row.  Degenerate covectors
+    are redrawn deterministically from the seed.
     """
     d = A.nvars
     if d not in (3, 4):
         raise ValueError("zero-scheme degrees are computed for d = 3 or 4")
+    if xi is not None and len(xi) != A.order:
+        raise ValueError("covector must have one coordinate per matrix row")
+    if verdict(A).constant is not True:
+        raise ValueError("needs a constant-rank certificate")
     want_dim = 0 if d == 3 else 1
     rng = random.Random("covector:%d" % seed)
     current = tuple(Q(x) for x in xi) if xi is not None else default_covector(A.order)

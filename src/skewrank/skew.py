@@ -262,17 +262,13 @@ class SkewPolyMatrix:
         """(flag, witness): witness is a common kernel vector when False.
 
         Nondegenerate means the coefficient matrices have trivial common
-        kernel and their images span the whole space; for skew-symmetric
-        spaces the two conditions agree.
+        kernel, the kernel of the stack [B_1; ...; B_d].  Their images then
+        span the whole space too: for skew B_k the concatenation
+        [B_1 | ... | B_d] is minus the transpose of the stack.
         """
-        basis = self.integer_basis()
-        stacked = [row for B in basis for row in B]
+        stacked = [row for B in self.integer_basis() for row in B]
         kernel = linalg.nullspace(stacked, ncols=self.order)
-        concat = [sum((list(B[i]) for B in basis), []) for i in range(self.order)]
-        row_ok = linalg.rank(concat) == self.order
-        col_ok = not kernel
-        assert row_ok == col_ok
-        if col_ok:
+        if not kernel:
             return True, None
         return False, tuple(kernel[0])
 

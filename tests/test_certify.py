@@ -10,9 +10,7 @@ from tests.conftest import partitions, random_invertible, random_skew
 
 from skewrank import catalog, linalg
 from skewrank.certify import (_binary_rational_roots, certify_constant_rank,
-                              check_bound,
-                              cross_validate, generic_rank, restrict_line,
-                              sampled_probe, witness_candidates)
+                              generic_rank, restrict_line, witness_candidates)
 from skewrank.forms import binary_gcd
 from skewrank.geometry import section_zero_scheme_degree
 from skewrank.skew import SkewPolyMatrix
@@ -235,8 +233,16 @@ def test_certificate_invariance(rng):
 
 
 def test_cross_validation():
+    # the certified generic rank is the rank at 200 seeded points
     A = catalog.get("pi4").matrix
-    assert cross_validate(A, certify_constant_rank(A))
+    rank = certify_constant_rank(A).generic_rank
+    rng = random.Random(0)
+    points = []
+    while len(points) < 200:
+        p = tuple(rng.randint(-9, 9) for _ in range(A.nvars))
+        if any(p):
+            points.append(p)
+    assert all(A.rank_at(p) == rank for p in points)
 
 
 def test_gcd_and_groebner_routes_agree_on_pencils():
@@ -264,31 +270,27 @@ def test_canonical_forms_certify():
         assert c.generic_rank == 2 * sum(partition)
 
 
-def test_check_bound():
-    M7 = catalog.get("M7").matrix
-    M9 = catalog.get("M9").matrix
-    assert check_bound(M7, True) is True
-    assert check_bound(M9, True) is True      # upper bound attained: N = 3r - 1
-    # a hypothetical nondegenerate pencil of order 3r + 1 would refute it:
-    # rank 2 (r = 1) forces 2 <= N <= 2, so order 4 pencils of rank 2 fail
+def test_order_bound_of_nondegenerate_pencils():
+    # a constant-rank pencil with padding 0 has N + 1 - 2r positive
+    # minimal indices summing to r, so 2r <= N <= 3r - 1
+    from skewrank.pencil import canonical_form, minimal_indices
+
+    pencils = [A for A in (catalog.get(n).matrix for n in catalog.names())
+               if A.nvars == 2 and certify_constant_rank(A).constant]
+    pencils += [canonical_form(p).matrix for r in range(1, 5) for p in partitions(r)]
+    bounds = set()
+    for A in pencils:
+        inv = minimal_indices(A)
+        if inv.padding == 0:
+            r, N = inv.rank // 2, A.order - 1
+            assert 2 * r <= N <= 3 * r - 1, (A, inv)
+            bounds.add((N == 2 * r, N == 3 * r - 1))
+    assert {(True, False), (False, True)} <= bounds   # e.g. M7, M9 attain them
+    # an order-4 pencil of rank 2 breaks the bound only through padding 1
     stretched = SkewPolyMatrix(4, AB, {(0, 1): "a", (0, 2): "b", (0, 3): "a"})
     c = certify_constant_rank(stretched)
     assert c.constant is True and c.generic_rank == 2
-    assert check_bound(stretched, True) is False
-    assert check_bound(stretched, False) is True
-    with pytest.raises(ValueError):
-        check_bound(catalog.get("pi1").matrix, True)
-
-
-def test_sampled_probe_never_certifies():
-    A = catalog.get("M7").matrix
-    probe = sampled_probe(A, n_points=40)
-    assert probe.method == "sampled"
-    assert probe.constant is None
-    assert probe.sampled_points == 40
-    split = SkewPolyMatrix(4, AB, {(0, 1): "a", (2, 3): "b"})
-    probe = sampled_probe(split, n_points=200)
-    assert probe.constant is False and probe.witness is not None
+    assert minimal_indices(stretched).padding == 1
 
 
 def test_restrict_line_shapes():
@@ -500,7 +502,7 @@ def test_verdict_only_callers_compute_no_witness(monkeypatch):
     with pytest.raises(ValueError, match="rank 4 at every point"):
         geometry.splitting_on_line(net, (1, 0, 0), (0, 1, 0))
     with pytest.raises(ValueError, match="constant-rank certificate"):
-        check_bound(pencil, True)
+        section_zero_scheme_degree(net)
     table = {"pencil": CatalogEntry("pencil", 1, "refuted pencil", pencil,
                                     Expected(generic_rank=4, constant=False,
                                              method="kronecker")),

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from tests.conftest import FORM_TOKENS
 
 from skewrank import catalog, geometry
-from skewrank.certify import sampled_probe, verdict
+from skewrank.certify import verdict
 from skewrank.cli import main
 from skewrank.skew import SkewPolyMatrix
 
@@ -31,16 +31,20 @@ def run(capsys, argv):
 
 def test_a_reader_that_stops_early_keeps_the_exit_code(tmp_path):
     """`skewrank ... | head -c 1`: a closed standard output is not a usage
-    error, and nothing is reported on standard error."""
+    error, and nothing but an unknown answer's reason is reported on
+    standard error."""
     split = tmp_path / "split.json"
     split.write_text(SkewPolyMatrix(4, ("a", "b"), {(0, 1): "a", (2, 3): "b"}).dumps())
+    line = tmp_path / "line.json"           # a line asked for as a point
+    line.write_text(json.dumps({"vars": ["a", "b", "c"], "generators": ["a"]}))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src")]
         + [p for p in [env.get("PYTHONPATH")] if p])
-    for argv, want in ((["canonical", "2,1"], 0),
-                       (["certify", str(split)], 3),
-                       (["certify", "--sampled", "5", write_matrix(tmp_path, "M8")], 4)):
+    unknown = "scheme has projective dimension 1, not 0\n"
+    for argv, want in ((["canonical", "2,1"], (0, "")),
+                       (["certify", str(split)], (3, "")),
+                       (["ideal-degree", str(line)], (4, unknown))):
         read, write = os.pipe()
         os.close(read)
         try:
@@ -49,7 +53,7 @@ def test_a_reader_that_stops_early_keeps_the_exit_code(tmp_path):
                                   env=env, timeout=120)
         finally:
             os.close(write)
-        assert (proc.returncode, proc.stderr) == (want, ""), argv
+        assert (proc.returncode, proc.stderr) == want, argv
 
 
 def test_certify_exit_codes(tmp_path, capsys):
@@ -66,12 +70,28 @@ def test_certify_exit_codes(tmp_path, capsys):
     assert code == 3
     assert json.loads(out)["witness"] == ["0", "1"]
 
-    code, out = run(capsys, ["certify", "--sampled", "25", str(p)])
-    assert code == 3            # the probe finds a drop on this input
-    code, out = run(capsys, ["certify", "--sampled", "25",
-                             write_matrix(tmp_path, "M7")])
-    assert code == 4            # sampling never certifies
-    assert json.loads(out)["constant"] is None
+
+def test_certify_json_is_a_proof(tmp_path, capsys):
+    # no "unknown" certificate: constant is a bool, with one key set
+    split = SkewPolyMatrix(4, ("a", "b"), {(0, 1): "a", (2, 3): "b"})
+    p = tmp_path / "split.json"
+    p.write_text(split.dumps())
+    paths = [write_matrix(tmp_path, name) for name in catalog.names()] + [str(p)]
+    for path in paths:
+        code, out = run(capsys, ["certify", path])
+        data = json.loads(out)
+        assert set(data) == {"constant", "generic_rank", "method", "seed", "witness"}
+        assert isinstance(data["constant"], bool)
+        assert code == (0 if data["constant"] else 3)
+    assert code == 3 and data["witness"] is not None
+
+
+def test_certify_has_no_sampling_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--sampled", "5", write_matrix(tmp_path, "M8")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_certify_reads_a_huge_linear_witness_at_once(tmp_path, capsys):
@@ -164,6 +184,18 @@ def test_gauss_and_fingerprint(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["c2"] == 2 and data["generic_splitting"] == [2, 1]
+
+
+def test_fingerprint_of_a_non_constant_net_is_a_usage_error(tmp_path, capsys):
+    # as for gauss: no covector is drawn on a space that is not certified
+    net = tmp_path / "net.json"
+    net.write_text(SkewPolyMatrix(4, ("a", "b", "c"),
+                                  {(0, 1): "a", (2, 3): "b"}).dumps())
+    for command in ("fingerprint", "gauss"):
+        assert main([command, str(net)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: needs a constant-rank certificate\n"
 
 
 def test_catalog_listing(capsys):
@@ -335,10 +367,8 @@ def test_json_inputs_end_in_a_documented_exit_code(case):
 
 @pytest.mark.parametrize("argv", [
     ["fingerprint", "--budget", "0", "MATRIX"],
-    ["certify", "--sampled=-1", "MATRIX"],
+    ["fingerprint", "--budget=-1", "MATRIX"],
     ["fingerprint", "--budget", "-3", "MATRIX"],
-    ["certify", "--sampled", "-5", "MATRIX"],
-    ["certify", "--sampled", "0", "MATRIX"],
 ])
 def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     argv = [write_matrix(tmp_path, "pi1") if a == "MATRIX" else a for a in argv]
@@ -352,7 +382,6 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
 def test_library_budgets_below_one_are_rejected_up_front():
     pi1, m8 = catalog.get("pi1").matrix, catalog.get("M8").matrix
     for call in (lambda: geometry.jumping_scan(pi1, budget=0),
-                 lambda: geometry.bundle_fingerprint(m8, budget=0),
-                 lambda: sampled_probe(m8, n_points=0)):
+                 lambda: geometry.bundle_fingerprint(m8, budget=0)):
         with pytest.raises(ValueError, match="at least 1"):
             call()

@@ -424,6 +424,29 @@ def test_zero_scheme_rejects_zero_covector():
                                             xi=(0,) * 8)
 
 
+def test_zero_scheme_rejects_a_covector_of_the_wrong_length(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work before the covector check")
+
+    monkeypatch.setattr(geometry, "verdict", refuse)
+    pi6 = catalog.get("pi6").matrix
+    for xi in ((1, 2), tuple(range(1, 12))):
+        with pytest.raises(ValueError, match="one coordinate per matrix row"):
+            geometry.section_zero_scheme_degree(pi6, xi=xi)
+
+
+def test_zero_scheme_refuses_non_constant_spaces(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a section was computed")
+
+    monkeypatch.setattr(geometry, "_bordered_pfaffians", refuse)
+    net = SkewPolyMatrix(4, ("a", "b", "c"), {(0, 1): "a", (2, 3): "b"})
+    for call in (lambda: geometry.section_zero_scheme_degree(net),
+                 lambda: geometry.bundle_fingerprint(net)):
+        with pytest.raises(ValueError, match="needs a constant-rank certificate"):
+            call()
+
+
 def test_fingerprint_bundle():
     fp = geometry.bundle_fingerprint(catalog.get("pi2").matrix, budget=40)
     assert fp.c2 == 2
