@@ -59,14 +59,6 @@ class CatalogEntry:
         return self.matrix.digest()
 
 
-def single_row_block(order):
-    """Order-n block with one nonzero row: constant rank 2 in n-1 variables."""
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    vars = tuple("a%d" % i for i in range(1, order))
-    return SkewPolyMatrix(order, vars, {(0, j): vars[j - 1] for j in range(1, order)})
-
-
 def dk_steiner(lam, mu, nu):
     """Steiner-bundle matrix whose six jumping lines are the coordinate
     triangle plus the lines with dual coordinates `lam`, `mu`, `nu`.

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import catalog, geometry, orbit, pencil
 from .certify import certify_constant_rank
+from .forms import _parse_terms
 from .groebner import Ideal, WrongDimension, is_projectively_empty, projective_degree
 from .skew import SkewPolyMatrix
 
@@ -55,11 +56,15 @@ def _print(text):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _parse_csv_rationals(text):
-    try:
-        return tuple(Q(part) for part in text.split(","))
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % text) from None
+def _parse_center(text):
+    """The comma-separated coordinates of a projection center, each read
+    by the term reader of matrix text with no variables: [-]p or [-]p/q."""
+    coords = []
+    for part in text.split(","):
+        if not part.strip():
+            raise ValueError("empty coordinate in %r" % text)
+        coords.append(Q(_parse_terms(part, ()).get((), 0)))
+    return tuple(coords)
 
 
 def positive_int(text):
@@ -100,7 +105,7 @@ def cmd_orbit_dim(args):
 
 def cmd_project(args):
     A = _load_matrix(args.matrix)
-    center = _parse_csv_rationals(args.center)
+    center = _parse_center(args.center)
     step = geometry.project(A, center, seed=args.seed)
     _emit(step.to_json())
     return EXIT_OK if step.valid else EXIT_REFUTED
@@ -207,7 +212,9 @@ def build_parser():
     p = sub.add_parser("project", help="project from a center and re-certify")
     p.add_argument("matrix")
     p.add_argument("--center", required=True,
-                   help="comma-separated rational coordinates")
+                   help="comma-separated coordinates, each an integer "
+                        "or a fraction p/q, e.g. 1,-1/2,0 (write "
+                        "--center=-1,... when the first is negative)")
     p.set_defaults(fn=cmd_project)
 
     p = sub.add_parser("fingerprint", help="kernel-bundle fingerprint")

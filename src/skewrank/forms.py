@@ -5,12 +5,11 @@ A :class:`Form` is a polynomial in a fixed tuple of named variables with
 to nonzero coefficients.  Forms are immutable, hashable and safe to share;
 every operation returns a new value.  Terms are ordered graded reverse
 lexicographically (variables in declaration order) wherever an order
-matters: printing, serialisation, leading terms.
+matters: printing and leading terms.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from math import gcd
@@ -246,7 +245,7 @@ class Form:
             out = out + term
         return out
 
-    # -- text and JSON formats ----------------------------------------
+    # -- text format ---------------------------------------------------
 
     def __str__(self):
         if not self._terms:
@@ -275,28 +274,6 @@ class Form:
     def __repr__(self):
         return "Form(%r, %s)" % (list(self.vars), str(self))
 
-    def to_json(self):
-        return {
-            "vars": list(self.vars),
-            "terms": [
-                {"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
-                for e, c in self.terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["vars"],
-                   [(tuple(t["exp"]), Q(int(t["num"]), int(t["den"])))
-                    for t in obj["terms"]])
-
-    def dumps(self):
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, s):
-        return cls.from_json(json.loads(s))
-
 
 def variables(names):
     """The variable forms of the ring with the given names."""
@@ -309,6 +286,7 @@ def variables(names):
 # Terms joined by ``+`` and ``-``; a term is an optional coefficient (``3``,
 # ``3/2``) and factors ``var`` or ``var^exp``, ``exp`` a plain integer and
 # the next token after its ``^``; ``*`` is optional between other tokens.
+# Each sign is followed by a term, so ``a - - b`` and ``a +`` are errors.
 # All reading state lives in one term: each sign starts a fresh one, so a
 # ``^`` raises a variable of its own term only.  Coefficients stay ``int``
 # unless written ``p/q``, and become Fractions only when a Form is built.
@@ -331,7 +309,7 @@ def _parse_terms(text, vars):
         tokens.append(m.groups())
         pos = m.end()
     terms = {}
-    sign, coef, exps, last, caret = 1, None, None, None, False
+    sign, signed, coef, exps, last, caret = 1, False, None, None, None, False
     for num, den, name, op in tokens + [(None,) * 4]:
         if num is not None:
             if den is not None and not int(den):
@@ -369,7 +347,10 @@ def _parse_terms(text, vars):
                     terms[e] = c
                 else:
                     terms.pop(e, None)
+            elif signed:                # a sign with no term after it
+                raise ValueError("dangling sign in %r" % text)
             sign, coef, exps, last = -1 if op == "-" else 1, None, None, None
+            signed = op is not None
     return terms
 
 

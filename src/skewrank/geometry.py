@@ -30,7 +30,6 @@ Q = Fraction
 GRID_BOUND = 4                  # grid points for jumping-line candidates
 GENERIC_SAMPLES = 20            # random lines drawn for the generic splitting
 GENERIC_QUORUM = 15             # how many of them must agree
-CENTER_BUDGET = 200             # projection centers drawn per chain
 NEGATIVE_LINES = 50             # random lines that must not jump
 COVECTOR_RETRIES = 10           # covectors redrawn for a zero scheme
 
@@ -107,51 +106,6 @@ def project(A, center, seed=0):
     return ProjectionStep(center, P, result, valid, cert_out)
 
 
-def find_valid_center(A, target_order, seed=0):
-    """Chain of valid projection steps down to the target order.
-
-    Sampling is deterministic under the seed; running out of candidates
-    raises BudgetExhausted.  Orders below 2r + 2 (kernel rank two) are
-    rejected up front; the coarser guarantee for existence is order
-    2r + d, which the error message reports as well.
-    """
-    cert = verdict(A)
-    if cert.constant is not True:
-        raise ValueError("projection chains need a constant-rank input")
-    two_r = cert.generic_rank
-    floor = two_r + 2
-    if target_order < floor:
-        raise ValueError(
-            "target order %d is below the kernel-rank-two floor %d "
-            "(guaranteed reachable: order %d)"
-            % (target_order, floor, two_r + A.nvars))
-    if target_order >= A.order:
-        raise ValueError("target order %d is not below the current order %d"
-                         % (target_order, A.order))
-    rng = random.Random("projection-centers:%d" % seed)
-    steps = []
-    current = A
-    attempts = 0
-    while current.order > target_order:
-        found = None
-        while attempts < CENTER_BUDGET:
-            attempts += 1
-            cand = tuple(Q(rng.randint(-3, 3)) for _ in range(current.order))
-            if not any(cand):
-                continue
-            step = project(current, cand, seed=seed)
-            if step.valid:
-                found = step
-                break
-        if found is None:
-            raise BudgetExhausted(
-                "no valid center found for order %d after %d attempts"
-                % (current.order, attempts))
-        steps.append(found)
-        current = found.result
-    return steps
-
-
 # -- kernel 2-plane map --------------------------------------------------
 
 
@@ -176,30 +130,6 @@ def kernel_plucker(A):
         f = A._form(A._pf(idx), n // 2 - 1)
         out[(i, j)] = f if (i + j) % 2 == 0 else -f
     return out
-
-
-def plucker_tensor_at(kp, order, point):
-    """Constant skew matrix of the kernel coordinates at a point."""
-    T = [[Q(0)] * order for _ in range(order)]
-    for (i, j), f in kp.items():
-        v = f.evaluate(point)
-        T[i][j] = v
-        T[j][i] = -v
-    return T
-
-
-def support_plane(T):
-    """Column space of a rank-2 skew tensor, as a canonical RREF basis.
-
-    For skew T the column space equals the row space, so the rows serve.
-    """
-    return linalg.span_rref([row for row in T if any(row)])
-
-
-def kernel_plane_at(A, point):
-    """Exact kernel of the evaluated matrix, as a canonical RREF basis."""
-    basis = linalg.nullspace(A.evaluate_at(point), ncols=A.order)
-    return linalg.span_rref(basis)
 
 
 def gauss_span_dim(A):

@@ -1,10 +1,10 @@
 """Buchberger engine over Q for homogeneous ideals in few variables.
 
 Provides reduced Groebner bases in graded reverse lexicographic order
-(the only order used anywhere), ideal membership via normal forms,
-projective emptiness through the pure-power criterion on the leading-term
-ideal, and the dimension and degree of any projective scheme, read off
-the exact Hilbert series of the leading-term ideal.
+(the only order used anywhere), projective emptiness through the
+pure-power criterion on the leading-term ideal, and the dimension and
+degree of any projective scheme, read off the exact Hilbert series of
+the leading-term ideal.
 
 This module owns the one packed polynomial format of the package.  A
 monomial is a single integer, its ``dkey``: one B-bit field per variable
@@ -101,17 +101,17 @@ def _as_form(terms, vars, scale=1):
 
 
 def _pack_terms(terms, lay):
-    """(p, den): the dict {dkey: integer} p == den * terms of a dict
-    {exponent tuple: nonzero rational}, den the lcm of the coefficient
-    denominators (1 for integer terms, with no Fraction built)."""
+    """The dict {dkey: integer} of den * terms for a dict {exponent
+    tuple: nonzero rational}, den the lcm of the coefficient denominators
+    (1 for integer terms, with no Fraction built)."""
     B, degshift = lay[1], lay[2]
-    (coeffs,), den = integer_rows([terms.values()])
+    (coeffs,), _ = integer_rows([terms.values()])
     p = {}
     for e, c in zip(terms, coeffs):
         if sum(e) >> (B - 1):          # a field keeps its top bit as guard
             raise ValueError("degree %d out of packing range" % sum(e))
         p[sum(x << (i * B) for i, x in enumerate(e)) | sum(e) << degshift] = c
-    return p, den
+    return p
 
 
 def _content(p):
@@ -187,16 +187,16 @@ def _s_polynomial(f, g, lay):
 
 
 def _reduce(f, basis, lay):
-    """Full reduction of f modulo basis: (rem, num, den) with rem the
-    integer remainder of the rational multiple (num / den) * f.
+    """Primitive remainder of f on full reduction modulo basis.
 
     The divisor for each step is the first basis element (in list order)
-    whose leading monomial divides the current leading monomial, so the
-    remainder is unique up to the scale that num / den records.
+    whose leading monomial divides the current leading monomial.  Each
+    step scales the remainder so far by the divisor's leading
+    coefficient, and every 16 steps the common content of the work and
+    the remainder is divided out, which bounds the growth of the entries.
     """
     work = f
     out = []
-    num = den = 1
     steps = 0
     i = 0                              # work[:i] is already in out
     while i < len(work):
@@ -215,20 +215,13 @@ def _reduce(f, basis, lay):
         i = 0
         if cg != 1:
             out = [(ok, dk, c * cg) for ok, dk, c in out]
-            num *= cg
         steps += 1
         if steps % 16 == 0 and work:
             g = gcd(_content(work), _content(out))
             if g > 1:
                 work = [(ok, dk, c // g) for ok, dk, c in work]
                 out = [(ok, dk, c // g) for ok, dk, c in out]
-                den *= g
-    return out, num, den
-
-
-def _reduce_primitive(f, basis, lay):
-    """Primitive normal form of f modulo basis."""
-    return _primitive(_reduce(f, basis, lay)[0])
+    return _primitive(out)
 
 
 # -- ideals and bases ----------------------------------------------------
@@ -258,7 +251,7 @@ class Ideal:
                 raise ValueError("non-homogeneous generator %s"
                                  % (parse_form(g, vars) if isinstance(g, str) else g))
             if terms:
-                polys.append(_pack_terms(terms, _make_layout(len(vars)))[0])
+                polys.append(_pack_terms(terms, _make_layout(len(vars))))
         self._store(vars, polys)
 
     @classmethod
@@ -328,8 +321,7 @@ def _interreduce(polys, lay):
         stable = True
         fresh = []
         for i, p in enumerate(polys):
-            others = fresh + polys[i + 1:]
-            h = _reduce_primitive(p, others, lay) if others else _primitive(p)
+            h = _reduce(p, fresh + polys[i + 1:], lay)
             if h != p:
                 stable = False
             if h:
@@ -384,7 +376,7 @@ def buchberger(ideal):
                     break
         if skip:
             continue
-        h = _reduce_primitive(_s_polynomial(G[i], G[j], lay), G, lay)
+        h = _reduce(_s_polynomial(G[i], G[j], lay), G, lay)
         if h:
             G.append(h)
             push_pairs(len(G) - 1)
@@ -397,23 +389,9 @@ def buchberger(ideal):
             kept.append(p)
     final = []
     for i, p in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        final.append(_reduce_primitive(p, others, lay) if others else p)
+        final.append(_reduce(p, kept[:i] + kept[i + 1:], lay))
     final.sort(key=lambda p: p[0][0])
     return GroebnerBasis(ideal, lay, final)
-
-
-def normal_form(f, gb):
-    """Remainder of f on division by the basis; zero iff f is a member."""
-    if not isinstance(f, Form) or f.vars != gb.ideal.vars:
-        raise ValueError("ring mismatch")
-    if f.is_zero():
-        return f
-    work, pack_den = _pack_terms(f._terms, gb._lay)
-    rem, num, den = _reduce(_from_dict(work, gb._lay), gb._kpolys, gb._lay)
-    # rem is the remainder of (num / den) * pack_den * f
-    return _as_form(((dk, c) for _, dk, c in rem), f.vars,
-                    Q(den, num * pack_den))
 
 
 def _as_gb(x):

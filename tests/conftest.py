@@ -9,6 +9,7 @@ from skewrank import geometry, linalg
 from skewrank.certify import certify_constant_rank
 from skewrank.forms import Form
 from skewrank.pencil import KroneckerInvariants, _forced_indices
+from skewrank.skew import SkewPolyMatrix
 
 Q = Fraction
 
@@ -79,6 +80,58 @@ def bordered_forms(A, xi):
     r = certify_constant_rank(A).generic_rank // 2
     den = lcm(*(Q(x).denominator for x in xi))
     return [A._form(p, r) * Q(1, den) for p in geometry._bordered_pfaffians(A, xi)]
+
+
+def single_row_block(order):
+    """Order-n block with one nonzero row: constant rank 2 in n-1 variables."""
+    if order < 2:
+        raise ValueError("order must be at least 2")
+    vars = tuple("a%d" % i for i in range(1, order))
+    return SkewPolyMatrix(order, vars, {(0, j): vars[j - 1] for j in range(1, order)})
+
+
+def normal_form(f, gb):
+    """Remainder of the Form f on division by the monic Forms of
+    gb.basis, by Form arithmetic alone: zero iff f lies in the ideal.
+    The reference for ideal membership, independent of the packed
+    reduction that builds the basis."""
+    if f.vars != gb.ideal.vars:
+        raise ValueError("ring mismatch")
+    basis = [(g.leading_term()[0], g) for g in gb.basis]
+    rem = Form.zero(f.vars)
+    while not f.is_zero():
+        lead, c = f.leading_term()
+        term = Form(f.vars, {lead: c})
+        for e, g in basis:
+            if all(x <= y for x, y in zip(e, lead)):
+                f = f - Form(f.vars, {tuple(y - x for x, y in zip(e, lead)): c}) * g
+                break
+        else:
+            rem, f = rem + term, f - term
+    return rem
+
+
+def plucker_tensor_at(kp, order, point):
+    """Constant skew matrix of the kernel coordinates at a point."""
+    T = [[Q(0)] * order for _ in range(order)]
+    for (i, j), f in kp.items():
+        v = f.evaluate(point)
+        T[i][j] = v
+        T[j][i] = -v
+    return T
+
+
+def support_plane(T):
+    """Column space of a rank-2 skew tensor, as a canonical RREF basis.
+
+    For skew T the column space equals the row space, so the rows serve.
+    """
+    return linalg.span_rref([row for row in T if any(row)])
+
+
+def kernel_plane_at(A, point):
+    """Exact kernel of the evaluated matrix, as a canonical RREF basis."""
+    return linalg.span_rref(linalg.nullspace(A.evaluate_at(point), ncols=A.order))
 
 
 def toeplitz_rows(B1, B2, delta):
@@ -166,7 +219,8 @@ _REFERENCE_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\^
 def reference_parse_form(text, vars):
     """The token state machine that `forms.parse_form` replaced, kept as
     the reference for the term reader.  Its last variable survives a sign,
-    so a '^' after one reads an earlier term's variable."""
+    so a '^' after one reads an earlier term's variable, and a sign with
+    no term after it is dropped, so 'a - - b' reads as a - b."""
     vars = tuple(vars)
     index = {v: i for i, v in enumerate(vars)}
     pos = 0

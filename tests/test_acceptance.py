@@ -10,12 +10,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from tests.conftest import random_invertible, random_skew
+from tests.conftest import (kernel_plane_at, normal_form, plucker_tensor_at,
+                            random_invertible, random_skew, support_plane)
 
 from skewrank import catalog, geometry, linalg
 from skewrank.certify import certify_constant_rank, verdict
 from skewrank.forms import Form, binary_gcd, variables
-from skewrank.groebner import Ideal, buchberger, normal_form
+from skewrank.groebner import Ideal, buchberger
 from skewrank.orbit import orbit_dimension, rank_exact, tangent_rows
 from skewrank.pencil import canonical_form, equivalent, minimal_indices
 from skewrank.skew import pfaffian
@@ -265,11 +266,11 @@ def test_criterion_7_property_suites():
             if not any(p):
                 continue
             checked += 1
-            T = geometry.plucker_tensor_at(kp, A.order, p)
+            T = plucker_tensor_at(kp, A.order, p)
             if linalg.rank(T) != 2:
                 failures.append("%s: kernel tensor rank != 2 at %r" % (name, p))
                 break
-            if geometry.support_plane(T) != geometry.kernel_plane_at(A, p):
+            if support_plane(T) != kernel_plane_at(A, p):
                 failures.append("%s: support plane != kernel at %r" % (name, p))
                 break
 

@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from tests.conftest import single_row_block
 
 from skewrank import catalog
 from skewrank.catalog import CatalogEntry, Expected
@@ -103,11 +104,11 @@ def test_extension_attempts_all_fail():
 
 
 def test_single_row_block():
-    B = catalog.single_row_block(5)
+    B = single_row_block(5)
     assert B.order == 5 and B.nvars == 4
     from skewrank.certify import certify_constant_rank
 
     cert = certify_constant_rank(B)
     assert cert.generic_rank == 2 and cert.constant is True
     with pytest.raises(ValueError):
-        catalog.single_row_block(1)
+        single_row_block(1)

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -186,6 +188,42 @@ def test_gauss_and_fingerprint(tmp_path, capsys):
     assert data["c2"] == 2 and data["generic_splitting"] == [2, 1]
 
 
+EIGHT_PLANES = ("dk_steiner", "pi1", "pi2", "pi3", "pi4", "pi5", "pi6",
+                "schwarzenberger")
+
+
+def _pinned_answers(tmp_path, capsys, command, options=([],)):
+    """(count, sha256) of the canonical JSON of [exit code, answer] of the
+    command, once per options list, on each 8x8 rank-6 plane and on a
+    seeded dense congruence U^T A U of it, U unit upper triangular."""
+    answers = []
+    for name in EIGHT_PLANES:
+        A = catalog.get(name).matrix
+        r = random.Random(name)
+        U = [[r.randint(-2, 2) if i < j else int(i == j) for j in range(8)]
+             for i in range(8)]
+        for M in (A, A.congruence_transform(U)):
+            path = tmp_path / "plane.json"
+            path.write_text(M.dumps())
+            for opts in options:
+                code, out = run(capsys, [command, str(path)] + opts)
+                answers.append([code, json.loads(out)])
+    blob = json.dumps(answers, sort_keys=True, separators=(",", ":"))
+    return len(answers), hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_gauss_outputs_are_pinned(tmp_path, capsys):
+    assert _pinned_answers(tmp_path, capsys, "gauss") == (
+        16, "e307af530d408676f5e8c4f4d5384dc75dfc44d2b37e7e03a4c1a80d919495ad")
+
+
+def test_project_outputs_are_pinned(tmp_path, capsys):
+    centers = ("1,0,0,0,0,0,0,0", "1,-1,2,-2,3,-3,4,-4", "-1/2,1,0,3,0,0,2/3,1")
+    options = [["--center=" + c] for c in centers]
+    assert _pinned_answers(tmp_path, capsys, "project", options) == (
+        48, "120e049f6b1062268ced73c3c95a1460ce960af100c36ec0c367c295ed8fb4f2")
+
+
 def test_fingerprint_of_a_non_constant_net_is_a_usage_error(tmp_path, capsys):
     # as for gauss: no covector is drawn on a space that is not certified
     net = tmp_path / "net.json"
@@ -273,6 +311,20 @@ def test_zero_denominators_are_usage_errors(tmp_path, capsys, command):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("center", ["1e5,0,0,0,0,0,0,1", "1,,0,0,0,0,0,1",
+                                    "1.5,0,0,0,0,0,0,1", "1,0,0,0,0,0,0,1,",
+                                    "1e1000000,0,0,0,0,0,0,1"])
+def test_a_center_coordinate_is_an_integer_or_a_fraction(tmp_path, capsys, center):
+    # 1e1000000 once built a 3.3-million-bit integer before any check
+    path = write_matrix(tmp_path, "pi6")
+    start = time.perf_counter()
+    assert main(["project", path, "--center", center]) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
     with pytest.raises(SystemExit) as exc:
@@ -293,6 +345,10 @@ def test_usage_errors(tmp_path, capsys):
     '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a^4/2"}]}',
     # once read as the linear a + b
     '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a^3/3 + b"}]}',
+    # once read as a - b, -a and a: a sign with no term after it
+    '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a - - b"}]}',
+    '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "- - a"}]}',
+    '{"order": 2, "vars": ["a", "b"], "upper": [{"i": 0, "j": 1, "form": "a+"}]}',
 ])
 def test_malformed_matrix_json_is_a_usage_error(tmp_path, capsys, text):
     p = tmp_path / "bad.json"

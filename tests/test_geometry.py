@@ -5,7 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from tests.conftest import bordered_forms
+from tests.conftest import (bordered_forms, kernel_plane_at, plucker_tensor_at,
+                            support_plane)
 
 from skewrank import catalog, geometry, groebner, linalg
 from skewrank.certify import certify_constant_rank, restrict_line
@@ -40,17 +41,23 @@ def test_two_step_projection_reproduces_pi5():
 
 
 def test_projection_step_invariant():
-    # the recorded basis change and result are consistent
     tri = catalog.get("triangle3").matrix
     nine = tri.direct_sum(tri).direct_sum(tri)
-    step = geometry.project(nine, [1, 0, 0, 0, 1, 0, 0, 0, 1])
-    moved = nine.congruence_transform(step.basis_change)
-    rebuilt = {(i, j): f for (i, j), f in moved.upper_entries() if j < 8}
-    assert rebuilt == dict(step.result.upper_entries())
-    # the basis change sends the center into the last coordinate
-    Pt = linalg.transpose(step.basis_change)
-    image = linalg.mat_vec(Pt, list(step.center))
-    assert image == [Q(0)] * 8 + [Q(1)]
+    M9 = catalog.get("M9").matrix
+    for A, center in ((nine, [1, 0, 0, 0, 1, 0, 0, 0, 1]),
+                      (M9, [0, 0, 0, 0, 1, 1, 0, 0, 0])):
+        step = geometry.project(A, center)
+        assert step.valid
+        # the recorded basis change and result are consistent
+        moved = A.congruence_transform(step.basis_change)
+        rebuilt = {(i, j): f for (i, j), f in moved.upper_entries() if j < 8}
+        assert rebuilt == dict(step.result.upper_entries())
+        # the basis change sends the center into the last coordinate
+        Pt = linalg.transpose(step.basis_change)
+        image = linalg.mat_vec(Pt, list(step.center))
+        assert image == [Q(0)] * 8 + [Q(1)]
+    # the last step, M9's, keeps rank 6 and has the minimal indices of M8
+    assert minimal_indices(step.result) == minimal_indices(catalog.get("M8").matrix)
 
 
 def test_bad_center_is_rejected_with_witness():
@@ -62,20 +69,6 @@ def test_bad_center_is_rejected_with_witness():
     assert step.valid is False
     assert step.certificate.witness is not None
     assert step.result.rank_at(step.certificate.witness) < 6
-
-
-def test_find_valid_center_success_and_bounds():
-    M9 = catalog.get("M9").matrix
-    steps = geometry.find_valid_center(M9, 8, seed=1)
-    assert len(steps) == 1 and steps[-1].valid
-    inv = minimal_indices(steps[-1].result)
-    assert sum(inv.partition) == 3
-    with pytest.raises(ValueError):
-        geometry.find_valid_center(catalog.get("pi6").matrix, 7)
-    with pytest.raises(ValueError):
-        geometry.find_valid_center(catalog.get("westwick").matrix, 9)
-    with pytest.raises(ValueError):
-        geometry.find_valid_center(M9, 9)
 
 
 # -- kernel 2-plane map --------------------------------------------------
@@ -93,8 +86,8 @@ def test_kernel_plucker_m8_is_28_binary_cubics():
     kp = geometry.kernel_plucker(M8)
     assert len(kp) == 28
     assert all(f.is_zero() or f.is_homogeneous(3) for f in kp.values())
-    T = geometry.plucker_tensor_at(kp, 8, (1, 0))
-    assert geometry.support_plane(T) == geometry.kernel_plane_at(M8, (1, 0))
+    T = plucker_tensor_at(kp, 8, (1, 0))
+    assert support_plane(T) == kernel_plane_at(M8, (1, 0))
 
 
 def test_kernel_plucker_support_property(rng):
@@ -107,9 +100,9 @@ def test_kernel_plucker_support_property(rng):
             if not any(p):
                 continue
             checked += 1
-            T = geometry.plucker_tensor_at(kp, A.order, p)
+            T = plucker_tensor_at(kp, A.order, p)
             assert linalg.rank(T) == 2
-            assert geometry.support_plane(T) == geometry.kernel_plane_at(A, p)
+            assert support_plane(T) == kernel_plane_at(A, p)
 
 
 def test_rank2_4x4_plucker_is_support():
@@ -117,8 +110,8 @@ def test_rank2_4x4_plucker_is_support():
 
     A = SkewPolyMatrix(4, ("a", "b"), {(0, 1): "a", (0, 2): "b"})
     kp = geometry.kernel_plucker(A)
-    T = geometry.plucker_tensor_at(kp, 4, (1, 2))
-    assert geometry.support_plane(T) == geometry.kernel_plane_at(A, (1, 2))
+    T = plucker_tensor_at(kp, 4, (1, 2))
+    assert support_plane(T) == kernel_plane_at(A, (1, 2))
 
 
 def test_gauss_span_dims():

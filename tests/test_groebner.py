@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from tests.conftest import bordered_forms, random_invertible
+from tests.conftest import bordered_forms, normal_form, random_invertible
 
 from skewrank import catalog, forms, linalg
 from skewrank.certify import certify_constant_rank
@@ -15,8 +15,7 @@ from skewrank.geometry import _bordered_pfaffians, default_covector
 from skewrank.groebner import (HilbertProfile, Ideal, WrongDimension,
                                _hilbert_numerator, _minimal_monomials,
                                buchberger, hilbert_profile,
-                               is_projectively_empty, normal_form,
-                               projective_degree)
+                               is_projectively_empty, projective_degree)
 
 Q = Fraction
 ABC = ("a", "b", "c")
