@@ -57,12 +57,15 @@ def _print(text):
 
 
 def _parse_center(text):
-    """The comma-separated coordinates of a projection center, each read
-    by the term reader of matrix text with no variables: [-]p or [-]p/q."""
+    """The comma-separated coordinates of a projection center, each one
+    term read by the term reader of matrix text with no variables:
+    [-]p or [-]p/q, never a sum such as 1+1."""
     coords = []
     for part in text.split(","):
         if not part.strip():
             raise ValueError("empty coordinate in %r" % text)
+        if any(sign in part.strip()[1:] for sign in "+-"):
+            raise ValueError("coordinate %r is not one number" % part.strip())
         coords.append(Q(_parse_terms(part, ()).get((), 0)))
     return tuple(coords)
 
@@ -212,8 +215,8 @@ def build_parser():
     p = sub.add_parser("project", help="project from a center and re-certify")
     p.add_argument("matrix")
     p.add_argument("--center", required=True,
-                   help="comma-separated coordinates, each an integer "
-                        "or a fraction p/q, e.g. 1,-1/2,0 (write "
+                   help="comma-separated coordinates, each one integer "
+                        "or fraction p/q, e.g. 1,-1/2,0 (write "
                         "--center=-1,... when the first is negative)")
     p.set_defaults(fn=cmd_project)
 

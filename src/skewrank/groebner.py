@@ -11,8 +11,8 @@ monomial is a single integer, its ``dkey``: one B-bit field per variable
 plus the total degree in the top field (`_make_layout`), so keys add
 under multiplication and divisibility is a guard-bit test.  Its ``okey``
 orders monomials graded reverse lexicographically as plain integers.
-Polynomials are held as dicts {dkey: nonzero integer}: the Pfaffian
-memo of `skewrank.skew` is keyed this way, and an `Ideal` stores its
+Polynomials are held as dicts {dkey: nonzero integer}: `skewrank.skew`
+decodes its packed Pfaffians this way, and an `Ideal` stores its
 generators this way only.  `Ideal._from_packed` takes such dicts as they
 are; text generators are read by `forms._parse_terms` and packed by
 `_pack_terms`, with no Form in between, and Form generators are packed

@@ -11,12 +11,31 @@ denominators by `linalg.integer_rows`, which takes integer input as it
 is; congruence, parameter change, line restriction, direct sum and
 padding compute integer combinations of the B_k; all of them store
 through one `_seed`.  Equality and hashing compare (order, vars,
-lam, basis).  The Pfaffians of sum(x_k * B_k) are expanded on integers
-into a memo keyed by principal index subsets, as dicts from
+lam, basis).  Forms are built only at the edges: an entry printed for
+text or JSON as lam times its integer one, and a Pfaffian of size 2k
+as lam^k times its integer one.  Values are immutable.
+
+The Pfaffians of sum(x_k * B_k) are expanded along the first row into a
+memo keyed by principal index subsets, one integer per subset
+(Kronecker substitution).  With d variables, D = order // 2 and
+b = D + 1, a form sum(c_e * x^e) of degree at most D is stored as its
+value sum(c_e * 2^(w * sigma(e))) at x_k = 2^(w * b^k) for k < d - 1
+and x_(d-1) = 1, where sigma(e) = sum(e_k * b^k, k < d - 1): the last
+exponent is implied by the degree, and distinct monomials get distinct
+slots since every e_k <= D < b.  Evaluation is a ring homomorphism, so
+each expansion term is one bigint multiply-add and the memo holds the
+packed Pfaffians exactly.  The slot width: let s be the largest
+sum(|B_k[i][j]| over k) over the entries.  A sub-Pfaffian of size 2k is
+a signed sum of (2k - 1)!! products of k entries, so each of its
+coefficients, like each partial sum of the expansion, has absolute
+value at most (2k - 1)!! * s^k <= (2D - 1)!! * s^D.  With w that
+bound's bit length plus 2, every coefficient lies strictly inside
+[-2^(w-1), 2^(w-1)), so the balanced base-2^w digits of a packed
+Pfaffian are exactly its coefficients, and it is zero exactly when the
+polynomial is; that is all the generic rank reads.  `_pf` decodes the
+digits, by adding 2^(w-1) to every slot, into dicts from
 `skewrank.groebner`'s packed monomial keys to integers that Groebner
-bases take as they are.  Forms are built only at the edges: an entry
-printed for text or JSON as lam times its integer one, and a Pfaffian
-of size 2k as lam^k times its integer one.  Values are immutable.
+bases take as they are, through slot tables shared by every matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +43,9 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
+from math import gcd, prod
 
 from . import linalg
 from .forms import Form, _parse_terms, parse_form
@@ -33,8 +54,20 @@ from .groebner import _as_form, _make_layout
 Q = Fraction
 
 
+@lru_cache(maxsize=None)
+def _slots(d, b, degree):
+    """(slot, dkey) of each monomial of the given degree in d variables,
+    ascending: its Kronecker slot sum(e_k * b^k, k < d - 1) and its
+    `skewrank.groebner` key.  One table serves every matrix with these
+    d and b."""
+    units = _make_layout(d)[-1]
+    return sorted((sum(b ** k for k in m if k < d - 1), sum(units[k] for k in m))
+                  for m in combinations_with_replacement(range(d), degree))
+
+
 class SkewPolyMatrix:
-    __slots__ = ("order", "vars", "_basis", "_lam", "_entries", "_pf_memo", "_hash")
+    __slots__ = ("order", "vars", "_basis", "_lam", "_entries", "_pf_memo", "_kron",
+                 "_hash")
 
     def __init__(self, order, vars, upper):
         order = int(order)
@@ -127,7 +160,7 @@ class SkewPolyMatrix:
         basis = tuple(tuple(map(tuple, B)) for B in basis)
         for name, value in (("order", n), ("vars", vars), ("_lam", lam),
                             ("_basis", basis), ("_entries", entries),
-                            ("_pf_memo", {(): {0: 1}}),
+                            ("_pf_memo", {(): 1}), ("_kron", None),
                             ("_hash", hash((n, vars, lam, basis)))):
             object.__setattr__(self, name, value)
         return self
@@ -274,32 +307,62 @@ class SkewPolyMatrix:
 
     # -- Pfaffians ----------------------------------------------------------
 
-    def _pf(self, idx):
+    def _packing(self):
+        """(w, b, entries) of the Kronecker packing (the module docstring
+        derives w): the slot width, the exponent base and the packed
+        integer of each nonzero upper entry of A_int.  Built on the first
+        Pfaffian asked for, since most matrices never need one."""
+        got = self._kron
+        if got is None:
+            d, D = self.nvars, self.order // 2
+            s = max((sum(abs(x) for _, x in t) for t in self._entries.values()),
+                    default=0)
+            w = (prod(range(1, 2 * D, 2)) * s ** D).bit_length() + 2
+            unit = [1 << (w * (D + 1) ** k) for k in range(d - 1)] + [1]
+            got = (w, D + 1, {ij: sum(x * unit[k] for k, x in t)
+                              for ij, t in self._entries.items()})
+            object.__setattr__(self, "_kron", got)
+        return got
+
+    def _pf_int(self, idx):
         """Pfaffian of the principal submatrix of A_int on the sorted index
-        tuple, as {groebner monomial key: integer coefficient}."""
+        tuple, as its Kronecker-packed integer; zero exactly when the
+        polynomial is."""
         memo = self._pf_memo
         got = memo.get(idx)
         if got is not None:
             return got
-        entries = self._entries
-        _, bits, *_, keys = _make_layout(self.nvars)
-        if len(idx) >> bits:               # the degree must stay below a field's guard bit
+        # the degree must stay below the guard bit of a groebner key's field
+        if len(idx) >> _make_layout(self.nvars)[1]:
             raise ValueError("Pfaffian of size %d out of packing range" % len(idx))
+        entries = self._packing()[2]
         rest = idx[1:]
-        out = {}
+        out = 0
         for t, j in enumerate(rest):
             e = entries.get((idx[0], j))
-            if e is None:
-                continue
-            sub = self._pf(rest[:t] + rest[t + 1:])
-            for k, c1 in e:
-                m1 = keys[k]
-                if t % 2:
-                    c1 = -c1
-                for m2, c2 in sub.items():
-                    m = m1 + m2
-                    out[m] = out.get(m, 0) + c1 * c2
-        out = memo[idx] = {m: c for m, c in out.items() if c}
+            if e is not None:
+                p = e * self._pf_int(rest[:t] + rest[t + 1:])
+                out = out - p if t % 2 else out + p
+        memo[idx] = out
+        return out
+
+    def _pf(self, idx):
+        """Pfaffian of the principal submatrix of A_int on the sorted index
+        tuple, as {groebner monomial key: integer coefficient}: the
+        balanced base-2^w digits of `_pf_int`, each read off its slot
+        after adding 2^(w-1) to every slot."""
+        p = self._pf_int(idx)
+        if not p:
+            return {}
+        w, b, _ = self._packing()
+        slots = _slots(self.nvars, b, len(idx) // 2)
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        p += half * ((1 << (w * (slots[-1][0] + 1))) - 1) // mask
+        out = {}
+        for slot, dkey in slots:
+            c = ((p >> (w * slot)) & mask) - half
+            if c:
+                out[dkey] = c
         return out
 
     def _form(self, poly, degree):
@@ -320,7 +383,6 @@ class SkewPolyMatrix:
             raise ValueError("sub-Pfaffian size must be even")
         if size < 0 or size > self.order:
             raise ValueError("size %d out of range for order %d" % (size, self.order))
-        from itertools import combinations
         return [self._form(self._pf(s), size // 2)
                 for s in combinations(range(self.order), size)]
 

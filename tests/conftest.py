@@ -8,6 +8,7 @@ import pytest
 from skewrank import geometry, linalg
 from skewrank.certify import certify_constant_rank
 from skewrank.forms import Form
+from skewrank.groebner import _make_layout
 from skewrank.pencil import KroneckerInvariants, _forced_indices
 from skewrank.skew import SkewPolyMatrix
 
@@ -88,6 +89,29 @@ def single_row_block(order):
         raise ValueError("order must be at least 2")
     vars = tuple("a%d" % i for i in range(1, order))
     return SkewPolyMatrix(order, vars, {(0, j): vars[j - 1] for j in range(1, order)})
+
+
+def reference_pf(A, idx, memo):
+    """Pfaffian of the principal submatrix of A_int on the sorted index
+    tuple, as {groebner monomial key: integer}: the dict recursion the
+    Kronecker-packed memo of `SkewPolyMatrix` replaced, expanded along
+    the first row with one dict product per entry and memoised in memo
+    (one dict per matrix).  The reference for `SkewPolyMatrix._pf`."""
+    got = memo.get(idx)
+    if got is not None:
+        return got
+    keys = _make_layout(A.nvars)[-1]
+    rest = idx[1:]
+    out = {} if idx else {0: 1}
+    for t, j in enumerate(rest):
+        for k, c1 in A._entries.get((idx[0], j), ()):
+            if t % 2:
+                c1 = -c1
+            for m2, c2 in reference_pf(A, rest[:t] + rest[t + 1:], memo).items():
+                m = keys[k] + m2
+                out[m] = out.get(m, 0) + c1 * c2
+    out = memo[idx] = {m: c for m, c in out.items() if c}
+    return out
 
 
 def normal_form(f, gb):

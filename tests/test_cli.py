@@ -313,9 +313,12 @@ def test_zero_denominators_are_usage_errors(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("center", ["1e5,0,0,0,0,0,0,1", "1,,0,0,0,0,0,1",
                                     "1.5,0,0,0,0,0,0,1", "1,0,0,0,0,0,0,1,",
-                                    "1e1000000,0,0,0,0,0,0,1"])
+                                    "1e1000000,0,0,0,0,0,0,1",
+                                    "1+1,0,0,0,0,0,0,1", "1,1/2-1/2,0,0,0,0,0,1",
+                                    "1,-1-1,0,0,0,0,0,1", "1,0,0,0,0,0,0,+1-0"])
 def test_a_center_coordinate_is_an_integer_or_a_fraction(tmp_path, capsys, center):
-    # 1e1000000 once built a 3.3-million-bit integer before any check
+    # 1e1000000 once built a 3.3-million-bit integer before any check,
+    # and a sum such as 1+1 was read as its value
     path = write_matrix(tmp_path, "pi6")
     start = time.perf_counter()
     assert main(["project", path, "--center", center]) == 2

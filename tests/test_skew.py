@@ -2,12 +2,14 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from tests.conftest import bordered_forms, random_invertible, random_skew
+from tests.conftest import (bordered_forms, random_invertible, random_skew,
+                            reference_pf)
 
 from skewrank import catalog, forms, geometry, linalg
-from skewrank.certify import restrict_line
+from skewrank.certify import generic_rank, restrict_line
 from skewrank.forms import Form
 from skewrank.pencil import minimal_indices
 from skewrank.skew import SkewPolyMatrix, pfaffian
@@ -117,6 +119,78 @@ def test_pf_congruence_scaling(rng):
             Pt = linalg.transpose(P)
             assert pfaffian(linalg.mat_mul(linalg.mat_mul(Pt, M), P)) \
                 == linalg.det(P) * pfaffian(M)
+
+
+def _assert_pfaffians_match_the_reference(A):
+    """Every principal sub-Pfaffian of A, decoded, equals the dict
+    recursion's, and its packed integer is zero exactly when it is."""
+    memo = {}
+    for size in range(0, A.order + 1, 2):
+        for idx in combinations(range(A.order), size):
+            want = reference_pf(A, idx, memo)
+            assert A._pf(idx) == want, (A, idx)
+            assert bool(A._pf_int(idx)) == bool(want)
+
+
+def test_every_sub_pfaffian_matches_the_dict_recursion():
+    rng = random.Random("pfaffian-reference")
+    for name in catalog.names():
+        A = catalog.get(name).matrix
+        dense = A.congruence_transform(random_invertible(rng, A.order, -2, 2)) \
+            .parameter_change(random_invertible(rng, A.nvars))
+        for M in (A, dense):
+            _assert_pfaffians_match_the_reference(M)
+
+
+def test_one_variable_pfaffian_matches_the_dict_recursion(rng):
+    for n in (2, 4, 6, 8):
+        for _ in range(4):
+            M = random_skew(rng, n, -10 ** 9, 10 ** 9)
+            A = SkewPolyMatrix.from_coefficient_basis(("t",), [M])
+            top = reference_pf(A, tuple(range(n)), {})
+            assert pfaffian(M) == A._lam ** (n // 2) * sum(top.values())
+
+
+# Each packed Pfaffian is read in slots of w bits, w two bits above the
+# coefficient bound: a single coefficient at the bound (10^9 * a), mixed
+# signs, and negative coefficients in slot 0 (the last variable, c here)
+# that borrow from the slots above.
+WIDTH_CASES = [
+    (("a",), {(0, 1): "1000000000*a"}),
+    (("a",), {(0, 1): "-1000000000*a"}),
+    (AB, {(0, 1): "1000000000*a"}),
+    (AB, {(0, 1): "1000000000*a - 999999999*b"}),
+    (ABC, {(0, 1): "a + b - 1000000000*c", (2, 3): "999999999*a - b - c",
+           (0, 2): "-1000000000*c", (1, 3): "1000000000*b - 7*c"}),
+    (ABC, {(0, 1): "1000000000*a - 1000000000*c", (2, 3): "a - 1000000000*c",
+           (4, 5): "1000000000*b - 1000000000*c"}),
+]
+
+
+@pytest.mark.parametrize("vars, upper", WIDTH_CASES)
+def test_packed_pfaffians_at_the_width_bound(vars, upper):
+    A = SkewPolyMatrix(max(j for _, j in upper) + 1, vars, upper)
+    _assert_pfaffians_match_the_reference(A)
+
+
+def test_packed_pfaffians_with_mixed_signs_near_a_billion():
+    rng = random.Random("pfaffian-width")
+    for n, vars in ((4, AB), (6, ABC), (6, ("a", "b", "c", "d"))):
+        mats = [random_skew(rng, n, -10 ** 9, 10 ** 9) for _ in vars]
+        _assert_pfaffians_match_the_reference(
+            SkewPolyMatrix.from_coefficient_basis(vars, mats))
+    westwick = catalog.get("westwick").matrix
+    assert westwick.nvars == 4
+    _assert_pfaffians_match_the_reference(
+        westwick.congruence_transform(random_invertible(rng, 10, -9, 9)))
+
+
+def test_pfaffian_out_of_packing_range_is_a_value_error():
+    # seven variables get 8-bit groebner fields, so degree 128 is too high
+    A = SkewPolyMatrix.zero(256, tuple("abcdefg"))
+    for read in (A.pfaffian_symbolic, lambda: generic_rank(A)):
+        with pytest.raises(ValueError, match="out of packing range"):
+            read()
 
 
 def test_sub_pfaffians():
