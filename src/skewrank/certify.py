@@ -73,7 +73,7 @@ def generic_rank(A):
     polynomial.  Symbolic; never decided by sampling."""
     top = A.order - (A.order % 2)
     for size in range(top, 0, -2):
-        if any(A._pf_int(s) for s in combinations(range(A.order), size)):
+        if any(A._pf_raw(s) for s in combinations(range(A.order), size)):
             return size
     raise ValueError("zero matrix has no generic rank")
 

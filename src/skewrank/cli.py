@@ -12,15 +12,13 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import catalog, geometry, orbit, pencil
 from .certify import certify_constant_rank
-from .forms import _parse_terms
+from .forms import _parse_number
 from .groebner import Ideal, WrongDimension, is_projectively_empty, projective_degree
 from .skew import SkewPolyMatrix
 
-Q = Fraction
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,16 +56,9 @@ def _print(text):
 
 def _parse_center(text):
     """The comma-separated coordinates of a projection center, each one
-    term read by the term reader of matrix text with no variables:
-    [-]p or [-]p/q, never a sum such as 1+1."""
-    coords = []
-    for part in text.split(","):
-        if not part.strip():
-            raise ValueError("empty coordinate in %r" % text)
-        if any(sign in part.strip()[1:] for sign in "+-"):
-            raise ValueError("coordinate %r is not one number" % part.strip())
-        coords.append(Q(_parse_terms(part, ()).get((), 0)))
-    return tuple(coords)
+    number [-]p or [-]p/q (`forms._parse_number`), never a sum such as
+    1+1."""
+    return tuple(_parse_number(part) for part in text.split(","))
 
 
 def positive_int(text):

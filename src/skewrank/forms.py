@@ -294,11 +294,9 @@ def variables(names):
 _TOKEN = re.compile(r"\s*(?:(\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z0-9_]*)|([-+^*]))")
 
 
-def _parse_terms(text, vars):
-    """{exponent tuple: nonzero int or Fraction} of the polynomial text in
-    the variable names vars.  A malformed text raises ValueError, a
-    character outside the grammar before any other fault."""
-    index = {v: i for i, v in enumerate(vars)}
+def _tokens(text):
+    """The (number, denominator, name, operator) groups of the tokens of
+    text; a character outside the grammar raises ValueError."""
     tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -308,6 +306,15 @@ def _parse_terms(text, vars):
             break
         tokens.append(m.groups())
         pos = m.end()
+    return tokens
+
+
+def _parse_terms(text, vars):
+    """{exponent tuple: nonzero int or Fraction} of the polynomial text in
+    the variable names vars.  A malformed text raises ValueError, a
+    character outside the grammar before any other fault."""
+    index = {v: i for i, v in enumerate(vars)}
+    tokens = _tokens(text)
     terms = {}
     sign, signed, coef, exps, last, caret = 1, False, None, None, None, False
     for num, den, name, op in tokens + [(None,) * 4]:
@@ -352,6 +359,16 @@ def _parse_terms(text, vars):
             sign, coef, exps, last = -1 if op == "-" else 1, None, None, None
             signed = op is not None
     return terms
+
+
+def _parse_number(text):
+    """The rational number of a one-term text with no variables, [-]p or
+    [-]p/q, read by `_parse_terms`; an empty text or a sum of terms, such
+    as 1+1 or 1/2-1/2, raises ValueError."""
+    tokens = _tokens(text)
+    if not tokens or any(op in ("+", "-") for *_, op in tokens[1:]):
+        raise ValueError("%r is not one number" % text.strip())
+    return Q(_parse_terms(text, ()).get((), 0))
 
 
 def parse_form(text, vars):

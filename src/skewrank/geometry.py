@@ -349,13 +349,18 @@ def _bordered_pfaffians(A, xi):
     denominators.
     """
     (xi,), _ = linalg.integer_rows([xi])
+    pfs = {}                # each sub-Pfaffian is decoded once, not per border
     gens = []
     for sub in combinations(range(A.order), verdict(A).generic_rank + 1):
         acc = {}
         for t, i in enumerate(sub):
             if xi[i]:
                 x = xi[i] if t % 2 == 0 else -xi[i]
-                for m, c in A._pf(sub[:t] + sub[t + 1:]).items():
+                s = sub[:t] + sub[t + 1:]
+                pf = pfs.get(s)
+                if pf is None:
+                    pf = pfs[s] = A._pf(s)
+                for m, c in pf.items():
                     acc[m] = acc.get(m, 0) + x * c
         acc = {m: c for m, c in acc.items() if c}
         if acc:

@@ -36,6 +36,11 @@ polynomial is; that is all the generic rank reads.  `_pf` decodes the
 digits, by adding 2^(w-1) to every slot, into dicts from
 `skewrank.groebner`'s packed monomial keys to integers that Groebner
 bases take as they are, through slot tables shared by every matrix.
+A degree-D form has D * b^(d-2) + 1 slots but only C(D + d - 1, d - 1)
+monomials, so the slots grow as b^(d-2): a generic 6 x 6 matrix, with
+15 variables, would need 4^13 slots for its 680 cubic monomials.  Where
+the slots outnumber the monomials more than 4 times, the memo keeps
+those dicts instead and expands with one dict product per entry.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from . import linalg
 from .forms import Form, _parse_terms, parse_form
@@ -160,7 +165,7 @@ class SkewPolyMatrix:
         basis = tuple(tuple(map(tuple, B)) for B in basis)
         for name, value in (("order", n), ("vars", vars), ("_lam", lam),
                             ("_basis", basis), ("_entries", entries),
-                            ("_pf_memo", {(): 1}), ("_kron", None),
+                            ("_pf_memo", {}), ("_kron", None),
                             ("_hash", hash((n, vars, lam, basis)))):
             object.__setattr__(self, name, value)
         return self
@@ -308,26 +313,39 @@ class SkewPolyMatrix:
     # -- Pfaffians ----------------------------------------------------------
 
     def _packing(self):
-        """(w, b, entries) of the Kronecker packing (the module docstring
-        derives w): the slot width, the exponent base and the packed
-        integer of each nonzero upper entry of A_int.  Built on the first
-        Pfaffian asked for, since most matrices never need one."""
+        """(w, b, entries), built on the first Pfaffian asked for, since
+        most matrices never need one.  Packed (the module docstring derives
+        w): the slot width, the exponent base and the packed integer of each
+        nonzero upper entry of A_int.  A degree-D form has D * b^(d-2) + 1
+        slots against C(D + d - 1, d - 1) monomials, so with many variables
+        the packed integers are mostly empty slots; where the slots
+        outnumber the monomials more than 4 times (the measured crossover),
+        w = b = 0, each entry is its pairs (groebner key, integer) and the
+        memo holds dicts."""
         got = self._kron
         if got is None:
             d, D = self.nvars, self.order // 2
-            s = max((sum(abs(x) for _, x in t) for t in self._entries.values()),
-                    default=0)
-            w = (prod(range(1, 2 * D, 2)) * s ** D).bit_length() + 2
-            unit = [1 << (w * (D + 1) ** k) for k in range(d - 1)] + [1]
-            got = (w, D + 1, {ij: sum(x * unit[k] for k, x in t)
+            b = D + 1
+            slots = D * b ** (d - 2) + 1 if d > 1 else 1
+            if slots > 4 * comb(D + d - 1, d - 1):
+                keys = _make_layout(d)[-1]
+                got = (0, 0, {ij: tuple((keys[k], x) for k, x in t)
+                              for ij, t in self._entries.items()})
+            else:
+                s = max((sum(abs(x) for _, x in t) for t in self._entries.values()),
+                        default=0)
+                w = (prod(range(1, 2 * D, 2)) * s ** D).bit_length() + 2
+                unit = [1 << (w * b ** k) for k in range(d - 1)] + [1]
+                got = (w, b, {ij: sum(x * unit[k] for k, x in t)
                               for ij, t in self._entries.items()})
             object.__setattr__(self, "_kron", got)
         return got
 
-    def _pf_int(self, idx):
+    def _pf_raw(self, idx):
         """Pfaffian of the principal submatrix of A_int on the sorted index
-        tuple, as its Kronecker-packed integer; zero exactly when the
-        polynomial is."""
+        tuple, as the memo holds it: the Kronecker-packed integer, or the
+        dict `_pf` returns where `_packing` keeps dicts.  Zero or empty
+        exactly when the polynomial is."""
         memo = self._pf_memo
         got = memo.get(idx)
         if got is not None:
@@ -335,26 +353,43 @@ class SkewPolyMatrix:
         # the degree must stay below the guard bit of a groebner key's field
         if len(idx) >> _make_layout(self.nvars)[1]:
             raise ValueError("Pfaffian of size %d out of packing range" % len(idx))
-        entries = self._packing()[2]
+        w, _, entries = self._packing()
         rest = idx[1:]
-        out = 0
-        for t, j in enumerate(rest):
-            e = entries.get((idx[0], j))
-            if e is not None:
-                p = e * self._pf_int(rest[:t] + rest[t + 1:])
-                out = out - p if t % 2 else out + p
+        if w:
+            out = 0 if idx else 1
+            for t, j in enumerate(rest):
+                e = entries.get((idx[0], j))
+                if e is not None:
+                    p = e * self._pf_raw(rest[:t] + rest[t + 1:])
+                    out = out - p if t % 2 else out + p
+        else:
+            out = {} if idx else {0: 1}
+            for t, j in enumerate(rest):
+                e = entries.get((idx[0], j))
+                if e is None:
+                    continue
+                sub = self._pf_raw(rest[:t] + rest[t + 1:])
+                for m1, c1 in e:
+                    if t % 2:
+                        c1 = -c1
+                    for m2, c2 in sub.items():
+                        m = m1 + m2
+                        out[m] = out.get(m, 0) + c1 * c2
+            out = {m: c for m, c in out.items() if c}
         memo[idx] = out
         return out
 
     def _pf(self, idx):
         """Pfaffian of the principal submatrix of A_int on the sorted index
         tuple, as {groebner monomial key: integer coefficient}: the
-        balanced base-2^w digits of `_pf_int`, each read off its slot
-        after adding 2^(w-1) to every slot."""
-        p = self._pf_int(idx)
+        balanced base-2^w digits of a packed `_pf_raw`, each read off its
+        slot after adding 2^(w-1) to every slot."""
+        p = self._pf_raw(idx)
+        w, b, _ = self._packing()
+        if not w:
+            return p
         if not p:
             return {}
-        w, b, _ = self._packing()
         slots = _slots(self.nvars, b, len(idx) // 2)
         half, mask = 1 << (w - 1), (1 << w) - 1
         p += half * ((1 << (w * (slots[-1][0] + 1))) - 1) // mask

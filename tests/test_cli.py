@@ -108,6 +108,19 @@ def test_certify_reads_a_huge_linear_witness_at_once(tmp_path, capsys):
     assert json.loads(out)["witness"] == ["1000000000000000000000007", "1"]
 
 
+def test_certify_answers_a_generic_matrix_with_many_variables(tmp_path, capsys):
+    # 28 variables: too many for Kronecker-packed Pfaffians
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    vars = ["x%d_%d" % ij for ij in pairs]
+    p = tmp_path / "generic8.json"
+    p.write_text(SkewPolyMatrix(8, vars, dict(zip(pairs, vars))).dumps())
+    t0 = time.perf_counter()
+    code, out = run(capsys, ["certify", str(p)])
+    assert time.perf_counter() - t0 < 5
+    data = json.loads(out)
+    assert code == 3 and (data["generic_rank"], data["constant"]) == (8, False)
+
+
 def test_certify_rejects_a_zero_pencil(tmp_path, capsys):
     p = tmp_path / "zero.json"
     p.write_text(SkewPolyMatrix.zero(4, ("a", "b")).dumps())

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from tests.conftest import FORM_TOKENS, reference_parse_form
 
 from skewrank import catalog
-from skewrank.forms import (Form, binary_gcd, integer_binary_gcd, parse_form,
-                            variables)
+from skewrank.forms import (Form, _parse_number, binary_gcd, integer_binary_gcd,
+                            parse_form, variables)
 
 Q = Fraction
 
@@ -251,6 +251,21 @@ def test_term_reader_matches_the_reference_parser():
     for text, read in (("a - - b", "a - b"), ("- - a", "-a"), ("a+", "a")):
         assert str(reference_parse_form(text, ABC)) == read
         assert _parsed(parse_form, text, ABC) == "ValueError: dangling sign in %r" % text
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("7", 7), ("-7", -7), (" +7 ", 7), ("3/6", Q(1, 2)), ("- 1/2", Q(-1, 2)),
+    ("10000000000000000000000000001", 10 ** 28 + 1)])
+def test_a_number_is_one_signed_rational(text, value):
+    got = _parse_number(text)
+    assert got == value and type(got) is Fraction
+
+
+# test_cli.py passes sums, exponent notation and 1/0 as --center coordinates
+@pytest.mark.parametrize("text", [" ", "1 1", "a", "2*a", "2^2", "-", "--1"])
+def test_a_number_refuses_anything_else(text):
+    with pytest.raises(ValueError):
+        _parse_number(text)
 
 
 def test_substitution_composition_law(rng):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +10,7 @@ from tests.conftest import (bordered_forms, random_invertible, random_skew,
                             reference_pf)
 
 from skewrank import catalog, forms, geometry, linalg
-from skewrank.certify import generic_rank, restrict_line
+from skewrank.certify import certify_constant_rank, generic_rank, restrict_line
 from skewrank.forms import Form
 from skewrank.pencil import minimal_indices
 from skewrank.skew import SkewPolyMatrix, pfaffian
@@ -129,7 +130,7 @@ def _assert_pfaffians_match_the_reference(A):
         for idx in combinations(range(A.order), size):
             want = reference_pf(A, idx, memo)
             assert A._pf(idx) == want, (A, idx)
-            assert bool(A._pf_int(idx)) == bool(want)
+            assert bool(A._pf_raw(idx)) == bool(want)
 
 
 def test_every_sub_pfaffian_matches_the_dict_recursion():
@@ -140,6 +141,44 @@ def test_every_sub_pfaffian_matches_the_dict_recursion():
             .parameter_change(random_invertible(rng, A.nvars))
         for M in (A, dense):
             _assert_pfaffians_match_the_reference(M)
+            assert M._packing()[0] > 0
+
+
+def generic_skew(n):
+    """The generic skew matrix of order n: one variable per upper entry."""
+    pairs = list(combinations(range(n), 2))
+    vars = tuple("x%d_%d" % ij for ij in pairs)
+    return SkewPolyMatrix(n, vars, dict(zip(pairs, vars)))
+
+
+def test_pfaffians_with_many_variables_are_kept_as_dicts():
+    # packed, a generic order 6 (15 variables) would need units of
+    # 2^(6 * 4^13) bits and order 8 (28 variables) units of 2^(9 * 5^26)
+    for n, terms in ((4, 3), (6, 15), (8, 105)):
+        A = generic_skew(n)
+        start = time.perf_counter()
+        pf = A.pfaffian_symbolic()
+        cert = certify_constant_rank(A)
+        assert time.perf_counter() - start < 1
+        assert A._packing()[0] == 0
+        assert len(pf.terms()) == terms
+        assert all(abs(c) == 1 for _, c in pf.terms())
+        assert (cert.generic_rank, cert.constant) == (n, False)
+        _assert_pfaffians_match_the_reference(A)
+
+
+def test_pfaffians_on_both_sides_of_the_packing_choice():
+    # order 6 has degree-3 Pfaffians: 49 slots for the 20 cubics in four
+    # variables are packed, 193 slots for the 35 cubics in five are not
+    rng = random.Random("packing-choice")
+    for d, packed in ((4, True), (5, False)):
+        vars = tuple("abcde"[:d])
+        A = SkewPolyMatrix.from_coefficient_basis(
+            vars, [random_skew(rng, 6, -9, 9) for _ in vars])
+        _assert_pfaffians_match_the_reference(A)
+        assert (A._packing()[0] > 0) == packed
+        cert = certify_constant_rank(A)
+        assert (cert.generic_rank, cert.constant) == (6, False)
 
 
 def test_one_variable_pfaffian_matches_the_dict_recursion(rng):
