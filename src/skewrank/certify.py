@@ -83,7 +83,7 @@ def restrict_line(A, p, q):
     through the independent points p and q."""
     if len(p) != A.nvars or len(q) != A.nvars:
         raise ValueError("points must have one coordinate per variable")
-    if linalg.rank([p, q]) != 2:
+    if not linalg.independent(p, q):
         raise ValueError("line needs two independent points")
     return A._substitute(("s", "t"), [p, q])
 

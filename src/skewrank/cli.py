@@ -61,6 +61,19 @@ def _parse_center(text):
     return tuple(_parse_number(part) for part in text.split(","))
 
 
+def _join_center(argv):
+    """argv with `--center VALUE` written as `--center=VALUE`: argparse
+    takes a separate value that starts with '-', such as -1,0,1, for an
+    option, but reads the joined form as the value it is."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--center":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def positive_int(text):
     """argparse type: an integer of at least 1."""
     n = int(text)
@@ -207,8 +220,7 @@ def build_parser():
     p.add_argument("matrix")
     p.add_argument("--center", required=True,
                    help="comma-separated coordinates, each one integer "
-                        "or fraction p/q, e.g. 1,-1/2,0 (write "
-                        "--center=-1,... when the first is negative)")
+                        "or fraction p/q, e.g. -1,1/2,0")
     p.set_defaults(fn=cmd_project)
 
     p = sub.add_parser("fingerprint", help="kernel-bundle fingerprint")
@@ -248,7 +260,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_center(sys.argv[1:] if argv is None
+                                          else argv))
     try:
         return args.fn(args)
     except geometry.BudgetExhausted as exc:

@@ -4,10 +4,12 @@ Order reduction by verified projection, the kernel 2-plane map through
 complementary sub-Pfaffians, line restrictions with their splitting data,
 jumping-line scans, and degrees of section zero schemes.  A line query
 on a certified constant-rank space hands the proven rank to
-`pencil_invariants`, which stops once it forces the splitting.  The
-kernel map's span and the zero-scheme ideals read the packed integer
-Pfaffians; only `kernel_plucker` builds Forms.  Everything is exact;
-randomness is always drawn from a caller-supplied seed.
+`pencil_invariants`, which stops once it forces the splitting; each
+point's matrix and first kernel are memoised, since a scan draws many
+lines through few points.  The kernel map's span and the zero-scheme
+ideals read the packed integer Pfaffians; only `kernel_plucker` builds
+Forms.  Everything is exact; randomness is always drawn from a
+caller-supplied seed.
 """
 
 from __future__ import annotations
@@ -164,28 +166,39 @@ def line_span_points(line):
     return pts[0], pts[1]
 
 
+@lru_cache(maxsize=256)
+def _point_matrix(A, p):
+    """The integer matrix A(p) = sum(p_k B_k) at the primitive integer
+    point p, as nested tuples: the key under which `pencil` keeps its
+    kernel, so a point read again costs neither."""
+    return tuple(map(tuple, A._combine(p)))
+
+
 def splitting_on_line(A, p, q):
     """Kronecker invariants of the restriction to the line through p, q.
 
-    The restriction is the integer pencil s*sum(p_k B_k) + t*sum(q_k B_k)
-    over the integer coefficient basis B_k of A, with p and q scaled to
-    primitive integers (a parameter change).  When A is certified of
-    constant rank 2r, every point of the line has rank 2r, so the rank
-    sequence stops as soon as that forces the indices: one 2n x n rank
-    on an 8x8 plane of rank 6.  Otherwise the full sequence is the
-    line's certificate: ValueError unless the line has the ambient
-    generic rank at every point, so a line through the rank-drop locus of
-    a space of non-constant rank is rejected.
+    The restriction is the integer pencil s*A(p) + t*A(q), A(p) =
+    sum(p_k B_k) over the integer coefficient basis B_k of A, with p and
+    q scaled to primitive integers (a parameter change).  Scans put many
+    lines through one point, so A(p) and its kernel, the first step of
+    the rank sequence, are read from bounded memos.  When A is certified
+    of constant rank 2r, every point of the line has rank 2r, so the rank
+    sequence stops as soon as that forces the indices: on an 8x8 plane
+    of rank 6 the kernel of A(p) and one rank of A(q) times it.
+    Otherwise the full sequence is the line's certificate: ValueError
+    unless the line has the ambient generic rank at every point, so a
+    line through the rank-drop locus of a space of non-constant rank is
+    rejected.
     """
     if len(p) != A.nvars or len(q) != A.nvars:
         raise ValueError("points must have one coordinate per variable")
-    p = linalg.primitive_vector(p)
-    q = linalg.primitive_vector(q)
-    if linalg.rank([p, q]) != 2:
+    p = tuple(linalg.primitive_vector(p))
+    q = tuple(linalg.primitive_vector(q))
+    if not linalg.independent(p, q):
         raise ValueError("line needs two independent points")
     cert = verdict(A)
     proven = cert.generic_rank if cert.constant is True else None
-    inv = pencil_invariants(A._combine(p), A._combine(q), proven)
+    inv = pencil_invariants(_point_matrix(A, p), _point_matrix(A, q), proven)
     if not (inv.constant and inv.rank == cert.generic_rank):
         raise ValueError("line does not have rank %d at every point"
                          % cert.generic_rank)
@@ -203,7 +216,7 @@ def generic_splitting(A, seed=0):
     while done < GENERIC_SAMPLES:
         p = tuple(rng.randint(-5, 5) for _ in range(d))
         q = tuple(rng.randint(-5, 5) for _ in range(d))
-        if not any(p) or not any(q) or linalg.rank([list(p), list(q)]) != 2:
+        if not linalg.independent(p, q):
             continue
         inv = splitting_on_line(A, p, q)
         seen[inv] = seen.get(inv, 0) + 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -252,6 +253,13 @@ def primitive_vector(v):
 
 def rank(rows):
     return bareiss_rank(rows)
+
+
+def independent(p, q):
+    """Are the vectors p and q independent: has [p; q] a nonzero 2x2
+    minor?  No elimination is run."""
+    return any(p[i] * q[j] != p[j] * q[i]
+               for i, j in combinations(range(len(p)), 2))
 
 
 def mat_mul(a, b):

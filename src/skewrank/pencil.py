@@ -23,13 +23,14 @@ the counts: v -> c_delta maps ker T_delta onto E_delta cap ker B2, and
 its kernel, the chains ending in c_delta = 0, is ker T_(delta-1) with a
 zero block appended.  So k_delta - k_(delta-1) = g_delta, the dimension
 of E_delta cap ker B2, and g_delta - g_(delta-1) indices equal delta.
-Step 0 is g_0 = n - rank [B1; B2], with no kernel built; step
-delta >= 1 is g_delta = dim E_delta - rank(B2 E_delta).  Moving from
-E_delta to E_(delta+1) takes one integer kernel, of the n x (k + n)
-matrix [B2 E_delta | B1] with k = dim E_delta: each kernel vector (y, c)
-with c != 0 ends a chain one longer, through E_delta y.  So E_0 = ker B1
-is built only when step 1 is needed, and each later step costs one
-kernel and one rank.
+Every step, step 0 included, reads g_delta = dim E_delta -
+rank(B2 E_delta).  Moving from E_delta to E_(delta+1) takes one integer
+kernel, of the n x (k + n) matrix [B2 E_delta | B1] with k = dim E_delta:
+each kernel vector (y, c) with c != 0 ends a chain one longer, through
+E_delta y.  E_0 = ker B1 depends on B1 alone, so it is kept in a bounded
+cache keyed by the matrix: the pencils of the lines through one point
+share their first kernel, and each later step costs one kernel and one
+rank.
 
 A skew pencil is congruent to a sum of blocks, one of 2eps + 1
 rows for each index eps, and a regular part of size R; so the sequence
@@ -46,10 +47,11 @@ exactly those below delta, so the m' still missing are all >= delta and
 sum to r' = r - (sum found).  When m' <= 1, or r' - m' * delta = e <= 1,
 there is one way to do that: the single index r', or e indices
 delta + 1 and m' - e indices delta.  On an 8x8 rank-6 plane step 0
-alone decides the splitting: one constant kernel vector gives (3) with
-padding 1, none gives (2, 1).  A claimed rank that no indices can meet
-raises ValueError; one that is wrong but consistent gives wrong indices,
-so only a proven rank may be passed.
+alone decides the splitting, from the two vectors of ker B1: one
+constant kernel vector gives (3) with padding 1, none gives (2, 1).  A
+claimed rank that no indices can meet raises ValueError; one that is
+wrong but consistent gives wrong indices, so only a proven rank may be
+passed.
 
 `congruence_to_canonical` also exhibits the congruence, in integers
 (Thompson, LAA 147, 1991, made explicit):
@@ -111,6 +113,13 @@ class CanonicalPencil:
     matrix: SkewPolyMatrix
 
 
+@lru_cache(maxsize=256)
+def _first_kernel(B1):
+    """ker B1 = E_0 of the integer matrix B1, given as nested tuples: the
+    vectors of `linalg.nullspace`, as tuples."""
+    return tuple(map(tuple, linalg.nullspace(B1, len(B1))))
+
+
 def _chain_steps(B1, B2):
     """The chain recursion, one step per delta = 0, 1, ...: yields
     (E, B2E, Y), E a basis of E_delta, B2E the products B2 e, and Y[j]
@@ -122,9 +131,11 @@ def _chain_steps(B1, B2):
     B1 c + B2 (E y) = 0, so c ends a chain one longer through E y.
     Kernel vectors are read off the reduced echelon form, each zero past
     its free column, so the c != 0 are independent and span E_(delta+1);
-    the rest, c = 0, only repeat the kernel of B2 E."""
+    the rest, c = 0, only repeat the kernel of B2 E.  E_0 comes from
+    `_first_kernel`, whose vectors are tuples: no caller writes to E."""
     n = len(B1)
-    E, Y = linalg.nullspace(B1, n), []
+    E, Y = _first_kernel(B1 if type(B1) is tuple
+                         else tuple(map(tuple, B1))), []
     while True:
         B2E = [linalg.mat_vec(B2, e) for e in E]
         yield E, B2E, Y
@@ -135,15 +146,11 @@ def _chain_steps(B1, B2):
 
 
 def _kernel_growth(B1, B2):
-    """g_delta = k_delta - k_(delta-1) for delta = 0, 1, ..., computed
-    one step at a time as the caller asks: g_0 is n minus the rank of
-    [B1; B2], and g_delta = dim E_delta - rank(B2 E_delta)."""
+    """g_delta = k_delta - k_(delta-1) = dim E_delta - rank(B2 E_delta),
+    the dimension of E_delta cap ker B2, for delta = 0, 1, ..., computed
+    one step at a time as the caller asks."""
     n = len(B1)
-    yield n - len(linalg.echelon_int(
-        [row for row in (*B1, *B2) if any(row)], n)[1])
-    steps = _chain_steps(B1, B2)
-    next(steps)
-    for E, B2E, _ in steps:
+    for E, B2E, _ in _chain_steps(B1, B2):
         yield len(E) - len(linalg.echelon_int(B2E, n)[1])
 
 

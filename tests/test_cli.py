@@ -189,6 +189,31 @@ def test_project(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+def test_a_negative_first_center_coordinate_may_follow_a_space(
+        tmp_path, capsys, monkeypatch):
+    # argparse takes a separate value that starts with '-' for an option
+    pi6 = write_matrix(tmp_path, "pi6")
+    center = "-1,0,0,0,0,0,0,1"
+    joined = run(capsys, ["project", pi6, "--center=" + center])
+    assert joined[0] == 3 and json.loads(joined[1])["center"][0] == "1"
+    assert run(capsys, ["project", pi6, "--center", center]) == joined
+    assert run(capsys, ["project", "--center", center, pi6]) == joined
+    monkeypatch.setattr(sys, "argv", ["skewrank", "project", pi6,
+                                      "--center", center])
+    assert run(capsys, None) == joined
+    # the valid projection of test_project, from the same center negated
+    tri = catalog.get("triangle3").matrix
+    nine = tmp_path / "nine.json"
+    nine.write_text(tri.direct_sum(tri).direct_sum(tri).dumps())
+    code, out = run(capsys, ["project", str(nine),
+                             "--center", "-1,0,0,0,-1,0,0,0,-1"])
+    assert code == 0 and json.loads(out)["valid"] is True
+    # a missing value is still argparse's usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["project", pi6, "--center"])
+    assert exc.value.code == 2
+
+
 def test_gauss_and_fingerprint(tmp_path, capsys):
     code, out = run(capsys, ["gauss", write_matrix(tmp_path, "M8")])
     assert code == 0

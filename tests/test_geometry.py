@@ -8,7 +8,7 @@ import pytest
 from tests.conftest import (bordered_forms, kernel_plane_at, plucker_tensor_at,
                             support_plane)
 
-from skewrank import catalog, geometry, groebner, linalg
+from skewrank import catalog, geometry, groebner, linalg, pencil
 from skewrank.certify import certify_constant_rank, restrict_line
 from skewrank.pencil import (KroneckerInvariants, minimal_indices,
                              pencil_invariants)
@@ -172,8 +172,12 @@ def test_restrict_to_line_examples(rng):
     sw = catalog.get("schwarzenberger").matrix
     inv = geometry.splitting_on_line(sw, (1, 2, 0), (0, 1, 3))
     assert inv.partition == (2, 1)
-    with pytest.raises(ValueError):
-        restrict_line(pi2, (1, 1, 1), (2, 2, 2))
+    for p, q in [((1, 1, 1), (2, 2, 2)), ((0, 0, 0), (1, 0, 0)),
+                 ((1, 1, 1), (Q(-1, 3), Q(-1, 3), Q(-1, 3)))]:
+        for query in (geometry.splitting_on_line, restrict_line):
+            with pytest.raises(ValueError,
+                               match="^line needs two independent points$"):
+                query(pi2, p, q)
 
 
 def test_splitting_scans_need_two_parameters():
@@ -269,6 +273,54 @@ def test_forced_splitting_matches_the_full_sequence(rng):
         assert cert.constant is True
         assert _forced_equals_full(A, cert.generic_rank, pairs) == \
             [geometry.splitting_on_line(A, p, q) for p, q in pairs]
+
+
+def test_point_memo_matches_fresh_pencils_on_every_grid_line(rng):
+    """Through the point and kernel memos, every grid line up to 300 of
+    each 8x8 plane and of a seeded dense congruence of it splits as the
+    pencil of fresh `_combine` lists does, with and without the proven
+    rank.  The spaces take turns on each line, so a memo that forgot
+    which space a point belongs to would hand one space's matrix to the
+    next."""
+    from tests.conftest import random_invertible
+
+    spaces = []
+    for name in _PLANES:
+        A = catalog.get(name).matrix
+        spaces += [A, A.congruence_transform(random_invertible(rng, 8, -2, 2))]
+    assert all(certify_constant_rank(A).generic_rank == 6 for A in spaces)
+    grid = [geometry.line_span_points(l) for l in geometry.grid_lines(300)]
+    assert len(grid) == 300
+    geometry._point_matrix.cache_clear()
+    got = {A: [] for A in spaces}
+    for p, q in grid:
+        for A in spaces:
+            got[A].append(geometry.splitting_on_line(A, p, q))
+    assert geometry._point_matrix.cache_info().hits > 0
+    for A in spaces:
+        want = _forced_equals_full(A, 6, grid)
+        assert got[A] == want, A
+    jumps = {A: frozenset(i for i, inv in enumerate(got[A]) if inv == _SPLIT_03)
+             for A in spaces}
+    # a congruence keeps each line's splitting; the planes differ
+    assert all(jumps[a] == jumps[b] for a, b in zip(spaces[::2], spaces[1::2]))
+    assert len(set(jumps.values())) > 2
+
+
+def test_point_and_kernel_memos_stay_bounded(rng):
+    A = catalog.get("pi1").matrix
+    geometry._point_matrix.cache_clear()
+    pencil._first_kernel.cache_clear()
+    points = set()
+    while len(points) < 2 * geometry._point_matrix.cache_info().maxsize:
+        p, q = ([rng.randint(-9, 9) for _ in range(3)] for _ in range(2))
+        if linalg.independent(p, q):
+            geometry.splitting_on_line(A, p, q)
+            points.update(tuple(linalg.primitive_vector(v)) for v in (p, q))
+    for cache in (geometry._point_matrix, pencil._first_kernel):
+        info = cache.cache_info()
+        assert info.maxsize is not None
+        assert 0 < info.currsize <= info.maxsize < len(points)
 
 
 def test_line_queries_on_uncertified_spaces_run_the_full_sequence(monkeypatch):

@@ -18,6 +18,19 @@ def test_rank_and_det_basics():
     assert linalg.det([[0, 1], [1, 0]]) == -1
 
 
+def test_independent_reads_a_nonzero_two_by_two_minor(rng):
+    for p, q, want in [((1, 0, 0), (0, 1, 0), True), ((1, 2, 3), (2, 4, 6), False),
+                       ((0, 0, 0), (1, 2, 3), False), ((1, 2, 3), (1, 2, 4), True),
+                       ((0, 0, 1), (0, 0, -5), False), ((3, 0, 1), (0, 0, 1), True),
+                       ((1, 2), (-2, -4), False), ((1,), (2,), False),
+                       ((Q(1, 2), 1, 0), (1, 2, 0), False),
+                       ((Q(1, 2), 1, 0), (1, 2, Q(1, 3)), True)]:
+        assert linalg.independent(p, q) is want
+    for _ in range(200):
+        p, q = ([rng.randint(-2, 2) for _ in range(4)] for _ in range(2))
+        assert linalg.independent(p, q) == (linalg.rank([p, q]) == 2)
+
+
 def test_nullspace_solves(rng):
     for _ in range(30):
         m = rng.randint(1, 6)

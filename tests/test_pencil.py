@@ -160,12 +160,60 @@ def test_forced_indices_match_the_full_sequence(rng, monkeypatch):
                 steps.clear()
     # one index left (m' = 1) before any step; the rest equal at
     # delta = 1 (e = 0) or one of them one higher (e = 1) after step 0,
-    # the rank of [B1; B2]; (3) with padding 1 has one index left once
+    # ker B1 and one rank; (3) with padding 1 has one index left once
     # step 0 finds the zero
     assert forced_ranks[(1,), 0] == forced_ranks[(3,), 0] == 0
     assert forced_ranks[(1, 1), 0] == forced_ranks[(1, 1, 1), 0] == 1
     assert forced_ranks[(2, 1), 0] == forced_ranks[(2, 1, 1), 0] == 1
     assert forced_ranks[(3,), 1] == 1
+
+
+def stacked_g0(B1, B2):
+    """g_0 = n - rank [B1; B2], the step-0 formula the chain's
+    dim E_0 - rank(B2 E_0) replaced: both are dim(ker B1 cap ker B2)."""
+    return len(B1) - linalg.rank([list(row) for row in (*B1, *B2)])
+
+
+def test_step_zero_matches_the_stacked_rank(rng):
+    pencils = []
+    for r in range(1, 5):
+        for partition in partitions(r):
+            for pad in range(3):
+                A = canonical_form(partition).matrix.pad_zero(pad)
+                pencils.append(moved(rng, A).integer_basis())
+    for n in range(1, 10):
+        for density in (0.0, 0.3, 1.0):
+            B1, B2 = ([[0] * n for _ in range(n)] for _ in range(2))
+            for B in (B1, B2):
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if rng.random() < density:
+                            B[i][j] = rng.randint(-3, 3)
+                            B[j][i] = -B[i][j]
+            pencils += [(B1, B2), (B1, B1), (B2, [[0] * n for _ in range(n)])]
+    A = catalog.get("pi3").matrix
+    for _ in range(20):
+        p, q = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(2))
+        pencils.append((A._combine(p), A._combine(q)))
+    seen = set()
+    for B1, B2 in pencils:
+        g0 = next(pencil._kernel_growth(B1, B2))
+        assert g0 == stacked_g0(B1, B2), (B1, B2)
+        seen.add(g0)
+    assert len(seen) > 3
+
+
+def test_first_kernel_is_cached_and_immutable():
+    B1, B2 = catalog.get("M8").matrix.integer_basis()
+    pencil._first_kernel.cache_clear()
+    E = next(pencil._chain_steps(B1, B2))[0]
+    assert type(E) is tuple and all(type(e) is tuple for e in E)
+    assert E == tuple(map(tuple, linalg.nullspace(B1, len(B1))))
+    # lists of the same entries read the same cached vectors
+    assert next(pencil._chain_steps([list(r) for r in B1], B2))[0] is E
+    assert pencil._first_kernel.cache_info().hits == 1
+    with pytest.raises(TypeError):
+        E[0][0] = 1
 
 
 def test_inconsistent_constant_rank_raises():
