@@ -12,7 +12,9 @@ packed integer Pfaffians in subset order:
 
 - method ``macaulay``: their integer coefficient rows have rank
   C(r + d - 1, d - 1), so they span every form of degree r; the ideal
-  then holds each x_i^r and its zero set is empty.  This only ever
+  then holds each x_i^r and its zero set is empty.  The rank is read
+  off the shortest prefix that reaches it (Macaulay's span criterion
+  needs no more rows), so only that prefix is decoded.  This only ever
   proves constancy;
 - method ``groebner``: otherwise, projective emptiness of a Buchberger
   basis decides either way.  Every refutation takes this branch.
@@ -192,10 +194,25 @@ def verdict(A):
 def _pfaffian_ideal_empty(A, rank):
     """(verdict, method): whether the nonzero rank-size sub-Pfaffians of A
     have no common projective zero, by their span of the forms of degree
-    rank/2 when that is all of them, else by a Groebner basis."""
-    pfs = [p for p in map(A._pf, combinations(range(A.order), rank)) if p]
+    rank/2 when that is all of them, else by a Groebner basis.
+
+    The sub-Pfaffians are decoded lazily in subset order, and the span
+    rank stops reading at the first prefix that spans all forms, so a
+    ``macaulay`` proof decodes, and the memo expands, only that prefix.
+    A ``groebner`` case has read every subset by then and passes on the
+    nonzero ones it kept, each decoded once.
+    """
+    pfs = []
+
+    def read():
+        for s in combinations(range(A.order), rank):
+            p = A._pf(s)
+            if p:
+                pfs.append(p)
+                yield p
+
     forms = comb(rank // 2 + A.nvars - 1, A.nvars - 1)
-    if len(pfs) >= forms and linalg.coefficient_rank(pfs) == forms:
+    if linalg.coefficient_rank(read(), forms) == forms:
         return True, METHOD_MACAULAY
     return is_projectively_empty(Ideal._from_packed(A.vars, pfs)), METHOD_GROEBNER
 

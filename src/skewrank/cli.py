@@ -64,10 +64,11 @@ def _parse_center(text):
 def _join_center(argv):
     """argv with `--center VALUE` written as `--center=VALUE`: argparse
     takes a separate value that starts with '-', such as -1,0,1, for an
-    option, but reads the joined form as the value it is."""
+    option, but reads the joined form as the value it is.  Every prefix
+    of --center that argparse accepts, from --c on, is joined alike."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--center":
+        if out and len(out[-1]) > 2 and "--center".startswith(out[-1]):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 from . import linalg
 from .certify import certify_constant_rank, verdict
@@ -137,10 +137,13 @@ def kernel_plucker(A):
 def gauss_span_dim(A):
     """Dimension of the rational span of the kernel-map coordinates: the
     rank of the integer coefficient rows of the complementary Pfaffians,
-    of which the coordinates are nonzero constant multiples."""
+    of which the coordinates are nonzero constant multiples.  They are
+    forms of degree n/2 - 1, so the rank stops reading them once it
+    reaches the dimension of that space."""
     _check_corank2(A)
+    most = comb(A.order // 2 - 1 + A.nvars - 1, A.nvars - 1)
     return linalg.coefficient_rank(
-        [A._pf(idx) for idx in combinations(range(A.order), A.order - 2)])
+        map(A._pf, combinations(range(A.order), A.order - 2)), most)
 
 
 # -- lines, splitting types, jumping lines -------------------------------

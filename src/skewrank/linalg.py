@@ -12,9 +12,12 @@ Bareiss recurrence.  The one large sparse system, the orbit
 stabilizer system, is ranked by `sparse_rank` on dict rows instead: its
 rows hold at most 2n + d nonzeros out of n^2 + d^2 columns, and column
 order would fill them in.  The pencil chain kernels, n x (k + n) each,
-and the Pfaffian-coefficient systems stay on `echelon_int`, which is
-cheaper there; `coefficient_rank` ranks the coefficient rows of packed
-polynomials with it.
+stay on `echelon_int`, which is cheaper there.  The coefficient rows of
+packed polynomials, such as sub-Pfaffians, are ranked by
+`coefficient_rank` as they are read: each is reduced against the rows
+kept so far, and reading stops once the rank reaches the dimension of
+the space of forms they live in, so a caller that produces them lazily
+computes no polynomial past the first prefix of full rank.
 """
 
 from __future__ import annotations
@@ -152,12 +155,48 @@ def sparse_rank(rows):
     return rank
 
 
-def coefficient_rank(polys):
+def coefficient_rank(polys, most):
     """Rank of the integer coefficient rows of polynomials given as dicts
-    {monomial: integer}, against the monomials that occur."""
-    monos = sorted({m for p in polys for m in p})
-    return len(echelon_int([[p.get(m, 0) for m in monos] for p in polys],
-                           len(monos))[1])
+    {monomial: integer}, read one at a time from any iterable.
+
+    Each row, a list over the monomials seen so far, is reduced against
+    the primitive rows kept so far, in the order they were kept:
+    row <- a*row - b*kept with a = p/g, b = t/g, g = gcd(p, t), which
+    zeroes the kept row's pivot column, p its entry there and t the
+    row's.  Later kept rows are zero in that column, so a row left
+    nonzero is independent of them; it is kept, primitive, with its
+    first nonzero column as pivot.  Reading stops as soon as `most` rows
+    are kept, so with `most` the dimension of the space of forms the
+    polynomials live in, the count returned is still the exact rank.
+    """
+    cols = {}                          # monomial -> column, in order seen
+    kept = []                          # (pivot column, primitive row)
+    polys = iter(polys)
+    while len(kept) < most:
+        poly = next(polys, None)
+        if poly is None:
+            break
+        seen = len(cols)
+        for m in poly:
+            cols.setdefault(m, len(cols))
+        if len(cols) > seen:
+            pad = [0] * (len(cols) - seen)
+            for _, piv in kept:
+                piv += pad
+        row = [0] * len(cols)
+        for m, c in poly.items():
+            row[cols[m]] = c
+        for col, piv in kept:
+            t = row[col]
+            if t:
+                p = piv[col]
+                g = gcd(p, t)
+                a, b = p // g, t // g
+                row = [a * x - b * y for x, y in zip(row, piv)]
+        if any(row):
+            g = gcd(*row)
+            kept.append((next(i for i, x in enumerate(row) if x), [x // g for x in row]))
+    return len(kept)
 
 
 def bareiss_rank(rows):

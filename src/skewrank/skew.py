@@ -17,7 +17,13 @@ as lam^k times its integer one.  Values are immutable.
 
 The Pfaffians of sum(x_k * B_k) are expanded along the first row into a
 memo keyed by principal index subsets, one integer per subset
-(Kronecker substitution).  With d variables, D = order // 2 and
+(Kronecker substitution).  The memo belongs to the primitive integer
+basis, not to one matrix: `_pfaffian_memo`, a bounded module-level
+cache, holds the memos of the bases used last, so every matrix with
+that basis (a re-parse of the same JSON, a positive multiple, a copy
+with renamed variables) reads and extends one memo.  A matrix keeps its
+memo from its first Pfaffian on, so the memo lives while that matrix or
+the cache entry does.  With d variables, D = order // 2 and
 b = D + 1, a form sum(c_e * x^e) of degree at most D is stored as its
 value sum(c_e * 2^(w * sigma(e))) at x_k = 2^(w * b^k) for k < d - 1
 and x_(d-1) = 1, where sigma(e) = sum(e_k * b^k, k < d - 1): the last
@@ -70,9 +76,40 @@ def _slots(d, b, degree):
                   for m in combinations_with_replacement(range(d), degree))
 
 
+@lru_cache(maxsize=64)
+def _pfaffian_memo(basis):
+    """(w, b, entries, memo): the Pfaffian memo of every matrix whose
+    primitive integer basis is `basis`, keyed by principal index subsets,
+    with the packing it holds them in.  Packed (the module docstring
+    derives w): the slot width, the exponent base and the packed integer
+    of each nonzero upper entry of A_int.  A degree-D form has
+    D * b^(d-2) + 1 slots against C(D + d - 1, d - 1) monomials, so with
+    many variables the packed integers are mostly empty slots; where the
+    slots outnumber the monomials more than 4 times (the measured
+    crossover), w = b = 0, each entry is its pairs (groebner key,
+    integer) and the memo holds dicts."""
+    d, n = len(basis), len(basis[0])
+    upper = {}
+    for i, j in combinations(range(n), 2):
+        t = [(k, B[i][j]) for k, B in enumerate(basis) if B[i][j]]
+        if t:
+            upper[(i, j)] = t
+    D = n // 2
+    b = D + 1
+    slots = D * b ** (d - 2) + 1 if d > 1 else 1
+    if slots > 4 * comb(D + d - 1, d - 1):
+        keys = _make_layout(d)[-1]
+        return 0, 0, {ij: tuple((keys[k], x) for k, x in t)
+                      for ij, t in upper.items()}, {}
+    s = max((sum(abs(x) for _, x in t) for t in upper.values()), default=0)
+    w = (prod(range(1, 2 * D, 2)) * s ** D).bit_length() + 2
+    unit = [1 << (w * b ** k) for k in range(d - 1)] + [1]
+    return w, b, {ij: sum(x * unit[k] for k, x in t)
+                  for ij, t in upper.items()}, {}
+
+
 class SkewPolyMatrix:
-    __slots__ = ("order", "vars", "_basis", "_lam", "_entries", "_pf_memo", "_kron",
-                 "_hash")
+    __slots__ = ("order", "vars", "_basis", "_lam", "_entries", "_pfs", "_hash")
 
     def __init__(self, order, vars, upper):
         order = int(order)
@@ -164,8 +201,7 @@ class SkewPolyMatrix:
                 basis[k][i][j], basis[k][j][i] = x, -x
         basis = tuple(tuple(map(tuple, B)) for B in basis)
         for name, value in (("order", n), ("vars", vars), ("_lam", lam),
-                            ("_basis", basis), ("_entries", entries),
-                            ("_pf_memo", {}), ("_kron", None),
+                            ("_basis", basis), ("_entries", entries), ("_pfs", None),
                             ("_hash", hash((n, vars, lam, basis)))):
             object.__setattr__(self, name, value)
         return self
@@ -312,48 +348,30 @@ class SkewPolyMatrix:
 
     # -- Pfaffians ----------------------------------------------------------
 
-    def _packing(self):
-        """(w, b, entries), built on the first Pfaffian asked for, since
-        most matrices never need one.  Packed (the module docstring derives
-        w): the slot width, the exponent base and the packed integer of each
-        nonzero upper entry of A_int.  A degree-D form has D * b^(d-2) + 1
-        slots against C(D + d - 1, d - 1) monomials, so with many variables
-        the packed integers are mostly empty slots; where the slots
-        outnumber the monomials more than 4 times (the measured crossover),
-        w = b = 0, each entry is its pairs (groebner key, integer) and the
-        memo holds dicts."""
-        got = self._kron
+    def _pfaffians(self):
+        """(w, b, entries, memo) of `_pfaffian_memo` for this matrix's
+        basis, looked up on the first Pfaffian asked for, since most
+        matrices never need one, and kept from then on."""
+        got = self._pfs
         if got is None:
-            d, D = self.nvars, self.order // 2
-            b = D + 1
-            slots = D * b ** (d - 2) + 1 if d > 1 else 1
-            if slots > 4 * comb(D + d - 1, d - 1):
-                keys = _make_layout(d)[-1]
-                got = (0, 0, {ij: tuple((keys[k], x) for k, x in t)
-                              for ij, t in self._entries.items()})
-            else:
-                s = max((sum(abs(x) for _, x in t) for t in self._entries.values()),
-                        default=0)
-                w = (prod(range(1, 2 * D, 2)) * s ** D).bit_length() + 2
-                unit = [1 << (w * b ** k) for k in range(d - 1)] + [1]
-                got = (w, b, {ij: sum(x * unit[k] for k, x in t)
-                              for ij, t in self._entries.items()})
-            object.__setattr__(self, "_kron", got)
+            got = _pfaffian_memo(self._basis)
+            object.__setattr__(self, "_pfs", got)
         return got
 
     def _pf_raw(self, idx):
         """Pfaffian of the principal submatrix of A_int on the sorted index
         tuple, as the memo holds it: the Kronecker-packed integer, or the
-        dict `_pf` returns where `_packing` keeps dicts.  Zero or empty
-        exactly when the polynomial is."""
-        memo = self._pf_memo
+        dict `_pf` returns where `_pfaffian_memo` keeps dicts.  Zero or
+        empty exactly when the polynomial is.  The memo is the one shared
+        by every matrix with this primitive integer basis, so a subset
+        expanded for any of them is not expanded again."""
+        w, _, entries, memo = self._pfaffians()
         got = memo.get(idx)
         if got is not None:
             return got
         # the degree must stay below the guard bit of a groebner key's field
         if len(idx) >> _make_layout(self.nvars)[1]:
             raise ValueError("Pfaffian of size %d out of packing range" % len(idx))
-        w, _, entries = self._packing()
         rest = idx[1:]
         if w:
             out = 0 if idx else 1
@@ -385,7 +403,7 @@ class SkewPolyMatrix:
         balanced base-2^w digits of a packed `_pf_raw`, each read off its
         slot after adding 2^(w-1) to every slot."""
         p = self._pf_raw(idx)
-        w, b, _ = self._packing()
+        w, b, _, _ = self._pfaffians()
         if not w:
             return p
         if not p:

@@ -114,6 +114,15 @@ def reference_pf(A, idx, memo):
     return out
 
 
+def echelon_coefficient_rank(polys):
+    """Rank of the coefficient rows of dict polynomials, all at once by
+    `linalg.echelon_int` over the monomials that occur: the formula
+    `linalg.coefficient_rank` replaced, kept as its reference."""
+    monos = sorted({m for p in polys for m in p})
+    return len(linalg.echelon_int([[p.get(m, 0) for m in monos] for p in polys],
+                                  len(monos))[1])
+
+
 def normal_form(f, gb):
     """Remainder of the Form f on division by the monic Forms of
     gb.basis, by Form arithmetic alone: zero iff f lies in the ideal.

@@ -4,9 +4,11 @@ import random
 import signal
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
-from tests.conftest import partitions, random_invertible, random_skew
+from tests.conftest import (echelon_coefficient_rank, partitions, random_invertible,
+                            random_skew)
 
 from skewrank import catalog, linalg
 from skewrank.certify import (_binary_rational_roots, certify_constant_rank,
@@ -121,18 +123,52 @@ def test_span_proof_agrees_with_groebner(monkeypatch):
     monkeypatch.setattr(certify, "is_projectively_empty",
                         lambda ideal: groebner_calls.append(1)
                         or is_projectively_empty(ideal))
+    reads = []
+    pf = SkewPolyMatrix._pf
+    monkeypatch.setattr(SkewPolyMatrix, "_pf",
+                        lambda self, idx: reads.append(idx) or pf(self, idx))
     refuted = 0
     for cases, method in ((span, "macaulay"), (other, "groebner")):
         for A in cases:
             rank = generic_rank(A)
-            pfs = [p for p in map(A._pf, combinations(range(A.order), rank)) if p]
-            want = is_projectively_empty(Ideal._from_packed(A.vars, pfs))
-            del groebner_calls[:]
+            subsets = list(combinations(range(A.order), rank))
+            pfs = [pf(A, s) for s in subsets]
+            nonzero = [p for p in pfs if p]
+            want = is_projectively_empty(Ideal._from_packed(A.vars, nonzero))
+            del groebner_calls[:], reads[:]
             assert certify._pfaffian_ideal_empty(A, rank) == (want, method)
             assert len(groebner_calls) == (method == "groebner")
+            if method == "macaulay":
+                # exactly the shortest prefix whose rows span the forms
+                forms = comb(rank // 2 + A.nvars - 1, A.nvars - 1)
+                stop = next(k for k in range(len(pfs) + 1)
+                            if echelon_coefficient_rank(pfs[:k]) == forms)
+                assert reads == subsets[:stop]
+            else:
+                # every subset, each decoded once
+                assert reads == subsets
             refuted += not want
     assert refuted == 19
     assert sum(generic_rank(A) == 6 and A.nvars == 4 for A in other) == 9
+
+
+def test_dense_pi6_pair_reads_only_its_first_spanning_sub_pfaffians(monkeypatch):
+    # the seeded dense congruence of pi6 + pi6 in the CI console step, order
+    # 16: 1,820 sub-Pfaffians of size 12, of which the first 28 already
+    # span the 28 sextics in a, b, c
+    from skewrank import certify
+    rng = random.Random(16)
+    A = catalog.get("pi6").matrix
+    A = A.direct_sum(A)
+    U = [[rng.randint(-2, 2) if i < j else int(i == j) for j in range(16)]
+         for i in range(16)]
+    A = A.congruence_transform(U).congruence_transform([list(c) for c in zip(*U)])
+    reads = []
+    pf = SkewPolyMatrix._pf
+    monkeypatch.setattr(SkewPolyMatrix, "_pf",
+                        lambda self, idx: reads.append(idx) or pf(self, idx))
+    assert certify._pfaffian_ideal_empty(A, generic_rank(A)) == (True, "macaulay")
+    assert reads == list(combinations(range(16), 12))[:28]
 
 
 def _rank_rule_lines(d, seed):

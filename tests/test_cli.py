@@ -198,6 +198,10 @@ def test_a_negative_first_center_coordinate_may_follow_a_space(
     assert joined[0] == 3 and json.loads(joined[1])["center"][0] == "1"
     assert run(capsys, ["project", pi6, "--center", center]) == joined
     assert run(capsys, ["project", "--center", center, pi6]) == joined
+    # ... under every abbreviation argparse accepts, in both spellings
+    for option in ("--c", "--ce", "--cen", "--cent", "--cente"):
+        assert run(capsys, ["project", pi6, option + "=" + center]) == joined
+        assert run(capsys, ["project", pi6, option, center]) == joined
     monkeypatch.setattr(sys, "argv", ["skewrank", "project", pi6,
                                       "--center", center])
     assert run(capsys, None) == joined

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
-from tests.conftest import random_skew
+from tests.conftest import echelon_coefficient_rank, random_skew
 
 from skewrank import linalg
 
@@ -168,14 +168,63 @@ def test_sparse_rank_matches_echelon_int():
         assert sparse == frozen
 
 
+def _coefficient_cases(count):
+    """Seeded dict polynomials over 1-8 monomials, small or huge
+    coefficients, some with zero rows (empty, or explicit zeros), scaled
+    duplicates or combinations of earlier rows."""
+    rng = random.Random("coefficient-rank")
+    for _ in range(count):
+        keys = rng.sample(range(100), rng.randint(1, 8))
+        bound = rng.choice((2, 10 ** 9))
+        polys = [{k: rng.randint(-bound, bound)
+                  for k in rng.sample(keys, rng.randint(1, len(keys)))}
+                 for _ in range(rng.randint(1, 10))]
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.randrange(3)
+            at = rng.randrange(len(polys) + 1)
+            if kind == 0:
+                polys.insert(at, rng.choice(({}, {keys[0]: 0})))
+            else:
+                a, b = rng.choice(polys), rng.choice(polys)
+                s = rng.randint(-3, 3)
+                t = rng.randint(-3, 3) if kind == 2 else 0
+                polys.insert(at, {k: s * a.get(k, 0) + t * b.get(k, 0)
+                                  for k in set(a) | set(b)})
+        yield keys, polys
+
+
 def test_coefficient_rank_of_dict_polynomials(rng):
     # columns are the keys that occur, in any order of the dicts
-    assert linalg.coefficient_rank([]) == 0
-    assert linalg.coefficient_rank([{5: 1, 9: 2}, {9: 4, 5: 2}, {7: -3}]) == 2
+    assert linalg.coefficient_rank([], 3) == 0
+    assert linalg.coefficient_rank([{5: 1, 9: 2}, {9: 4, 5: 2}, {7: -3}], 3) == 2
     for _ in range(50):
         keys = rng.sample(range(100), 6)
         polys = [{k: rng.randint(-2, 2) for k in rng.sample(keys, 3)}
                  for _ in range(rng.randint(1, 8))]
         polys = [{k: c for k, c in p.items() if c} for p in polys]
         dense = [[p.get(k, 0) for k in keys] for p in polys]
-        assert linalg.coefficient_rank(polys) == linalg.rank(dense)
+        assert linalg.coefficient_rank(polys, len(keys)) == linalg.rank(dense)
+    full = 0
+    for keys, polys in _coefficient_cases(300):
+        frozen = [dict(p) for p in polys]
+        want = echelon_coefficient_rank(polys)
+        full += want == len(keys)
+        # the rank of every prefix, by the oracle
+        ranks = [echelon_coefficient_rank(polys[:k]) for k in range(len(polys) + 1)]
+        for most in range(len(keys) + 1):
+            read = []
+
+            def counting():
+                for p in polys:
+                    read.append(p)
+                    yield p
+
+            got = linalg.coefficient_rank(counting(), most)
+            assert got == min(want, most)
+            # reading stops right after the shortest prefix of rank `most`,
+            # and reads everything when no prefix reaches it
+            stop = next((k for k, r in enumerate(ranks) if r >= most), len(polys))
+            assert len(read) == stop
+        assert linalg.coefficient_rank(iter(polys), len(keys)) == want
+        assert polys == frozen
+    assert 0 < full < 300

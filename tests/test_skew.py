@@ -141,7 +141,86 @@ def test_every_sub_pfaffian_matches_the_dict_recursion():
             .parameter_change(random_invertible(rng, A.nvars))
         for M in (A, dense):
             _assert_pfaffians_match_the_reference(M)
-            assert M._packing()[0] > 0
+            assert M._pfaffians()[0] > 0
+
+
+def _count_expansions(monkeypatch):
+    """Subsets whose Pfaffian `_pf_raw` expands from now on: the memo
+    misses, each recorded before it is filled."""
+    from skewrank import skew
+    skew._pfaffian_memo.cache_clear()
+    misses = []
+    raw = SkewPolyMatrix._pf_raw
+
+    def counting(self, idx):
+        if idx not in self._pfaffians()[3]:
+            misses.append((self, idx))
+        return raw(self, idx)
+
+    monkeypatch.setattr(SkewPolyMatrix, "_pf_raw", counting)
+    return misses
+
+
+def _every_sub_pfaffian(A):
+    return [A._pf(idx) for size in range(0, A.order + 1, 2)
+            for idx in combinations(range(A.order), size)]
+
+
+def test_equal_integer_bases_share_one_pfaffian_memo(monkeypatch):
+    misses = _count_expansions(monkeypatch)
+    rng = random.Random("shared-memo")
+    for name, packed in (("pi3", True), ("westwick", True), (None, False)):
+        if name is None:            # five variables at order 6: dict memo
+            A = SkewPolyMatrix.from_coefficient_basis(
+                tuple("abcde"), [random_skew(rng, 6, -9, 9) for _ in range(5)])
+        else:
+            A = catalog.get(name).matrix
+        text = A.dumps()
+        first = SkewPolyMatrix.loads(text)
+        pfs = _every_sub_pfaffian(first)
+        assert (first._pfaffians()[0] > 0) == packed
+        built = len(misses)
+        assert built > 0
+        lam = Q(rng.choice((2, 3, 5)), rng.choice((1, 7)))
+        copies = [
+            SkewPolyMatrix.loads(text),           # the same JSON again
+            SkewPolyMatrix.from_coefficient_basis(   # a positive multiple
+                A.vars, [[[lam * x for x in row] for row in B]
+                         for B in A.coefficient_basis()]),
+            SkewPolyMatrix.from_coefficient_basis(   # renamed variables
+                tuple("v%d" % k for k in range(A.nvars)), A.coefficient_basis()),
+        ]
+        for B in copies:
+            assert B is not first and B.integer_basis() == first.integer_basis()
+            assert _every_sub_pfaffian(B) == pfs
+            assert B._pfaffians()[3] is first._pfaffians()[3]
+            _assert_pfaffians_match_the_reference(B)
+        assert len(misses) == built
+        assert copies[1] != first and copies[1]._lam == lam * first._lam
+        # a congruent copy has another basis, so it builds its own memo
+        C = A.congruence_transform(random_invertible(rng, A.order, -2, 2))
+        assert C.integer_basis() != A.integer_basis()
+        _every_sub_pfaffian(C)
+        assert len(misses) > built
+        assert all(M is C for M, _ in misses[built:])
+        assert C._pfaffians()[3] is not first._pfaffians()[3]
+        _assert_pfaffians_match_the_reference(C)
+        del misses[:]
+
+
+def test_the_shared_pfaffian_memos_stay_bounded(rng):
+    from skewrank import skew
+    skew._pfaffian_memo.cache_clear()
+    bases = set()
+    limit = skew._pfaffian_memo.cache_info().maxsize
+    assert limit is not None
+    while len(bases) < 2 * limit:
+        A = SkewPolyMatrix.from_coefficient_basis(
+            ABC, [random_skew(rng, 4, -3, 3) for _ in ABC])
+        A.pfaffian_symbolic()
+        bases.add(A.integer_basis())
+    info = skew._pfaffian_memo.cache_info()
+    assert 0 < info.currsize <= info.maxsize < len(bases)
 
 
 def generic_skew(n):
@@ -160,7 +239,7 @@ def test_pfaffians_with_many_variables_are_kept_as_dicts():
         pf = A.pfaffian_symbolic()
         cert = certify_constant_rank(A)
         assert time.perf_counter() - start < 1
-        assert A._packing()[0] == 0
+        assert A._pfaffians()[0] == 0
         assert len(pf.terms()) == terms
         assert all(abs(c) == 1 for _, c in pf.terms())
         assert (cert.generic_rank, cert.constant) == (n, False)
@@ -176,7 +255,7 @@ def test_pfaffians_on_both_sides_of_the_packing_choice():
         A = SkewPolyMatrix.from_coefficient_basis(
             vars, [random_skew(rng, 6, -9, 9) for _ in vars])
         _assert_pfaffians_match_the_reference(A)
-        assert (A._packing()[0] > 0) == packed
+        assert (A._pfaffians()[0] > 0) == packed
         cert = certify_constant_rank(A)
         assert (cert.generic_rank, cert.constant) == (6, False)
 
