@@ -398,14 +398,14 @@ def _observed_jumping(A, kind, seed):
     from . import geometry
 
     if kind == "none":
-        scan = geometry.jumping_scan(A, budget=NONE_SCAN_LINES, seed=seed)
+        scan = geometry.jumping_scan(A, budget=NONE_SCAN_LINES)
         return "none" if not scan.jumping_lines else \
             "jumps:%d" % len(scan.jumping_lines)
     if kind == "dk-lines":
         ok = geometry.verify_jumping_set(A, DK_JUMPING_LINES, seed=seed)
         return "dk-lines" if ok else "mismatch"
     if kind == "conic":
-        scan = geometry.jumping_scan(A, budget=CONIC_SCAN_LINES, seed=seed)
+        scan = geometry.jumping_scan(A, budget=CONIC_SCAN_LINES)
         if len(scan.jumping_lines) < 6:
             return "too-few:%d" % len(scan.jumping_lines)
         lines = [l for l, _ in scan.jumping_lines]

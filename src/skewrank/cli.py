@@ -190,8 +190,9 @@ def build_parser():
         description="Certify, classify and fingerprint skew-symmetric "
                     "matrix spaces of constant rank.")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for every pseudo-random choice (echoed "
-                             "in reports)")
+                        help="seed of the witness search of a refuted space "
+                             "with d >= 3, of zero-scheme covectors and of "
+                             "reproduce's negative lines (echoed in reports)")
     # accepted before or after the subcommand; SUPPRESS keeps the
     # subcommand occurrence from clobbering a value given up front
     common = argparse.ArgumentParser(add_help=False)

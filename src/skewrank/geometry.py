@@ -8,8 +8,11 @@ on a certified constant-rank space hands the proven rank to
 point's matrix and first kernel are memoised, since a scan draws many
 lines through few points.  The kernel map's span and the zero-scheme
 ideals read the packed integer Pfaffians; only `kernel_plucker` builds
-Forms.  Everything is exact; randomness is always drawn from a
-caller-supplied seed.
+Forms.  Everything is exact.  The generic splitting is proven by one
+line that attains a lower bound, with no seed.  A caller-supplied seed
+still draws the negative lines of `verify_jumping_set` and the
+covectors of zero schemes and fingerprints, and moves the witness search
+when a projection is re-certified.
 """
 
 from __future__ import annotations
@@ -30,14 +33,13 @@ from .skew import SkewPolyMatrix
 Q = Fraction
 
 GRID_BOUND = 4                  # grid points for jumping-line candidates
-GENERIC_SAMPLES = 20            # random lines drawn for the generic splitting
-GENERIC_QUORUM = 15             # how many of them must agree
+GENERIC_SAMPLES = 20            # secant lines read for the generic splitting
 NEGATIVE_LINES = 50             # random lines that must not jump
 COVECTOR_RETRIES = 10           # covectors redrawn for a zero scheme
 
 
 class BudgetExhausted(RuntimeError):
-    """A sampling search ran out of attempts; not a silent failure."""
+    """A search ran out of its budget: the answer is unknown, not wrong."""
 
 
 # -- projections -------------------------------------------------------
@@ -208,32 +210,57 @@ def splitting_on_line(A, p, q):
     return inv
 
 
-def generic_splitting(A, seed=0):
-    """Most frequent splitting over seeded random lines, with a quorum."""
+def generic_splitting(A):
+    """Splitting type of a general line of a certified constant-rank
+    space, proven by one line that attains a lower bound.
+
+    On a space of constant rank 2r every line has m = n - 2r Kronecker
+    indices, which sum to r, and at least c of them are 0, where
+    c = dim of the common kernel of the B_k (a constant kernel vector of
+    every line).  Write k_delta(L) = sum(max(0, delta - eps + 1)) over
+    the indices eps of the line L: the kernel dimension of the
+    block-Toeplitz system T_delta, which is upper semicontinuous, so a
+    general line has the smallest k_delta for every delta
+    (Okonek-Schneider-Spindler, Vector Bundles on Complex Projective
+    Spaces, ch. II).  The map x -> max(0, delta - x + 1) is convex, so
+    no line has a k_delta below that of beta: c zeros plus the balanced
+    partition of r into m - c parts.  A line whose splitting is beta
+    therefore proves that beta is the generic splitting.
+
+    Lines are read in one order for every d until one has splitting
+    beta: the secants of the moment curve, through (1, t, ..., t^(d-1))
+    and (1, u, ..., u^(d-1)) for 0 <= t < u, by u and then t; two
+    distinct points of that curve are independent.  A pencil (d = 2) has
+    one line, whose splitting is returned.  If none of the first
+    GENERIC_SAMPLES lines reaches beta, BudgetExhausted: the answer is
+    unknown.  A space of non-constant rank raises ValueError.
+    """
     d = A.nvars
     if d < 2:
         raise ValueError("splitting types need at least two parameters")
-    rng = random.Random("generic-splitting:%d" % seed)
-    seen = {}
-    done = 0
-    while done < GENERIC_SAMPLES:
-        p = tuple(rng.randint(-5, 5) for _ in range(d))
-        q = tuple(rng.randint(-5, 5) for _ in range(d))
-        if not linalg.independent(p, q):
-            continue
+    cert = verdict(A)
+    if cert.constant is not True:
+        raise ValueError("needs a constant-rank certificate")
+    r, m = cert.generic_rank // 2, A.order - cert.generic_rank
+    free = m - len(A.common_kernel())        # the indices that may be positive
+    # r cut into `free` parts that differ by at most 1, largest first
+    partition = tuple(filter(None, ((r + i) // free for i in reversed(range(free)))))
+    beta = KroneckerInvariants(2 * r, partition, m - len(partition))
+    curve = [[t ** k for k in range(d)] for t in range(GENERIC_SAMPLES + 1)]
+    secants = [(curve[t], curve[u]) for u in range(len(curve)) for t in range(u)]
+    for p, q in secants[:GENERIC_SAMPLES]:
         inv = splitting_on_line(A, p, q)
-        seen[inv] = seen.get(inv, 0) + 1
-        done += 1
-    best, count = max(seen.items(), key=lambda kv: kv[1])
-    if count < GENERIC_QUORUM:
-        raise BudgetExhausted("no splitting reached the quorum: %r" % seen)
-    return best
+        if inv == beta or d == 2:
+            return inv
+    raise BudgetExhausted("none of the first %d secants has the balanced splitting %s "
+                          "with padding %d: the generic splitting is unknown"
+                          % (GENERIC_SAMPLES, list(partition), beta.padding))
 
 
-def jumping_test(A, line, generic=None, seed=0):
+def jumping_test(A, line, generic=None):
     """Does the line's splitting differ from the generic one?"""
     if generic is None:
-        generic = generic_splitting(A, seed=seed)
+        generic = generic_splitting(A)
     p, q = line_span_points(line)
     return splitting_on_line(A, p, q) != generic
 
@@ -294,14 +321,13 @@ class ScanResult:
     generic: KroneckerInvariants
     jumping_lines: tuple         # ((line, invariants), ...)
     scanned: int
-    seed: int
 
 
-def jumping_scan(A, budget=200, seed=0):
+def jumping_scan(A, budget=200):
     """Test the first `budget` grid lines for jumping."""
     if budget < 1:
         raise ValueError("budget must be at least 1, got %r" % budget)
-    generic = generic_splitting(A, seed=seed)
+    generic = generic_splitting(A)
     candidates = grid_lines(budget)
     jumps = []
     for line in candidates:
@@ -309,12 +335,12 @@ def jumping_scan(A, budget=200, seed=0):
         inv = splitting_on_line(A, p, q)
         if inv != generic:
             jumps.append((line, inv))
-    return ScanResult(generic, tuple(jumps), len(candidates), seed)
+    return ScanResult(generic, tuple(jumps), len(candidates))
 
 
 def verify_jumping_set(A, lines, seed=0):
     """All given lines jump; seeded random other lines do not."""
-    generic = generic_splitting(A, seed=seed)
+    generic = generic_splitting(A)
     positives = {tuple(linalg.primitive_vector(l)) for l in lines}
     for line in lines:
         if not jumping_test(A, line, generic=generic):
@@ -481,12 +507,12 @@ def bundle_fingerprint(A, seed=0, budget=200):
         raise WrongDimension("covector draws disagree on the zero-scheme "
                              "degree: %r" % degrees)
     if A.nvars == 3:
-        scan = jumping_scan(A, budget=budget, seed=seed)
+        scan = jumping_scan(A, budget=budget)
         generic = scan.generic
         jumps = scan.jumping_lines
         scanned = scan.scanned
     else:
-        generic = generic_splitting(A, seed=seed)
+        generic = generic_splitting(A)
         jumps = ()
         scanned = 0
     return BundleFingerprint(

@@ -332,19 +332,21 @@ class SkewPolyMatrix:
 
     # -- nondegeneracy ------------------------------------------------------
 
+    def common_kernel(self):
+        """Basis of the common kernel of the coefficient matrices: the
+        kernel of the stack [B_1; ...; B_d], as `linalg.nullspace` vectors."""
+        return linalg.nullspace([row for B in self._basis for row in B], self.order)
+
     def is_nondegenerate(self):
         """(flag, witness): witness is a common kernel vector when False.
 
         Nondegenerate means the coefficient matrices have trivial common
-        kernel, the kernel of the stack [B_1; ...; B_d].  Their images then
-        span the whole space too: for skew B_k the concatenation
-        [B_1 | ... | B_d] is minus the transpose of the stack.
+        kernel (`common_kernel`).  Their images then span the whole space
+        too: for skew B_k the concatenation [B_1 | ... | B_d] is minus the
+        transpose of the stack [B_1; ...; B_d].
         """
-        stacked = [row for B in self.integer_basis() for row in B]
-        kernel = linalg.nullspace(stacked, ncols=self.order)
-        if not kernel:
-            return True, None
-        return False, tuple(kernel[0])
+        kernel = self.common_kernel()
+        return (False, tuple(kernel[0])) if kernel else (True, None)
 
     # -- Pfaffians ----------------------------------------------------------
 

@@ -5,8 +5,8 @@ from math import lcm
 
 import pytest
 
-from skewrank import geometry, linalg
-from skewrank.certify import certify_constant_rank
+from skewrank import catalog, geometry, linalg
+from skewrank.certify import certify_constant_rank, verdict
 from skewrank.forms import Form
 from skewrank.groebner import _make_layout
 from skewrank.pencil import KroneckerInvariants, _forced_indices
@@ -52,6 +52,51 @@ def moved(rng, A):
             row[j] += c * row[i]
     return A.congruence_transform(P).parameter_change(
         rational_invertible(rng, A.nvars))
+
+
+def dense_variant(rng, A):
+    """A moved by the congruence U^T A U, U unit upper triangular with
+    entries in [-2, 2] above the diagonal, then by a parameter change."""
+    n = A.order
+    U = [[rng.randint(-2, 2) if i < j else int(i == j) for j in range(n)]
+         for i in range(n)]
+    return A.congruence_transform(U).parameter_change(
+        random_invertible(rng, A.nvars))
+
+
+def constant_cases(names=None):
+    """(label, matrix) for each catalog entry of constant rank with d >= 3
+    (or each of `names`) and three seeded dense variants of it."""
+    if names is None:
+        names = [n for n in catalog.names() if catalog.get(n).matrix.nvars >= 3
+                 and verdict(catalog.get(n).matrix).constant is True]
+    out = []
+    for name in names:
+        A = catalog.get(name).matrix
+        rng = random.Random("variants:" + name)
+        out.append((name, A))
+        out += [("%s:dense%d" % (name, k), dense_variant(rng, A)) for k in range(3)]
+    return out
+
+
+def quorum_splitting(A, seed=0):
+    """The most frequent splitting over 20 seeded random lines, which at
+    least 15 of them must share: the vote that `geometry.generic_splitting`
+    replaced with one line that attains a proven bound, kept as its oracle."""
+    rng = random.Random("generic-splitting:%d" % seed)
+    seen = {}
+    done = 0
+    while done < 20:
+        p = tuple(rng.randint(-5, 5) for _ in range(A.nvars))
+        q = tuple(rng.randint(-5, 5) for _ in range(A.nvars))
+        if not linalg.independent(p, q):
+            continue
+        inv = geometry.splitting_on_line(A, p, q)
+        seen[inv] = seen.get(inv, 0) + 1
+        done += 1
+    best, count = max(seen.items(), key=lambda kv: kv[1])
+    assert count >= 15, "no splitting reached the quorum: %r" % seen
+    return best
 
 
 def random_skew(rng, n, lo=-5, hi=5):

@@ -266,6 +266,17 @@ def test_project_outputs_are_pinned(tmp_path, capsys):
         48, "120e049f6b1062268ced73c3c95a1460ce960af100c36ec0c367c295ed8fb4f2")
 
 
+def test_an_unreached_splitting_bound_exits_unknown(tmp_path, capsys, monkeypatch):
+    # with no line to read, the balanced bound is not proven generic
+    monkeypatch.setattr(geometry, "GENERIC_SAMPLES", 0)
+    assert main(["fingerprint", write_matrix(tmp_path, "pi2")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("none of the first 0 secants has the balanced "
+                            "splitting [2, 1] with padding 0: the generic "
+                            "splitting is unknown\n")
+
+
 def test_fingerprint_of_a_non_constant_net_is_a_usage_error(tmp_path, capsys):
     # as for gauss: no covector is drawn on a space that is not certified
     net = tmp_path / "net.json"

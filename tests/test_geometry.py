@@ -5,8 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from tests.conftest import (bordered_forms, kernel_plane_at, plucker_tensor_at,
-                            support_plane)
+from tests.conftest import (bordered_forms, constant_cases, kernel_plane_at,
+                            plucker_tensor_at, quorum_splitting, support_plane)
 
 from skewrank import catalog, geometry, groebner, linalg, pencil
 from skewrank.certify import certify_constant_rank, restrict_line
@@ -181,7 +181,7 @@ def test_restrict_to_line_examples(rng):
 
 
 def test_splitting_scans_need_two_parameters():
-    # no two points of Z^1 are independent, so sampling lines cannot end
+    # a space of one parameter has no line
     A = SkewPolyMatrix(4, ("a",), {(0, 1): "a", (2, 3): "a"})
     with pytest.raises(ValueError):
         geometry.generic_splitting(A)
@@ -547,9 +547,63 @@ def test_line_scan_outputs_are_pinned():
         scan = geometry.jumping_scan(catalog.get(name).matrix, budget=budget)
         assert (scan.generic, scan.scanned, scan.jumping_lines) == \
             (generic, budget, jumps)
-    for seed in (0, 1):
-        for name in ("dk_steiner", "pi1", "pi2", "pi3", "pi4", "pi5", "pi6",
-                     "schwarzenberger"):
-            want = split_3 if name == "pi1" else split_21
-            got = geometry.generic_splitting(catalog.get(name).matrix, seed=seed)
-            assert got == want, (name, seed)
+    for name in catalog.EIGHT_BY_EIGHT_PLANES:
+        want = split_3 if name == "pi1" else split_21
+        assert geometry.generic_splitting(catalog.get(name).matrix) == want, name
+
+
+def test_generic_splitting_agrees_with_the_quorum_oracle(monkeypatch):
+    # 18 constant entries with d >= 3, each with three dense variants; the
+    # proof draws nothing at random
+    monkeypatch.setattr(geometry, "random", None)
+    cases = constant_cases()
+    assert len(cases) == 72
+    for label, A in cases:
+        assert geometry.generic_splitting(A) == quorum_splitting(A), label
+
+
+def test_generic_splitting_reads_at_most_three_lines(monkeypatch):
+    calls = []
+    real = geometry.splitting_on_line
+    monkeypatch.setattr(geometry, "splitting_on_line",
+                        lambda *args: calls.append(args) or real(*args))
+    for label, A in constant_cases():
+        calls.clear()
+        geometry.generic_splitting(A)
+        assert len(calls) <= 3, label
+
+
+def _k(inv, delta):
+    """k_delta = sum(max(0, delta - eps + 1)) over the Kronecker indices."""
+    indices = inv.partition + (0,) * inv.padding
+    return sum(max(0, delta - eps + 1) for eps in indices)
+
+
+def test_no_grid_line_splits_below_the_balanced_bound():
+    # the lemma behind generic_splitting, on the first 200 grid lines of
+    # the eight planes and their dense variants: beta = c zeros and r = 3
+    # cut into m - c balanced parts, m = 2 and c the common kernel's size
+    for label, A in constant_cases(catalog.EIGHT_BY_EIGHT_PLANES):
+        stacked = [row for B in A.integer_basis() for row in B]
+        c = len(linalg.nullspace(stacked, ncols=8))
+        beta = KroneckerInvariants(6, (3,), 1) if c else KroneckerInvariants(6, (2, 1), 0)
+        assert geometry.generic_splitting(A) == beta, label
+        for line in geometry.grid_lines(200):
+            inv = geometry.splitting_on_line(A, *geometry.line_span_points(line))
+            assert all(_k(inv, delta) >= _k(beta, delta) for delta in range(5)), \
+                (label, line, inv)
+
+
+def test_generic_splitting_of_a_pencil_is_its_own():
+    # a pencil is its only line, so its splitting need not be balanced
+    for partition in ((3, 1), (2, 1), (4,)):
+        A = pencil.canonical_form(partition).matrix
+        assert geometry.generic_splitting(A) == minimal_indices(A)
+    m8 = catalog.get("M8").matrix
+    assert geometry.generic_splitting(m8) == minimal_indices(m8)
+
+
+def test_generic_splitting_needs_a_constant_rank_certificate():
+    net = SkewPolyMatrix(4, ("a", "b", "c"), {(0, 1): "a", (2, 3): "b"})
+    with pytest.raises(ValueError, match="needs a constant-rank certificate"):
+        geometry.generic_splitting(net)
