@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count, islice
 from math import comb, gcd
 
 from . import linalg
@@ -210,6 +210,33 @@ def splitting_on_line(A, p, q):
     return inv
 
 
+def _orthogonal_blocks(A):
+    """Index sets of the visible block-diagonal form of A: the components
+    of the graph that joins i and j when some B_k has a nonzero (i, j)
+    entry.  A direct sum has one block per summand at least."""
+    blocks = []
+    for i in range(A.order):
+        linked = [b for b in blocks if any(B[i][j] for B in A.integer_basis() for j in b)]
+        blocks = [b for b in blocks if b not in linked] + [sum(linked, [i])]
+    return blocks
+
+
+def _splitting_bound(A):
+    """The lower bound beta of `generic_splitting` on a certified
+    constant-rank space: for each block of `_orthogonal_blocks`, of rank
+    2r_b, m_b = (block size) - 2r_b indices and c_b common kernel
+    vectors, c_b zeros and r_b cut into m_b - c_b parts that differ by at
+    most 1."""
+    B1, kernel, parts = A.integer_basis()[0], A.common_kernel(), []
+    for b in _orthogonal_blocks(A):
+        rank = linalg.rank([[B1[i][j] for j in b] for i in b])     # B_1 = A(e_1)
+        free = len(b) - rank - linalg.rank([[v[j] for j in b] for v in kernel])
+        parts += ((rank // 2 + i) // free for i in range(free))
+    partition = tuple(sorted(filter(None, parts), reverse=True))
+    rank = verdict(A).generic_rank
+    return KroneckerInvariants(rank, partition, A.order - rank - len(partition))
+
+
 def generic_splitting(A):
     """Splitting type of a general line of a certified constant-rank
     space, proven by one line that attains a lower bound.
@@ -223,38 +250,44 @@ def generic_splitting(A):
     general line has the smallest k_delta for every delta
     (Okonek-Schneider-Spindler, Vector Bundles on Complex Projective
     Spaces, ch. II).  The map x -> max(0, delta - x + 1) is convex, so
-    no line has a k_delta below that of beta: c zeros plus the balanced
-    partition of r into m - c parts.  A line whose splitting is beta
-    therefore proves that beta is the generic splitting.
+    no line has a k_delta below that of the balanced splitting: c zeros
+    plus the partition of r into m - c parts that differ by at most 1.
+    On a block-diagonal A each block has constant rank, each line splits
+    as the union of the blocks' splittings, and the union of the blocks'
+    balanced splittings, `_splitting_bound`, is a bound at least as high.
+    A line whose splitting is beta = `_splitting_bound(A)` therefore
+    proves that beta is the generic splitting.
 
     Lines are read in one order for every d until one has splitting
     beta: the secants of the moment curve, through (1, t, ..., t^(d-1))
     and (1, u, ..., u^(d-1)) for 0 <= t < u, by u and then t; two
     distinct points of that curve are independent.  A pencil (d = 2) has
-    one line, whose splitting is returned.  If none of the first
-    GENERIC_SAMPLES lines reaches beta, BudgetExhausted: the answer is
-    unknown.  A space of non-constant rank raises ValueError.
+    one line, whose splitting is returned.  A general line reaches beta
+    only when beta is the generic splitting: not on a space congruent to
+    a direct sum of blocks with different balanced splittings whose
+    blocks A does not show (pi1 + pi2 split generically as (3, 2, 1),
+    beta = (2, 2, 2) once a congruence hides the blocks).  So if none of
+    the first GENERIC_SAMPLES lines reaches beta, BudgetExhausted: the
+    answer is unknown, either because the budget ran out or because the
+    generic splitting is not beta.  A space of non-constant rank raises
+    ValueError.
     """
     d = A.nvars
     if d < 2:
         raise ValueError("splitting types need at least two parameters")
-    cert = verdict(A)
-    if cert.constant is not True:
+    if verdict(A).constant is not True:
         raise ValueError("needs a constant-rank certificate")
-    r, m = cert.generic_rank // 2, A.order - cert.generic_rank
-    free = m - len(A.common_kernel())        # the indices that may be positive
-    # r cut into `free` parts that differ by at most 1, largest first
-    partition = tuple(filter(None, ((r + i) // free for i in reversed(range(free)))))
-    beta = KroneckerInvariants(2 * r, partition, m - len(partition))
-    curve = [[t ** k for k in range(d)] for t in range(GENERIC_SAMPLES + 1)]
-    secants = [(curve[t], curve[u]) for u in range(len(curve)) for t in range(u)]
-    for p, q in secants[:GENERIC_SAMPLES]:
-        inv = splitting_on_line(A, p, q)
-        if inv == beta or d == 2:
-            return inv
-    raise BudgetExhausted("none of the first %d secants has the balanced splitting %s "
-                          "with padding %d: the generic splitting is unknown"
-                          % (GENERIC_SAMPLES, list(partition), beta.padding))
+    if d == 2:
+        return splitting_on_line(A, (1, 0), (1, 1))
+    beta = _splitting_bound(A)
+    secants = (([t ** k for k in range(d)], [u ** k for k in range(d)])
+               for u in count(1) for t in range(u))
+    if any(splitting_on_line(A, p, q) == beta for p, q in islice(secants, GENERIC_SAMPLES)):
+        return beta
+    raise BudgetExhausted("none of the first %d secants attains the lower bound %s "
+                          "with padding %d: the budget ran out or the generic "
+                          "splitting is not that bound, so it is unknown"
+                          % (GENERIC_SAMPLES, list(beta.partition), beta.padding))
 
 
 def jumping_test(A, line, generic=None):
@@ -329,22 +362,17 @@ def jumping_scan(A, budget=200):
         raise ValueError("budget must be at least 1, got %r" % budget)
     generic = generic_splitting(A)
     candidates = grid_lines(budget)
-    jumps = []
-    for line in candidates:
-        p, q = line_span_points(line)
-        inv = splitting_on_line(A, p, q)
-        if inv != generic:
-            jumps.append((line, inv))
-    return ScanResult(generic, tuple(jumps), len(candidates))
+    read = [(line, splitting_on_line(A, *line_span_points(line))) for line in candidates]
+    return ScanResult(generic, tuple((line, inv) for line, inv in read if inv != generic),
+                      len(candidates))
 
 
 def verify_jumping_set(A, lines, seed=0):
     """All given lines jump; seeded random other lines do not."""
     generic = generic_splitting(A)
     positives = {tuple(linalg.primitive_vector(l)) for l in lines}
-    for line in lines:
-        if not jumping_test(A, line, generic=generic):
-            return False
+    if not all(jumping_test(A, line, generic=generic) for line in lines):
+        return False
     rng = random.Random("negative-lines:%d" % seed)
     done = 0
     while done < NEGATIVE_LINES:
@@ -506,21 +534,15 @@ def bundle_fingerprint(A, seed=0, budget=200):
     if len(set(degrees)) != 1:
         raise WrongDimension("covector draws disagree on the zero-scheme "
                              "degree: %r" % degrees)
-    if A.nvars == 3:
-        scan = jumping_scan(A, budget=budget)
-        generic = scan.generic
-        jumps = scan.jumping_lines
-        scanned = scan.scanned
-    else:
-        generic = generic_splitting(A)
-        jumps = ()
-        scanned = 0
+    # a net is scanned for jumping lines; other spaces report none
+    scan = (jumping_scan(A, budget=budget) if A.nvars == 3
+            else ScanResult(generic_splitting(A), (), 0))
     return BundleFingerprint(
-        generic_splitting=generic.partition,
-        generic_padding=generic.padding,
-        jumping_lines=jumps,
+        generic_splitting=scan.generic.partition,
+        generic_padding=scan.generic.padding,
+        jumping_lines=scan.jumping_lines,
         c2=degrees[0],
         gauss_span_dim=gauss_span_dim(A),
-        scanned=scanned,
+        scanned=scan.scanned,
         seed=seed,
     )

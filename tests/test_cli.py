@@ -267,14 +267,15 @@ def test_project_outputs_are_pinned(tmp_path, capsys):
 
 
 def test_an_unreached_splitting_bound_exits_unknown(tmp_path, capsys, monkeypatch):
-    # with no line to read, the balanced bound is not proven generic
+    # with no line to read, the lower bound is not proven generic
     monkeypatch.setattr(geometry, "GENERIC_SAMPLES", 0)
     assert main(["fingerprint", write_matrix(tmp_path, "pi2")]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("none of the first 0 secants has the balanced "
-                            "splitting [2, 1] with padding 0: the generic "
-                            "splitting is unknown\n")
+    assert captured.err == ("none of the first 0 secants attains the lower bound "
+                            "[2, 1] with padding 0: the budget ran out or the "
+                            "generic splitting is not that bound, so it is "
+                            "unknown\n")
 
 
 def test_fingerprint_of_a_non_constant_net_is_a_usage_error(tmp_path, capsys):

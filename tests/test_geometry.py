@@ -1,8 +1,9 @@
 import hashlib
 import json
+import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from tests.conftest import (bordered_forms, constant_cases, kernel_plane_at,
@@ -134,7 +135,7 @@ def test_gauss_span_veronese_bound():
 
 
 def test_gauss_span_matches_point_sampling_oracle(rng):
-    from itertools import combinations
+    from itertools import combinations, combinations_with_replacement
 
     for name in ("pi2", "pi6", "schwarzenberger"):
         A = catalog.get(name).matrix
@@ -554,23 +555,48 @@ def test_line_scan_outputs_are_pinned():
 
 def test_generic_splitting_agrees_with_the_quorum_oracle(monkeypatch):
     # 18 constant entries with d >= 3, each with three dense variants; the
-    # proof draws nothing at random
+    # proof draws nothing at random and reads at most three lines
     monkeypatch.setattr(geometry, "random", None)
-    cases = constant_cases()
-    assert len(cases) == 72
-    for label, A in cases:
-        assert geometry.generic_splitting(A) == quorum_splitting(A), label
-
-
-def test_generic_splitting_reads_at_most_three_lines(monkeypatch):
     calls = []
     real = geometry.splitting_on_line
     monkeypatch.setattr(geometry, "splitting_on_line",
                         lambda *args: calls.append(args) or real(*args))
-    for label, A in constant_cases():
+    cases = constant_cases()
+    assert len(cases) == 72
+    for label, A in cases:
         calls.clear()
-        geometry.generic_splitting(A)
+        got = geometry.generic_splitting(A)
         assert len(calls) <= 3, label
+        assert got == quorum_splitting(A), label
+
+
+def test_a_direct_sum_is_bounded_block_by_block():
+    # pi1 + pi2 splits generically as (3, 2, 1), not as the balanced
+    # (2, 2, 2): every line of pi1 carries an index 3.  Its blocks are in
+    # view, so the bound is the union of theirs and one line attains it
+    planes = catalog.EIGHT_BY_EIGHT_PLANES          # 36 sums
+    for a, b in combinations_with_replacement(planes, 2):
+        A = catalog.get(a).matrix.direct_sum(catalog.get(b).matrix)
+        assert geometry.generic_splitting(A) == quorum_splitting(A), (a, b)
+    A = catalog.get("pi1").matrix.direct_sum(catalog.get("pi2").matrix)
+    assert geometry.generic_splitting(A) == KroneckerInvariants(12, (3, 2, 1), 1)
+
+
+def test_a_hidden_direct_sum_with_unbalanced_blocks_is_unknown():
+    # a congruence hides the blocks of pi1 + pi2: the bound falls to the
+    # balanced (2, 2, 2), which no line attains, so the answer is unknown
+    # where the quorum voted (3, 2, 1)
+    A = catalog.get("pi1").matrix.direct_sum(catalog.get("pi2").matrix)
+    rng = random.Random("hidden")
+    U = [[rng.randint(-1, 1) if i < j else int(i == j) for j in range(16)]
+         for i in range(16)]
+    hidden = A.congruence_transform(U)
+    assert len(geometry._orthogonal_blocks(hidden)) == 1
+    assert quorum_splitting(hidden) == KroneckerInvariants(12, (3, 2, 1), 1)
+    with pytest.raises(geometry.BudgetExhausted,
+                       match=r"lower bound \[2, 2, 2\] with padding 1: the budget "
+                             "ran out or the generic splitting is not that bound"):
+        geometry.generic_splitting(hidden)
 
 
 def _k(inv, delta):
