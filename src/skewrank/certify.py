@@ -22,8 +22,8 @@ packed integer Pfaffians in subset order:
 `verdict` (generic rank, constancy, method) is cached once per matrix
 and never looks for a witness.  `certify_constant_rank` adds one to each
 refutation it returns, from `_witness`: a pencil's first rational drop,
-read off the integer GCD of its packed sub-Pfaffians, else a seeded
-search over probe points and line pencils.
+read off the integer GCD of its packed sub-Pfaffians, else a search
+over fixed probe points and line pencils.
 
 Every certificate is a proof: `constant` is True or False, decided by
 its method, and a refutation stands whether or not a witness was found.
@@ -122,12 +122,12 @@ def _divisors(n):
     return sorted(set(small + [n // i for i in small]))
 
 
-def witness_candidates(d, seed=0):
-    """Deterministic integer probe points and lines; one parameter spans
-    no line."""
+def witness_candidates(d):
+    """Fixed integer probe points and lines, a function of d alone; one
+    parameter spans no line."""
     if d == 1:
         return [(1,)], []
-    rng = random.Random(seed)
+    rng = random.Random(0)
     points = [tuple(int(j == i) for j in range(d)) for i in range(d)]
     points.append((1,) * d)
     while len(points) < WITNESS_PROBES:
@@ -158,8 +158,8 @@ def _first_drop(pencil, rank):
     return roots[0] if roots else None
 
 
-def _search_witness(A, rank, seed):
-    points, lines = witness_candidates(A.nvars, seed)
+def _search_witness(A, rank):
+    points, lines = witness_candidates(A.nvars)
     for p in points:
         if A.rank_at(p) < rank:
             return p
@@ -171,19 +171,19 @@ def _search_witness(A, rank, seed):
     return None
 
 
-def _witness(A, rank, seed):
+def _witness(A, rank):
     """A rational point where A has rank below `rank`, or None: a pencil's
-    first drop, else the seeded search over probe points and lines."""
+    first drop, else the search over fixed probe points and lines."""
     if A.nvars == 2:
         return _first_drop(A, rank)
-    return _search_witness(A, rank, seed)
+    return _search_witness(A, rank)
 
 
 @lru_cache(maxsize=512)
 def verdict(A):
-    """The certificate of A without a witness, seed-free and computed
-    once per matrix content: its generic rank, whether that rank is
-    constant, and how that was decided."""
+    """The certificate of A without a witness, computed once per matrix
+    content: its generic rank, whether that rank is constant, and how
+    that was decided."""
     if A.nvars == 2:
         inv = invariants_of(A)
         return RankCertificate(inv.rank, inv.constant, METHOD_KRONECKER)
@@ -220,9 +220,9 @@ def _pfaffian_ideal_empty(A, rank):
 def certify_constant_rank(A, seed=0):
     """Certificate that A has constant rank on the whole projective
     parameter space, or a refutation (with a rational witness point where
-    one was found).  Only the witness search of a refuted space with more
-    than two parameters depends on the seed."""
+    one was found), a function of A alone.
+    `seed` is ignored: `perfbench/worker.py` still passes it."""
     cert = verdict(A)
     if cert.constant is False:
-        return replace(cert, witness=_witness(A, cert.generic_rank, seed))
+        return replace(cert, witness=_witness(A, cert.generic_rank))
     return cert

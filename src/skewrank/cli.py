@@ -84,10 +84,8 @@ def positive_int(text):
 
 
 def cmd_certify(args):
-    cert = certify_constant_rank(_load_matrix(args.matrix), seed=args.seed)
-    out = cert.to_json()
-    out["seed"] = args.seed
-    _emit(out)
+    cert = certify_constant_rank(_load_matrix(args.matrix))
+    _emit(cert.to_json())
     return EXIT_OK if cert.constant else EXIT_REFUTED
 
 
@@ -107,23 +105,21 @@ def cmd_canonical(args):
 
 def cmd_orbit_dim(args):
     A = _load_matrix(args.matrix)
-    _emit(orbit.orbit_dimension(A, seed=args.seed).to_json())
+    _emit(orbit.orbit_dimension(A).to_json())
     return EXIT_OK
 
 
 def cmd_project(args):
     A = _load_matrix(args.matrix)
     center = _parse_center(args.center)
-    step = geometry.project(A, center, seed=args.seed)
+    step = geometry.project(A, center)
     _emit(step.to_json())
     return EXIT_OK if step.valid else EXIT_REFUTED
 
 
 def cmd_fingerprint(args):
     A = _load_matrix(args.matrix)
-    fp = geometry.bundle_fingerprint(A, seed=args.seed, budget=args.budget)
-    out = fp.to_json()
-    _emit(out)
+    _emit(geometry.bundle_fingerprint(A, budget=args.budget).to_json())
     return EXIT_OK
 
 
@@ -163,11 +159,10 @@ def cmd_reproduce(args):
         catalog.get(name)                  # KeyError lists the known names
     rows = catalog.reproduce_all(
         names_filter=set(args.name) if args.name else None,
-        sections=set(args.section) if args.section else None,
-        seed=args.seed)
+        sections=set(args.section) if args.section else None)
     if not rows:
         raise ValueError("no catalog entry matches the selection")
-    _print(catalog.format_report(rows, as_table=args.table, seed=args.seed))
+    _print(catalog.format_report(rows, as_table=args.table))
     return EXIT_OK if all(r.ok for r in rows) else EXIT_REFUTED
 
 
@@ -189,17 +184,7 @@ def build_parser():
         prog="skewrank",
         description="Certify, classify and fingerprint skew-symmetric "
                     "matrix spaces of constant rank.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed of the witness search of a refuted space "
-                             "with d >= 3, of zero-scheme covectors and of "
-                             "reproduce's negative lines (echoed in reports)")
-    # accepted before or after the subcommand; SUPPRESS keeps the
-    # subcommand occurrence from clobbering a value given up front
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="constant-rank certificate")
     p.add_argument("matrix")
@@ -213,8 +198,7 @@ def build_parser():
     p.add_argument("partition", help="comma-separated, e.g. 2,1")
     p.set_defaults(fn=cmd_canonical)
 
-    p = sub.add_parser("orbit-dim", help="orbit dimension under congruence "
-                       "(exact; --seed is only echoed)")
+    p = sub.add_parser("orbit-dim", help="orbit dimension under congruence")
     p.add_argument("matrix")
     p.set_defaults(fn=cmd_orbit_dim)
 

@@ -4,8 +4,7 @@ A :class:`Form` is a polynomial in a fixed tuple of named variables with
 ``fractions.Fraction`` coefficients, stored as a map from exponent vectors
 to nonzero coefficients.  Forms are immutable, hashable and safe to share;
 every operation returns a new value.  Terms are ordered graded reverse
-lexicographically (variables in declaration order) wherever an order
-matters: printing and leading terms.
+lexicographically (variables in declaration order) for printing.
 """
 
 from __future__ import annotations
@@ -112,13 +111,6 @@ class Form:
             return False
         return degree is None or degs == {degree}
 
-    def leading_term(self):
-        """(exponents, coefficient) of the degrevlex-largest monomial."""
-        if not self._terms:
-            raise ValueError("zero form has no leading term")
-        e = max(self._terms, key=degrevlex_key)
-        return e, self._terms[e]
-
     # -- ring operations ----------------------------------------------
 
     def _check_ring(self, other):
@@ -198,22 +190,7 @@ class Form:
     def __bool__(self):
         return bool(self._terms)
 
-    # -- evaluation and substitution ----------------------------------
-
-    def evaluate(self, point):
-        """Exact value at a point given as a sequence of rationals."""
-        point = [Q(x) for x in point]
-        if len(point) != len(self.vars):
-            raise ValueError("point length %d does not match %d variables"
-                             % (len(point), len(self.vars)))
-        total = Q(0)
-        for exps, c in self._terms.items():
-            v = c
-            for x, e in zip(point, exps):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
+    # -- substitution -------------------------------------------------
 
     def linear_substitute(self, images):
         """Replace each variable by a linear form in a common target ring.

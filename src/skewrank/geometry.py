@@ -8,11 +8,11 @@ on a certified constant-rank space hands the proven rank to
 point's matrix and first kernel are memoised, since a scan draws many
 lines through few points.  The kernel map's span and the zero-scheme
 ideals read the packed integer Pfaffians; only `kernel_plucker` builds
-Forms.  Everything is exact.  The generic splitting is proven by one
-line that attains a lower bound, with no seed.  A caller-supplied seed
-still draws the negative lines of `verify_jumping_set` and the
-covectors of zero schemes and fingerprints, and moves the witness search
-when a projection is re-certified.
+Forms.  Everything is exact, and every answer is a function of the
+input alone.  The generic splitting is proven by one line that attains
+a lower bound.  The negative lines of `verify_jumping_set` and the
+covectors redrawn for zero schemes and fingerprints come from fixed
+pseudo-random streams, one per use.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _projection_basis_change(center):
     return tuple(tuple(r) for r in P), tuple(center)
 
 
-def project(A, center, seed=0):
+def project(A, center):
     """Project the space from a point: cut the last row and column off
     the coefficient matrices moved by `_projection_basis_change`.
     Validity is decided by re-certification of the result at the same
@@ -104,7 +104,7 @@ def project(A, center, seed=0):
         A.vars, [[row[:-1] for row in B[:-1]] for B in moved.integer_basis()],
         moved._lam)
     cert_in = verdict(A)
-    cert_out = certify_constant_rank(result, seed=seed)
+    cert_out = certify_constant_rank(result)
     valid = (cert_out.constant is True
              and cert_out.generic_rank == cert_in.generic_rank)
     return ProjectionStep(center, P, result, valid, cert_out)
@@ -229,8 +229,9 @@ def _splitting_bound(A):
     most 1."""
     B1, kernel, parts = A.integer_basis()[0], A.common_kernel(), []
     for b in _orthogonal_blocks(A):
-        rank = linalg.rank([[B1[i][j] for j in b] for i in b])     # B_1 = A(e_1)
-        free = len(b) - rank - linalg.rank([[v[j] for j in b] for v in kernel])
+        rank = linalg.bareiss_rank([[B1[i][j] for j in b] for i in b])  # B_1 = A(e_1)
+        free = (len(b) - rank
+                - linalg.bareiss_rank([[v[j] for j in b] for v in kernel]))
         parts += ((rank // 2 + i) // free for i in range(free))
     partition = tuple(sorted(filter(None, parts), reverse=True))
     rank = verdict(A).generic_rank
@@ -367,13 +368,14 @@ def jumping_scan(A, budget=200):
                       len(candidates))
 
 
-def verify_jumping_set(A, lines, seed=0):
-    """All given lines jump; seeded random other lines do not."""
+def verify_jumping_set(A, lines):
+    """All given lines jump; NEGATIVE_LINES other lines, drawn from a
+    fixed stream, do not."""
     generic = generic_splitting(A)
     positives = {tuple(linalg.primitive_vector(l)) for l in lines}
     if not all(jumping_test(A, line, generic=generic) for line in lines):
         return False
-    rng = random.Random("negative-lines:%d" % seed)
+    rng = random.Random("negative-lines:0")
     done = 0
     while done < NEGATIVE_LINES:
         l = tuple(rng.randint(-9, 9) for _ in range(3))
@@ -457,7 +459,8 @@ def section_zero_scheme_degree(A, xi=None, seed=0):
     the second Chern class of the dual kernel bundle; for d = 4 the locus
     is a curve and its degree is returned.  A must have certified
     constant rank, and xi one coordinate per row.  Degenerate covectors
-    are redrawn deterministically from the seed.
+    are redrawn from a fixed stream.
+    `seed` is ignored: `perfbench/worker.py` still passes it.
     """
     d = A.nvars
     if d not in (3, 4):
@@ -467,7 +470,7 @@ def section_zero_scheme_degree(A, xi=None, seed=0):
     if verdict(A).constant is not True:
         raise ValueError("needs a constant-rank certificate")
     want_dim = 0 if d == 3 else 1
-    rng = random.Random("covector:%d" % seed)
+    rng = random.Random("covector:0")
     current = tuple(Q(x) for x in xi) if xi is not None else default_covector(A.order)
     if not any(current):
         raise ValueError("zero covector")
@@ -501,7 +504,6 @@ class BundleFingerprint:
     c2: int
     gauss_span_dim: int
     scanned: int
-    seed: int
 
     def to_json(self):
         return {
@@ -513,24 +515,24 @@ class BundleFingerprint:
             "c2": self.c2,
             "gauss_span_dim": self.gauss_span_dim,
             "scanned": self.scanned,
-            "seed": self.seed,
         }
 
 
-def bundle_fingerprint(A, seed=0, budget=200):
+def bundle_fingerprint(A, budget=200):
     """Splitting data, jumping lines, c2 and the kernel-map span size.
 
-    The zero-scheme degree is recomputed with three independent covectors
-    and must agree; a disagreement raises (it would mean the covectors
-    were degenerate in a way the retries did not catch).
+    The zero-scheme degree is recomputed with two more covectors, drawn
+    from a fixed stream, and must agree; a disagreement raises (it would
+    mean the covectors were degenerate in a way the retries did not
+    catch).
     """
     if budget < 1:
         raise ValueError("budget must be at least 1, got %r" % budget)
-    rng = random.Random("fingerprint-covectors:%d" % seed)
-    degrees = [section_zero_scheme_degree(A, seed=seed)]
+    rng = random.Random("fingerprint-covectors:0")
+    degrees = [section_zero_scheme_degree(A)]
     for _ in range(2):
         xi = _draw_covector(rng, A.order)
-        degrees.append(section_zero_scheme_degree(A, xi=xi, seed=seed))
+        degrees.append(section_zero_scheme_degree(A, xi=xi))
     if len(set(degrees)) != 1:
         raise WrongDimension("covector draws disagree on the zero-scheme "
                              "degree: %r" % degrees)
@@ -544,5 +546,4 @@ def bundle_fingerprint(A, seed=0, budget=200):
         c2=degrees[0],
         gauss_span_dim=gauss_span_dim(A),
         scanned=scan.scanned,
-        seed=seed,
     )

@@ -1,10 +1,9 @@
 """Buchberger engine over Q for homogeneous ideals in few variables.
 
 Provides reduced Groebner bases in graded reverse lexicographic order
-(the only order used anywhere), projective emptiness through the
-pure-power criterion on the leading-term ideal, and the dimension and
-degree of any projective scheme, read off the exact Hilbert series of
-the leading-term ideal.
+(the only order used anywhere), and the dimension and degree of any
+projective scheme, read off the exact Hilbert series of the leading-term
+ideal; a scheme is empty when that dimension is -1.
 
 This module owns the one packed polynomial format of the package.  A
 monomial is a single integer, its ``dkey``: one B-bit field per variable
@@ -400,25 +399,6 @@ def _as_gb(x):
     return buchberger(x)
 
 
-def is_projectively_empty(x):
-    """True iff the projective zero set over the closure is empty.
-
-    Criterion: the leading-term ideal of the reduced basis contains a pure
-    power of every variable.  The zero ideal yields False (whole space).
-    """
-    gb = _as_gb(x)
-    if not gb:
-        return False
-    covered = [False] * len(gb.ideal.vars)
-    for exps in gb.leading_exponents():
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) == 1:
-            covered[support[0]] = True
-        elif not support:              # unit ideal
-            return True
-    return all(covered)
-
-
 def _minimal_monomials(gens):
     """Minimal generators of the monomial ideal spanned by `gens`."""
     kept = []
@@ -485,6 +465,12 @@ def hilbert_profile(x):
     if k == n or not any(num):
         return HilbertProfile(-1, 0)
     return HilbertProfile(n - k - 1, sum(num))
+
+
+def is_projectively_empty(x):
+    """True iff the projective zero set over the closure is empty: the
+    Hilbert profile's dimension is -1.  The zero ideal yields False."""
+    return hilbert_profile(x).dimension == -1
 
 
 def projective_degree(x, proj_dim=0):

@@ -3,21 +3,21 @@
 Small helper routines shared across the package.  `integer_rows` is the
 one place denominators are cleared: rows times the lcm m of all their
 denominators, and rows of ints as they are (m = 1, no Fraction built).
-One common positive scale changes no rank, kernel or row space, and a
-determinant only by m^n.  Ranks, the integer reduced echelon form,
-kernels and canonical span bases of dense matrices (lists of lists) come
-from one routine, fraction-free (Bareiss) forward elimination of integer
-rows in column order (`echelon_int`).  Determinants use the square
-Bareiss recurrence.  The one large sparse system, the orbit
-stabilizer system, is ranked by `sparse_rank` on dict rows instead: its
-rows hold at most 2n + d nonzeros out of n^2 + d^2 columns, and column
-order would fill them in.  The pencil chain kernels, n x (k + n) each,
-stay on `echelon_int`, which is cheaper there.  The coefficient rows of
-packed polynomials, such as sub-Pfaffians, are ranked by
-`coefficient_rank` as they are read: each is reduced against the rows
-kept so far, and reading stops once the rank reaches the dimension of
-the space of forms they live in, so a caller that produces them lazily
-computes no polynomial past the first prefix of full rank.
+One common positive scale changes no rank, kernel or row space.  Ranks,
+the integer reduced echelon form and kernels of dense matrices (lists of
+lists) come from one routine, fraction-free (Bareiss) forward
+elimination of integer rows in column order (`echelon_int`); a square
+matrix is invertible when its `bareiss_rank` is full.  The one large
+sparse system, the orbit stabilizer system, is ranked by `sparse_rank`
+on dict rows instead: its rows hold at most 2n + d nonzeros out of
+n^2 + d^2 columns, and column order would fill them in.  The pencil chain
+kernels, n x (k + n) each, stay on `echelon_int`, which is cheaper
+there.  The coefficient rows of packed polynomials, such as
+sub-Pfaffians, are ranked by `coefficient_rank` as they are read: each
+is reduced against the rows kept so far, and reading stops once the rank
+reaches the dimension of the space of forms they live in, so a caller
+that produces them lazily computes no polynomial past the first prefix
+of full rank.
 """
 
 from __future__ import annotations
@@ -205,40 +205,6 @@ def bareiss_rank(rows):
     return len(echelon_int(m, len(m[0]))[1]) if m and m[0] else 0
 
 
-def bareiss_det(rows):
-    """Determinant of a square matrix with integer entries."""
-    m = [list(map(int, r)) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        p = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (p * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = p
-    return sign * m[n - 1][n - 1]
-
-
-def det(rows):
-    """Determinant over Q."""
-    rows, m = integer_rows(rows)
-    return Q(bareiss_det(rows), m ** len(rows))
-
-
 def reduced_echelon_int(rows, ncols):
     """Integer reduced echelon form of integer rows.
 
@@ -290,10 +256,6 @@ def primitive_vector(v):
     return list(primitive_int(integer_rows([v])[0][0]))
 
 
-def rank(rows):
-    return bareiss_rank(rows)
-
-
 def independent(p, q):
     """Are the vectors p and q independent: has [p; q] a nonzero 2x2
     minor?  No elimination is run."""
@@ -312,10 +274,3 @@ def mat_vec(a, v):
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def span_rref(vectors):
-    """Canonical basis of the span of the given vectors: the rows of the
-    integer reduced echelon form, each primitive with a positive pivot."""
-    rows = integer_rows(vectors)[0]
-    return tuple(reduced_echelon_int(rows, len(rows[0]))[0]) if rows else ()

@@ -72,7 +72,6 @@ class OrbitReport:
     tangent_rank: int
     orbit_dim: int
     stabilizer_dim: int
-    seed: int
 
     def to_json(self):
         return {
@@ -80,7 +79,6 @@ class OrbitReport:
             "tangent_rank": self.tangent_rank,
             "orbit_dim": self.orbit_dim,
             "stabilizer_dim": self.stabilizer_dim,
-            "seed": self.seed,
         }
 
 
@@ -292,8 +290,8 @@ def _congruent_basis(A, basis):
 def orbit_dimension(A, seed=0):
     """Orbit dimension report for the space spanned by A's coefficients.
 
-    The computation is exact and uses no randomness: the report does not
-    depend on `seed`, which is only echoed.
+    The computation is exact and uses no randomness.
+    `seed` is ignored: `perfbench/worker.py` still passes it.
     """
     n = A.order
     d = A.nvars
@@ -308,5 +306,4 @@ def orbit_dimension(A, seed=0):
         tangent_rank=orbit_dim + 1,
         orbit_dim=orbit_dim,
         stabilizer_dim=n * n + d * d - rank,
-        seed=seed,
     )

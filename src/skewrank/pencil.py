@@ -363,7 +363,7 @@ def congruence_to_canonical(B1, B2):
         if linalg.mat_mul(cols, linalg.mat_mul(B, P)) != \
                 [[m * m * x for x in row] for row in C]:
             raise ArithmeticError("congruence check failed")
-    if not linalg.bareiss_det(P):
+    if linalg.bareiss_rank(P) != n:
         raise ArithmeticError("singular congruence")
     return inv, P, m
 

@@ -265,23 +265,14 @@ class SkewPolyMatrix:
 
     # -- evaluation -------------------------------------------------------
 
-    def _at(self, point):
-        """(M, s) with A(point) = s * M for an integer matrix M."""
-        (c,), m = linalg.integer_rows([point])
+    def rank_at(self, point):
+        """Exact rank at a nonzero point (always even)."""
+        (c,), _ = linalg.integer_rows([point])
         if len(c) != self.nvars:
             raise ValueError("point length does not match variable count")
         if not any(c):
             raise ValueError("zero parameter point")
-        return self._combine(c), self._lam / m
-
-    def evaluate_at(self, point):
-        """Constant skew matrix at a nonzero parameter point."""
-        M, s = self._at(point)
-        return [[s * x if x else Q(0) for x in row] for row in M]
-
-    def rank_at(self, point):
-        """Exact rank at a nonzero point (always even)."""
-        r = linalg.bareiss_rank(self._at(point)[0])
+        r = linalg.bareiss_rank(self._combine(c))
         assert r % 2 == 0
         return r
 

@@ -20,11 +20,101 @@ def rng():
     return random.Random(12345)
 
 
+def bareiss_det(rows):
+    """Determinant of a square matrix with integer entries, by the square
+    Bareiss recurrence: the oracle for Pf^2 = det and det(P^T A P)."""
+    m = [list(map(int, r)) for r in rows]
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        p = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (p * m[i][j] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = p
+    return sign * m[n - 1][n - 1]
+
+
+def det(rows):
+    """Determinant over Q."""
+    rows, m = linalg.integer_rows(rows)
+    return Q(bareiss_det(rows), m ** len(rows))
+
+
+def span_rref(vectors):
+    """Canonical basis of the span of the given vectors: the rows of the
+    integer reduced echelon form, each primitive with a positive pivot."""
+    rows = linalg.integer_rows(vectors)[0]
+    return tuple(linalg.reduced_echelon_int(rows, len(rows[0]))[0]) if rows else ()
+
+
+def evaluate_at(A, point):
+    """Constant skew matrix of A at a parameter point."""
+    basis = A.coefficient_basis()
+    return [[sum((Q(p) * B[i][j] for p, B in zip(point, basis)), Q(0))
+             for j in range(A.order)] for i in range(A.order)]
+
+
+def evaluate(f, point):
+    """Exact value of the Form f at a point given as a sequence of rationals."""
+    point = [Q(x) for x in point]
+    if len(point) != len(f.vars):
+        raise ValueError("point length %d does not match %d variables"
+                         % (len(point), len(f.vars)))
+    total = Q(0)
+    for exps, c in f.terms():
+        v = c
+        for x, e in zip(point, exps):
+            if e:
+                v *= x ** e
+        total += v
+    return total
+
+
+def leading_term(f):
+    """(exponents, coefficient) of the degrevlex-largest monomial of f."""
+    if f.is_zero():
+        raise ValueError("zero form has no leading term")
+    return f.terms()[0]
+
+
+def pure_power_empty(gb):
+    """Projective emptiness by the pure-power criterion: the leading-term
+    ideal of the reduced basis gb holds a power of every variable, or 1.
+    The criterion `groebner.is_projectively_empty` replaced with the
+    Hilbert profile's dimension -1, kept as its reference.  The zero
+    ideal yields False (whole space)."""
+    if not gb:
+        return False
+    covered = [False] * len(gb.ideal.vars)
+    for exps in gb.leading_exponents():
+        support = [i for i, e in enumerate(exps) if e]
+        if len(support) == 1:
+            covered[support[0]] = True
+        elif not support:              # unit ideal
+            return True
+    return all(covered)
+
+
 def random_invertible(rng, n, lo=-3, hi=3):
     """Seeded invertible rational matrix."""
     while True:
         M = [[Q(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)]
-        if linalg.det(M) != 0:
+        if det(M) != 0:
             return M
 
 
@@ -33,7 +123,7 @@ def rational_invertible(rng, n):
     while True:
         M = [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
              for _ in range(n)]
-        if linalg.det(M) != 0:
+        if det(M) != 0:
             return M
 
 
@@ -175,10 +265,10 @@ def normal_form(f, gb):
     reduction that builds the basis."""
     if f.vars != gb.ideal.vars:
         raise ValueError("ring mismatch")
-    basis = [(g.leading_term()[0], g) for g in gb.basis]
+    basis = [(leading_term(g)[0], g) for g in gb.basis]
     rem = Form.zero(f.vars)
     while not f.is_zero():
-        lead, c = f.leading_term()
+        lead, c = leading_term(f)
         term = Form(f.vars, {lead: c})
         for e, g in basis:
             if all(x <= y for x, y in zip(e, lead)):
@@ -193,7 +283,7 @@ def plucker_tensor_at(kp, order, point):
     """Constant skew matrix of the kernel coordinates at a point."""
     T = [[Q(0)] * order for _ in range(order)]
     for (i, j), f in kp.items():
-        v = f.evaluate(point)
+        v = evaluate(f, point)
         T[i][j] = v
         T[j][i] = -v
     return T
@@ -204,12 +294,12 @@ def support_plane(T):
 
     For skew T the column space equals the row space, so the rows serve.
     """
-    return linalg.span_rref([row for row in T if any(row)])
+    return span_rref([row for row in T if any(row)])
 
 
 def kernel_plane_at(A, point):
     """Exact kernel of the evaluated matrix, as a canonical RREF basis."""
-    return linalg.span_rref(linalg.nullspace(A.evaluate_at(point), ncols=A.order))
+    return span_rref(linalg.nullspace(evaluate_at(A, point), ncols=A.order))
 
 
 def toeplitz_rows(B1, B2, delta):

@@ -7,11 +7,12 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from tests.conftest import FORM_TOKENS
+from tests.conftest import FORM_TOKENS, evaluate_at, random_invertible
 
 from skewrank import catalog, geometry
 from skewrank.certify import verdict
@@ -82,7 +83,7 @@ def test_certify_json_is_a_proof(tmp_path, capsys):
     for path in paths:
         code, out = run(capsys, ["certify", path])
         data = json.loads(out)
-        assert set(data) == {"constant", "generic_rank", "method", "seed", "witness"}
+        assert set(data) == {"constant", "generic_rank", "method", "witness"}
         assert isinstance(data["constant"], bool)
         assert code == (0 if data["constant"] else 3)
     assert code == 3 and data["witness"] is not None
@@ -94,6 +95,31 @@ def test_certify_has_no_sampling_option(tmp_path, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+def test_seed_is_not_an_option(tmp_path, capsys):
+    # every answer is a function of the input alone: no option picks a
+    # pseudo-random stream, and no answer echoes one
+    path = write_matrix(tmp_path, "pi2")
+    for argv in (["--seed", "1", "certify", path], ["certify", "--seed", "1", path],
+                 ["certify", path, "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.count("error:") == 1, argv
+        assert "Traceback" not in captured.err
+    net = tmp_path / "net.json"
+    net.write_text(SkewPolyMatrix(4, ("a", "b", "c"), {
+        (0, 1): "a + b + c", (2, 3): "a + 2*b + 3*c"}).dumps())
+    for argv, want in ((["certify", path], 0), (["certify", str(net)], 3),
+                       (["orbit-dim", path], 0),
+                       (["fingerprint", "--budget", "10", path], 0),
+                       (["reproduce", "--name", "rank2_3x3"], 0),
+                       (["reproduce", "--name", "rank2_3x3", "--table"], 0)):
+        code, out = run(capsys, argv)
+        assert code == want and "seed" not in out, argv
 
 
 def test_certify_reads_a_huge_linear_witness_at_once(tmp_path, capsys):
@@ -156,10 +182,7 @@ def test_orbit_dim(tmp_path, capsys):
     data = json.loads(out)
     assert data["tangent_rank"] == 39 and data["orbit_dim"] == 38
     assert "dense_check" not in data
-    code, out = run(capsys, ["--seed", "3", "orbit-dim",
-                             write_matrix(tmp_path, "M7")])
-    assert code == 0
-    assert json.loads(out)["seed"] == 3
+    assert "seed" not in data
     with pytest.raises(SystemExit) as exc:
         main(["orbit-dim", "--exact", write_matrix(tmp_path, "M7")])
     assert exc.value.code == 2
@@ -178,7 +201,7 @@ def test_project(tmp_path, capsys):
     assert SkewPolyMatrix.from_json(data["result"]) == catalog.get("pi6").matrix
 
     A = catalog.get("pi2").matrix
-    C = A.evaluate_at((1, 0, 0))
+    C = evaluate_at(A, (1, 0, 0))
     col = next([C[i][j] for i in range(8)] for j in range(8)
                if any(C[i][j] for i in range(8)))
     p2 = tmp_path / "pi2.json"
@@ -234,10 +257,11 @@ EIGHT_PLANES = ("dk_steiner", "pi1", "pi2", "pi3", "pi4", "pi5", "pi6",
                 "schwarzenberger")
 
 
-def _pinned_answers(tmp_path, capsys, command, options=([],)):
+def _pinned_answers(tmp_path, capsys, command, options=([],), lift=None):
     """(count, sha256) of the canonical JSON of [exit code, answer] of the
     command, once per options list, on each 8x8 rank-6 plane and on a
-    seeded dense congruence U^T A U of it, U unit upper triangular."""
+    seeded dense congruence U^T A U of it, U unit upper triangular, each
+    first passed through lift(name, M) when a lift is given."""
     answers = []
     for name in EIGHT_PLANES:
         A = catalog.get(name).matrix
@@ -245,6 +269,8 @@ def _pinned_answers(tmp_path, capsys, command, options=([],)):
         U = [[r.randint(-2, 2) if i < j else int(i == j) for j in range(8)]
              for i in range(8)]
         for M in (A, A.congruence_transform(U)):
+            if lift is not None:
+                M = lift(name, M)
             path = tmp_path / "plane.json"
             path.write_text(M.dumps())
             for opts in options:
@@ -264,6 +290,29 @@ def test_project_outputs_are_pinned(tmp_path, capsys):
     options = [["--center=" + c] for c in centers]
     assert _pinned_answers(tmp_path, capsys, "project", options) == (
         48, "120e049f6b1062268ced73c3c95a1460ce960af100c36ec0c367c295ed8fb4f2")
+
+
+def _refutation_extension(name, M):
+    """The plane M with a fourth variable whose coefficient matrix is a
+    seeded integer skew matrix, read through a seeded parameter change:
+    generic rank 8, and rank 6 on the moved hyperplane of the plane, so
+    most witnesses are drawn points or lines of the search."""
+    r = random.Random("extend:" + name)
+    D = [[0] * 8 for _ in range(8)]
+    for i, j in combinations(range(8), 2):
+        D[i][j] = r.randint(-2, 2)
+        D[j][i] = -D[i][j]
+    ext = SkewPolyMatrix.from_coefficient_basis(
+        M.vars + ("d",), M.coefficient_basis() + [D])
+    return ext.parameter_change(random_invertible(r, 4, -9, 9))
+
+
+def test_certify_refutations_are_pinned(tmp_path, capsys):
+    # recorded with --seed 0 before the option went, its "seed" key
+    # dropped: the fixed stream of the witness search is that seed's
+    assert _pinned_answers(tmp_path, capsys, "certify",
+                           lift=_refutation_extension) == (
+        16, "81c6e80a49d208c4fde2224762a621ec25230a09a94cf2c0ee11f59c9dddec0d")
 
 
 def test_an_unreached_splitting_bound_exits_unknown(tmp_path, capsys, monkeypatch):

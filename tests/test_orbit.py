@@ -104,7 +104,7 @@ def test_report_fields_and_bounds():
     assert rep.orbit_dim == rep.tangent_rank - 1
     assert rep.stabilizer_dim == A.order ** 2 - rep.orbit_dim
     assert set(rep.to_json()) == {"ambient_grassmannian_dim", "tangent_rank",
-                                  "orbit_dim", "stabilizer_dim", "seed"}
+                                  "orbit_dim", "stabilizer_dim"}
 
 
 def test_dependent_generators_rejected():
@@ -116,11 +116,12 @@ def test_dependent_generators_rejected():
 
 
 def test_orbit_dim_does_not_depend_on_seed():
+    # the benchmark worker's `seed` keyword is ignored, and not echoed
     for name in ("M7", "pi1", "dk_steiner"):
         A = catalog.get(name).matrix
-        reports = [orbit_dimension(A, seed=s) for s in range(3)]
+        reports = {orbit_dimension(A, seed=s) for s in range(3)}
+        assert reports == {orbit_dimension(A)}
         assert {rep.orbit_dim for rep in reports} == {ORBIT_DIMS[name]}
-        assert [rep.seed for rep in reports] == [0, 1, 2]
 
 
 def _own_orbit_dim(A):

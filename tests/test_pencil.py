@@ -2,9 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from tests.conftest import (moved, partitions, random_invertible,
-                            toeplitz_invariants, toeplitz_minimal_basis,
-                            toeplitz_rows)
+from tests.conftest import (bareiss_det, moved, partitions, random_invertible,
+                            toeplitz_invariants, toeplitz_minimal_basis, toeplitz_rows)
 
 from skewrank import catalog, linalg, pencil
 from skewrank.certify import certify_constant_rank
@@ -171,7 +170,7 @@ def test_forced_indices_match_the_full_sequence(rng, monkeypatch):
 def stacked_g0(B1, B2):
     """g_0 = n - rank [B1; B2], the step-0 formula the chain's
     dim E_0 - rank(B2 E_0) replaced: both are dim(ker B1 cap ker B2)."""
-    return len(B1) - linalg.rank([list(row) for row in (*B1, *B2)])
+    return len(B1) - linalg.bareiss_rank([list(row) for row in (*B1, *B2)])
 
 
 def test_step_zero_matches_the_stacked_rank(rng):
@@ -258,7 +257,7 @@ def _assert_congruence(B1, B2):
     for B, Ck in zip((B1, B2), C.integer_basis()):
         assert linalg.mat_mul(Pt, linalg.mat_mul(B, P)) == \
             [[m * m * x for x in row] for row in Ck]
-    assert linalg.bareiss_det(P) != 0
+    assert bareiss_det(P) != 0
     return inv
 
 
@@ -325,7 +324,7 @@ def test_congruence_to_canonical_on_catalog_pencils_and_planes(rng):
         pairs = []
         while len(pairs) < 20:
             p, q = ([lines.randint(-3, 3) for _ in range(3)] for _ in range(2))
-            if linalg.rank([p, q]) == 2:
+            if linalg.bareiss_rank([p, q]) == 2:
                 pairs.append((p, q))
         for p, q in pairs:
             B1, B2 = A._combine(p), A._combine(q)
