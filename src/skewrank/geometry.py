@@ -6,10 +6,15 @@ jumping-line scans, and degrees of section zero schemes.  A line query
 on a certified constant-rank space hands the proven rank to
 `pencil_invariants`, which stops once it forces the splitting; each
 point's matrix and first kernel are memoised, since a scan draws many
-lines through few points.  The kernel map's span and the zero-scheme
-ideals read the packed integer Pfaffians; only `kernel_plucker` builds
-Forms.  Everything is exact, and every answer is a function of the
-input alone.  The generic splitting is proven by one line that attains
+lines through few points.  A scan normalises each grid line's points
+once per process and reads them through one splitting kernel; where
+every orthogonal block has at most one index that is not a forced
+zero, no line can jump, and the scan proves that without reading a
+line.  `scanned` counts the candidates whose splitting was read or
+proven.  The kernel map's span and the zero-scheme ideals read the
+packed integer Pfaffians; only `kernel_plucker` builds Forms.
+Everything is exact, and every answer is a function of the input
+alone.  The generic splitting is proven by one line that attains
 a lower bound.  The negative lines of `verify_jumping_set` and the
 covectors redrawn for zero schemes and fingerprints come from fixed
 pseudo-random streams, one per use.
@@ -171,6 +176,14 @@ def line_span_points(line):
     return pts[0], pts[1]
 
 
+@lru_cache(maxsize=512)
+def _span_points(line):
+    """`line_span_points` of the line given as a tuple, memoised: the
+    grid lines are the same on every plane a process scans, so their
+    points are normalised once."""
+    return line_span_points(line)
+
+
 @lru_cache(maxsize=256)
 def _point_matrix(A, p):
     """The integer matrix A(p) = sum(p_k B_k) at the primitive integer
@@ -201,6 +214,13 @@ def splitting_on_line(A, p, q):
     q = tuple(linalg.primitive_vector(q))
     if not linalg.independent(p, q):
         raise ValueError("line needs two independent points")
+    return _splitting(A, p, q)
+
+
+def _splitting(A, p, q):
+    """`splitting_on_line` through primitive, independent integer points
+    p and q, which it takes as given: the kernel that the scans call
+    with the points of `_span_points`."""
     cert = verdict(A)
     proven = cert.generic_rank if cert.constant is True else None
     inv = pencil_invariants(_point_matrix(A, p), _point_matrix(A, q), proven)
@@ -221,18 +241,24 @@ def _orthogonal_blocks(A):
     return blocks
 
 
+def _free_indices(A):
+    """(r_b, f_b) for each block of `_orthogonal_blocks` of a certified
+    constant-rank space.  The block has rank 2r_b, read off B_1 = A(e_1),
+    so m_b = (block size) - 2r_b indices on every line.  Its c_b common
+    kernel vectors, the kernel of its stacked coefficient rows, make c_b
+    of them zeros; the other f_b = (rank of the stack) - 2r_b are free."""
+    basis = A.integer_basis()
+    for b in _orthogonal_blocks(A):
+        rank = linalg.bareiss_rank([[basis[0][i][j] for j in b] for i in b])
+        stacked = linalg.bareiss_rank([[B[i][j] for j in b] for B in basis for i in b])
+        yield rank // 2, stacked - rank
+
+
 def _splitting_bound(A):
     """The lower bound beta of `generic_splitting` on a certified
-    constant-rank space: for each block of `_orthogonal_blocks`, of rank
-    2r_b, m_b = (block size) - 2r_b indices and c_b common kernel
-    vectors, c_b zeros and r_b cut into m_b - c_b parts that differ by at
-    most 1."""
-    B1, kernel, parts = A.integer_basis()[0], A.common_kernel(), []
-    for b in _orthogonal_blocks(A):
-        rank = linalg.bareiss_rank([[B1[i][j] for j in b] for i in b])  # B_1 = A(e_1)
-        free = (len(b) - rank
-                - linalg.bareiss_rank([[v[j] for j in b] for v in kernel]))
-        parts += ((rank // 2 + i) // free for i in range(free))
+    constant-rank space: for each block of `_free_indices`, c_b zeros and
+    r_b cut into its f_b free indices, which differ by at most 1."""
+    parts = [(r + i) // free for r, free in _free_indices(A) for i in range(free)]
     partition = tuple(sorted(filter(None, parts), reverse=True))
     rank = verdict(A).generic_rank
     return KroneckerInvariants(rank, partition, A.order - rank - len(partition))
@@ -291,12 +317,38 @@ def generic_splitting(A):
                           % (GENERIC_SAMPLES, list(beta.partition), beta.padding))
 
 
+def _no_line_jumps(A):
+    """Is `_splitting_bound(A)` the splitting of every line of the net A,
+    so that no line needs reading?  It is when A is certified of
+    constant rank and each block of `_free_indices` has f_b <= 1: the
+    indices of a line are the union of its blocks', and a block's free
+    indices sum to r_b, so one is r_b and none leaves r_b = 0.
+    ValueError unless A has three parameters, since the lines read are
+    dual triples."""
+    if A.nvars != 3:
+        raise ValueError("points must have one coordinate per variable")
+    return (verdict(A).constant is True
+            and all(free <= 1 for _, free in _free_indices(A)))
+
+
+def _line_splitting(A):
+    """The function from the dual coordinates of a line of the net A to
+    its splitting: read through `_splitting` at the line's cached span
+    points, or `_splitting_bound(A)` for every line where
+    `_no_line_jumps(A)`, once the coordinates are checked."""
+    beta = _splitting_bound(A) if _no_line_jumps(A) else None
+
+    def split(line):
+        p, q = _span_points(tuple(line))
+        return _splitting(A, p, q) if beta is None else beta
+    return split
+
+
 def jumping_test(A, line, generic=None):
     """Does the line's splitting differ from the generic one?"""
     if generic is None:
         generic = generic_splitting(A)
-    p, q = line_span_points(line)
-    return splitting_on_line(A, p, q) != generic
+    return _line_splitting(A)(line) != generic
 
 
 @lru_cache(maxsize=None)
@@ -352,28 +404,36 @@ def grid_lines(count=None):
 
 @dataclass(frozen=True)
 class ScanResult:
+    """`scanned` counts the candidate lines whose splitting was read or
+    proven."""
     generic: KroneckerInvariants
     jumping_lines: tuple         # ((line, invariants), ...)
     scanned: int
 
 
 def jumping_scan(A, budget=200):
-    """Test the first `budget` grid lines for jumping."""
+    """Test the first `budget` grid lines for jumping.  Where no line can
+    jump (`_no_line_jumps`) that is proven for all of them, and none is
+    read; `scanned` counts them either way."""
     if budget < 1:
         raise ValueError("budget must be at least 1, got %r" % budget)
     generic = generic_splitting(A)
     candidates = grid_lines(budget)
-    read = [(line, splitting_on_line(A, *line_span_points(line))) for line in candidates]
+    if _no_line_jumps(A):
+        return ScanResult(generic, (), len(candidates))
+    read = [(line, _splitting(A, *_span_points(line))) for line in candidates]
     return ScanResult(generic, tuple((line, inv) for line, inv in read if inv != generic),
                       len(candidates))
 
 
 def verify_jumping_set(A, lines):
     """All given lines jump; NEGATIVE_LINES other lines, drawn from a
-    fixed stream, do not."""
+    fixed stream, do not.  Where no line can jump (`_no_line_jumps`),
+    the lines' coordinates are checked but no line is read."""
     generic = generic_splitting(A)
+    split = _line_splitting(A)
     positives = {tuple(linalg.primitive_vector(l)) for l in lines}
-    if not all(jumping_test(A, line, generic=generic) for line in lines):
+    if not all(split(line) != generic for line in lines):
         return False
     rng = random.Random("negative-lines:0")
     done = 0
@@ -382,7 +442,7 @@ def verify_jumping_set(A, lines):
         if not any(l) or linalg.primitive_int(l) in positives:
             continue
         done += 1
-        if jumping_test(A, l, generic=generic):
+        if split(l) != generic:
             return False
     return True
 

@@ -285,6 +285,13 @@ def test_gauss_outputs_are_pinned(tmp_path, capsys):
         16, "e307af530d408676f5e8c4f4d5384dc75dfc44d2b37e7e03a4c1a80d919495ad")
 
 
+def test_fingerprint_outputs_are_pinned(tmp_path, capsys):
+    # recorded before pi1's and pi2's scans became proofs: the splitting,
+    # jumping lines and scanned count of every plane stay as read
+    assert _pinned_answers(tmp_path, capsys, "fingerprint") == (
+        16, "ebfc197ecc42594933519969405bd88d7d0d3154a52c678a451c78c45343fff0")
+
+
 def test_project_outputs_are_pinned(tmp_path, capsys):
     centers = ("1,0,0,0,0,0,0,0", "1,-1,2,-2,3,-3,4,-4", "-1/2,1,0,3,0,0,2/3,1")
     options = [["--center=" + c] for c in centers]

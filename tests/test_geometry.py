@@ -323,6 +323,38 @@ def test_point_and_kernel_memos_stay_bounded(rng):
         info = cache.cache_info()
         assert info.maxsize is not None
         assert 0 < info.currsize <= info.maxsize < len(points)
+    # so is the span-point memo, which every line query reads
+    geometry._span_points.cache_clear()
+    generic = geometry.generic_splitting(A)
+    lines = set()
+    while len(lines) < 2 * geometry._span_points.cache_info().maxsize:
+        line = tuple(rng.randint(-20, 20) for _ in range(3))
+        if any(line):
+            assert geometry.jumping_test(A, line, generic) is False
+            lines.add(line)
+    info = geometry._span_points.cache_info()
+    assert info.maxsize is not None
+    assert 0 < info.currsize <= info.maxsize < len(lines)
+
+
+def test_span_point_memo_matches_line_span_points(rng):
+    lines = list(geometry.grid_lines(300))
+    lines += [(Q(-1, 2), -1, Q(-3, 2)), (0, 0, 7), (-4, 6, 0)]
+    lines += [tuple(Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
+              for _ in range(50)]
+    for line in lines:
+        if any(line):
+            assert geometry._span_points(tuple(line)) == \
+                geometry.line_span_points(line), line
+    # a list line and a line with Fraction entries are read as before
+    dk = catalog.get("dk_steiner").matrix
+    pi2 = catalog.get("pi2").matrix
+    for A, line, jumps in [(dk, [1, 1, 1], True), (dk, [Q(1, 3)] * 3, True),
+                           (dk, [1, 2, 5], False), (pi2, [Q(-1, 2), 1, 3], False)]:
+        assert geometry.jumping_test(A, line) is jumps, line
+    for line in ([0, 0, 0], [1, 2], (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            geometry.jumping_test(pi2, line)
 
 
 def test_line_queries_on_uncertified_spaces_run_the_full_sequence(monkeypatch):
@@ -336,6 +368,60 @@ def test_line_queries_on_uncertified_spaces_run_the_full_sequence(monkeypatch):
         geometry.splitting_on_line(net, (1, 2, 3), (2, -1, 5))
     geometry.splitting_on_line(catalog.get("pi2").matrix, (1, 0, 0), (0, 1, 0))
     assert ranks == [None, 6]
+
+
+def _read_every_line(A, budget):
+    """The scan of the first `budget` grid lines, each read through the
+    public `splitting_on_line`."""
+    generic = geometry.generic_splitting(A)
+    lines = geometry.grid_lines(budget)
+    read = [(l, geometry.splitting_on_line(A, *geometry.line_span_points(l)))
+            for l in lines]
+    return geometry.ScanResult(
+        generic, tuple((l, inv) for l, inv in read if inv != generic), len(lines))
+
+
+def test_no_line_is_read_where_none_can_jump(monkeypatch):
+    # each visible block of pi1 (one index 3, one forced zero) and of pi2
+    # (a 5x5 and a 3x3 block, one index each) has at most one free index,
+    # so every line has the generic splitting and the scan is a proof: it
+    # reads no grid line, only the one secant of generic_splitting
+    pi1, pi2, pi6 = (catalog.get(n).matrix for n in ("pi1", "pi2", "pi6"))
+    rng = random.Random("no-line-jumps")
+    U = [[rng.randint(-2, 2) if i < j else int(i == j) for j in range(8)]
+         for i in range(8)]
+    reads = []
+    kernel = geometry._splitting
+    monkeypatch.setattr(geometry, "_splitting",
+                        lambda *args: reads.append(args) or kernel(*args))
+    proofs = [("pi1", pi1, (200, 1000)),
+              ("pi1:dense", pi1.congruence_transform(U), (200, 1000)),
+              ("pi1+pi1", pi1.direct_sum(pi1), (200, 1000)),
+              ("pi2", pi2, (200,)), ("pi1+pi2", pi1.direct_sum(pi2), (200,))]
+    # a block with two free indices: every line is read
+    scans = [("pi6", pi6, (200,)), ("pi2:dense", pi2.congruence_transform(U), (200,)),
+             ("pi1+pi6", pi1.direct_sum(pi6), (200,))]
+    for proven, cases in ((True, proofs), (False, scans)):
+        for label, A, budgets in cases:
+            reads.clear()
+            generic = geometry.generic_splitting(A)
+            secants = len(reads)
+            for budget in budgets:
+                want = _read_every_line(A, budget)
+                reads.clear()
+                assert geometry.jumping_scan(A, budget=budget) == want, label
+                assert len(reads) == secants + (0 if proven else budget), label
+            jumps = dict(want.jumping_lines)
+            reads.clear()
+            for line in geometry.grid_lines(200):
+                assert geometry.jumping_test(A, line, generic) is (line in jumps), \
+                    (label, line)
+            assert len(reads) == (0 if proven else 200), label
+    # the proof still checks its lines, and answers only for nets
+    with pytest.raises(ValueError):
+        geometry.jumping_test(pi1, (0, 0, 0))
+    with pytest.raises(ValueError, match="one coordinate per variable"):
+        geometry.jumping_scan(catalog.get("westwick").matrix, budget=5)
 
 
 def test_dk_jumping_lines():
